@@ -26,7 +26,9 @@
 //! evaluated — the kernel is even in the separation, its gradient odd). In
 //! x and y the kernel is doubly periodic with the patch period, so the lateral
 //! convolution is **exactly circulant at n × n — no padding**. The z axis is
-//! Toeplitz and is circulant-embedded into `M = next_pow2(2m−1)` planes. One
+//! Toeplitz and is circulant-embedded into `M ≥ 2m−1` planes, `M` the
+//! smallest 2/3/5-smooth such length (any `M ≥ 2m−1` embeds the linear
+//! convolution exactly; smooth lengths keep the FFT on its fast path). One
 //! matvec is then: spread the four source sets `{Ψ, −f_x Ψ, −f_y Ψ, U}` onto
 //! the `M × n × n` cube with the Lagrange weights, four forward 3-D FFTs
 //! ([`rough_numerics::fft::fft3_in_place`]), eight pointwise transfer
@@ -57,7 +59,7 @@ use crate::nearfield::{AssemblyStats, KernelEval, NearFieldPolicy};
 use crate::parallel::{map_rows, AssemblyParallelism};
 use rough_em::green::{GreenSample, PeriodicGreen3d, SeparationVector};
 use rough_numerics::complex::c64;
-use rough_numerics::fft::{fft3_in_place, Direction};
+use rough_numerics::fft::{fft3_in_place, next_smooth_len, Direction};
 use rough_numerics::iterative::LinearOperator;
 use rough_numerics::quadrature2d::QuadScratch;
 use std::collections::HashMap;
@@ -149,7 +151,8 @@ impl OperatorRepr {
 struct SlabGrid {
     /// Number of interpolation levels `m`.
     levels: usize,
-    /// FFT planes `M = next_pow2(2m−1)` (1 for a flat surface).
+    /// FFT planes `M`: the smallest 2/3/5-smooth length `≥ 2m−1` (1 for a
+    /// flat surface).
     planes: usize,
     /// Active stencil width (equals the policy order, or 1 when flat).
     order: usize,
@@ -243,7 +246,7 @@ fn build_slab(mesh: &PatchMesh, k_max: f64, rho_min: f64, policy: &MatrixFreePol
     let h = slab_spacing(p, k_max, rho_min, policy.safety);
     let levels = (height / h).ceil() as usize + p + 1;
     let z0 = z_min - (p as f64 / 2.0) * h;
-    let planes = (2 * levels - 1).next_power_of_two();
+    let planes = next_smooth_len(2 * levels - 1);
 
     let mut starts = Vec::with_capacity(cells.len());
     let mut weights = Vec::with_capacity(cells.len() * p);
@@ -649,8 +652,7 @@ impl MatrixFreeOperator {
         ];
         for table in &mut tables {
             for cube in [&mut table.val, &mut table.gx, &mut table.gy, &mut table.gz] {
-                fft3_in_place(cube, slab.planes, side, side, Direction::Forward)
-                    .expect("any-length FFT");
+                let Ok(()) = fft3_in_place(cube, slab.planes, side, side, Direction::Forward);
             }
         }
 
@@ -698,7 +700,8 @@ impl MatrixFreeOperator {
         self.slab.levels
     }
 
-    /// Number of FFT planes `M` of the circulant embedding (diagnostics).
+    /// Number of FFT planes `M` of the circulant embedding: the smallest
+    /// 2/3/5-smooth length `≥ 2m−1` (diagnostics).
     pub fn fft_planes(&self) -> usize {
         self.slab.planes
     }
@@ -793,7 +796,7 @@ impl LinearOperator for MatrixFreeOperator {
         let mut cube_fx = self.spread(&scaled_fx);
         let mut cube_fy = self.spread(&scaled_fy);
         for cube in [&mut cube_u, &mut cube_psi, &mut cube_fx, &mut cube_fy] {
-            fft3_in_place(cube, planes, side, side, Direction::Forward).expect("any-length FFT");
+            let Ok(()) = fft3_in_place(cube, planes, side, side, Direction::Forward);
         }
 
         // Pointwise transfer products per medium, then back to real space.
@@ -811,10 +814,8 @@ impl LinearOperator for MatrixFreeOperator {
                 out_d[idx] =
                     t.gx[idx] * cube_fx[idx] + t.gy[idx] * cube_fy[idx] + t.gz[idx] * cube_psi[idx];
             }
-            fft3_in_place(&mut out_s, planes, side, side, Direction::Inverse)
-                .expect("any-length FFT");
-            fft3_in_place(&mut out_d, planes, side, side, Direction::Inverse)
-                .expect("any-length FFT");
+            let Ok(()) = fft3_in_place(&mut out_s, planes, side, side, Direction::Inverse);
+            let Ok(()) = fft3_in_place(&mut out_d, planes, side, side, Direction::Inverse);
             self.gather(&out_s, &mut single[m]);
             self.gather(&out_d, &mut double[m]);
             for v in &mut double[m] {
@@ -1104,15 +1105,32 @@ mod tests {
 
     #[test]
     fn matvec_matches_dense_in_lossy_regime() {
-        let mesh = rough_mesh(6, 5e-6, 0.3e-6);
-        let (dense, mf) = assemble_pair(
-            &mesh,
-            c64::new(500.0, 0.0),
-            c64::new(1.5e6, 1.5e6),
-            c64::new(0.0, -1e-7),
-        );
-        let diff = matvec_rel_diff(&dense, &mf);
-        assert!(diff <= 1e-10, "lossy rel diff {diff:e}");
+        // Side 6 runs the lateral FFTs through radix 2 and 3, side 10 through
+        // radix 2 and 5, and side 7 through the Bluestein fallback.
+        for side in [6, 10, 7] {
+            let mesh = rough_mesh(side, 5e-6, 0.3e-6);
+            let (dense, mf) = assemble_pair(
+                &mesh,
+                c64::new(500.0, 0.0),
+                c64::new(1.5e6, 1.5e6),
+                c64::new(0.0, -1e-7),
+            );
+            // The z embedding is the smallest 2/3/5-smooth length that holds
+            // the linear convolution of the slab.
+            let smooth = |mut m: usize| {
+                for p in [2, 3, 5] {
+                    while m.is_multiple_of(p) {
+                        m /= p;
+                    }
+                }
+                m == 1
+            };
+            let min_planes = 2 * mf.slab_levels() - 1;
+            assert!(mf.fft_planes() >= min_planes && smooth(mf.fft_planes()));
+            assert!(!(min_planes..mf.fft_planes()).any(smooth), "side {side}");
+            let diff = matvec_rel_diff(&dense, &mf);
+            assert!(diff <= 1e-10, "side {side}: lossy rel diff {diff:e}");
+        }
     }
 
     #[test]

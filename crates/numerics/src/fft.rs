@@ -1,42 +1,35 @@
 //! Complex fast Fourier transforms in one, two and three dimensions.
 //!
-//! Power-of-two lengths run through the classic in-place radix-2
-//! Cooley–Tukey kernel; every other length is handled by the Bluestein
-//! chirp-z algorithm (the transform is re-expressed as a circular
-//! convolution of length `next_power_of_two(2N-1)` and evaluated with the
-//! radix-2 kernel), so *any* length is O(N log N).
+//! Every length whose prime factors are all 2, 3 or 5 runs through a
+//! Stockham autosort kernel with radix-2/3/4/5 passes and precomputed
+//! twiddles. Any other length (one with a prime factor above 5) is handled by
+//! the Bluestein chirp-z algorithm: the transform is re-expressed as a
+//! circular convolution of the smallest 2/3/5-smooth length `≥ 2N−1`
+//! ([`next_smooth_len`]) and evaluated with the same kernel, so *any* length
+//! is O(N log N).
+//!
+//! Each call builds one plan per axis (twiddles, and for Bluestein the chirp
+//! and its transformed convolution kernel) and reuses it, with one scratch
+//! buffer, for every line along that axis; a plan costs about one line's
+//! transform.
 //!
 //! The FFT is used by the spectral rough-surface synthesis (generating a
 //! stationary Gaussian surface with a prescribed power spectral density, paper
 //! §II / Fig. 2) and by the matrix-free block-Toeplitz matvec of
-//! `rough-core` (grids of 12 or 24 cells per side are not powers of two,
-//! which is why the Bluestein path exists).
+//! `rough-core`, whose lateral axes have the mesh side (often 12, 20 or 24
+//! cells) and whose z axis is sized by [`next_smooth_len`].
 
 use crate::complex::c64;
 use std::f64::consts::PI;
 
-/// Error returned for transform sizes that are not supported.
-///
-/// Since the Bluestein extension every length is supported and the 1-D/2-D/3-D
-/// transforms never fail; the type is retained so existing `Result`-based call
-/// sites keep compiling unchanged.
+/// Error type of the transforms. It has no values: every length is
+/// supported, so `let Ok(()) = fft_in_place(..);` is irrefutable.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FftError {
-    /// The input length is not a power of two. No longer produced — kept for
-    /// API compatibility with pre-Bluestein callers.
-    NotPowerOfTwo {
-        /// Offending length.
-        len: usize,
-    },
-}
+pub enum FftError {}
 
 impl std::fmt::Display for FftError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FftError::NotPowerOfTwo { len } => {
-                write!(f, "fft length {len} is not a power of two")
-            }
-        }
+    fn fmt(&self, _: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {}
     }
 }
 
@@ -51,97 +44,291 @@ pub enum Direction {
     Inverse,
 }
 
-/// In-place radix-2 kernel; `n` must be a power of two (checked by callers).
-fn fft_radix2(data: &mut [c64], direction: Direction) {
-    let n = data.len();
-    debug_assert!(n.is_power_of_two());
-
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = i.reverse_bits() >> (usize::BITS - bits);
-        if j > i {
-            data.swap(i, j);
+impl Direction {
+    /// Sign of the exponent.
+    fn sign(self) -> f64 {
+        match self {
+            Direction::Forward => -1.0,
+            Direction::Inverse => 1.0,
         }
     }
+}
 
-    let sign = match direction {
-        Direction::Forward => -1.0,
-        Direction::Inverse => 1.0,
-    };
+/// The smallest `m ≥ n` whose prime factors are all 2, 3 or 5 (1 for
+/// `n ≤ 1`): the lengths the FFT runs without the Bluestein detour.
+pub fn next_smooth_len(n: usize) -> usize {
+    (n.max(1)..)
+        .find(|&m| is_smooth(m))
+        .expect("smooth numbers are unbounded")
+}
 
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * PI / len as f64;
-        let wlen = c64::from_polar(1.0, ang);
-        let mut start = 0;
-        while start < n {
-            let mut w = c64::one();
-            for k in 0..len / 2 {
-                let u = data[start + k];
-                let v = data[start + k + len / 2] * w;
-                data[start + k] = u + v;
-                data[start + k + len / 2] = u - v;
-                w *= wlen;
+fn is_smooth(mut n: usize) -> bool {
+    for p in [2, 3, 5] {
+        while n.is_multiple_of(p) {
+            n /= p;
+        }
+    }
+    n == 1
+}
+
+/// `z · (s·j)` for `s = ±1`.
+#[inline(always)]
+fn times_j(z: c64, s: f64) -> c64 {
+    c64::new(-s * z.im, s * z.re)
+}
+
+/// One radix-`R` Stockham pass over `stride` interleaved sequences of the
+/// current length `R·m`: reads `x[q + stride·(p + j·m)]`, writes the
+/// butterfly outputs times `w^{p·k}` to `y[q + stride·(R·p + k)]`.
+#[inline(always)]
+fn pass<const R: usize>(
+    x: &[c64],
+    y: &mut [c64],
+    stride: usize,
+    twiddles: &[c64],
+    butterfly: impl Fn([c64; R]) -> [c64; R],
+) {
+    let m = x.len() / (stride * R);
+    for (p, (w, out)) in twiddles
+        .chunks_exact(R - 1)
+        .zip(y.chunks_exact_mut(stride * R))
+        .enumerate()
+    {
+        let inputs: [&[c64]; R] = std::array::from_fn(|j| &x[stride * (p + j * m)..][..stride]);
+        for q in 0..stride {
+            let b = butterfly(std::array::from_fn(|j| inputs[j][q]));
+            out[q] = b[0];
+            for k in 1..R {
+                out[q + stride * k] = b[k] * w[k - 1];
             }
-            start += len;
         }
-        len <<= 1;
+    }
+}
+
+/// One radix pass of a [`Stockham`] plan.
+struct Stage {
+    radix: usize,
+    /// `w^{p·k}` of the pass, `radix − 1` entries (k = 1..radix) per `p`.
+    twiddles: Vec<c64>,
+}
+
+/// Stockham autosort transform of one 2/3/5-smooth length: consecutive
+/// passes ping-pong between the data and a scratch buffer, and the output
+/// lands in natural order without a bit-reversal step.
+struct Stockham {
+    sign: f64,
+    stages: Vec<Stage>,
+}
+
+impl Stockham {
+    fn new(n: usize, sign: f64) -> Self {
+        let mut radices = Vec::new();
+        let mut rest = n;
+        for r in [4, 2, 3, 5] {
+            while rest.is_multiple_of(r) {
+                radices.push(r);
+                rest /= r;
+            }
+        }
+        debug_assert_eq!(rest, 1, "{n} is not 2/3/5-smooth");
+        let mut done = 1; // product of the radices already applied
+        let stages = radices
+            .into_iter()
+            .map(|radix| {
+                let m = n / (done * radix);
+                let twiddles = (0..m)
+                    .flat_map(|p| (1..radix).map(move |k| (p, k)))
+                    .map(|(p, k)| {
+                        c64::from_polar(1.0, sign * 2.0 * PI * (done * p * k) as f64 / n as f64)
+                    })
+                    .collect();
+                done *= radix;
+                Stage { radix, twiddles }
+            })
+            .collect();
+        Self { sign, stages }
     }
 
-    if direction == Direction::Inverse {
-        let scale = 1.0 / n as f64;
-        for z in data.iter_mut() {
+    /// Transforms the `batch` sequences interleaved in `data` (element `t`
+    /// of sequence `q` at `data[q + batch·t]`); `work` has `data`'s length.
+    fn run(&self, data: &mut [c64], work: &mut [c64], batch: usize) {
+        let s = self.sign;
+        let (c3, s3) = (-0.5, s * (3f64.sqrt() / 2.0));
+        let (c51, c52) = ((0.4 * PI).cos(), (0.8 * PI).cos());
+        let (s51, s52) = (s * (0.4 * PI).sin(), s * (0.8 * PI).sin());
+        let mut stride = batch;
+        let mut in_data = true;
+        for stage in &self.stages {
+            let (x, y): (&[c64], &mut [c64]) = if in_data { (data, work) } else { (work, data) };
+            let tw = &stage.twiddles;
+            match stage.radix {
+                2 => pass::<2>(x, y, stride, tw, |[a0, a1]| [a0 + a1, a0 - a1]),
+                3 => pass::<3>(x, y, stride, tw, |[a0, a1, a2]| {
+                    let t1 = a1 + a2;
+                    let t2 = a0 + t1.scale(c3);
+                    let t3 = times_j(a1 - a2, s3);
+                    [a0 + t1, t2 + t3, t2 - t3]
+                }),
+                4 => pass::<4>(x, y, stride, tw, |[a0, a1, a2, a3]| {
+                    let (t0, t1) = (a0 + a2, a0 - a2);
+                    let (t2, t3) = (a1 + a3, times_j(a1 - a3, s));
+                    [t0 + t2, t1 + t3, t0 - t2, t1 - t3]
+                }),
+                _ => pass::<5>(x, y, stride, tw, |[a0, a1, a2, a3, a4]| {
+                    let (b1, b2) = (a1 + a4, a2 + a3);
+                    let (d1, d2) = (a1 - a4, a2 - a3);
+                    let r1 = a0 + b1.scale(c51) + b2.scale(c52);
+                    let r2 = a0 + b1.scale(c52) + b2.scale(c51);
+                    let i1 = times_j(d1.scale(s51) + d2.scale(s52), 1.0);
+                    let i2 = times_j(d1.scale(s52) - d2.scale(s51), 1.0);
+                    [a0 + b1 + b2, r1 + i1, r2 + i2, r2 - i2, r1 - i1]
+                }),
+            }
+            stride *= stage.radix;
+            in_data = !in_data;
+        }
+        if !in_data {
+            data.copy_from_slice(work);
+        }
+    }
+}
+
+/// Bluestein chirp-z plan for a length with a prime factor above 5: with
+/// `nk = (n² + k² − (k−n)²)/2` the DFT becomes a circular convolution of
+/// length `M = next_smooth_len(2N−1)`, evaluated with a forward [`Stockham`]
+/// plan (the inverse transform of the convolution runs as a conjugated
+/// forward one).
+struct Bluestein {
+    /// `e^{±jπ i²/N}` for `i < N`.
+    chirp: Vec<c64>,
+    /// Forward transform of the conjugate chirp laid out circularly,
+    /// pre-scaled by `1/M`.
+    kernel: Vec<c64>,
+    inner: Stockham,
+}
+
+impl Bluestein {
+    fn new(n: usize, sign: f64) -> Self {
+        let m = next_smooth_len(2 * n - 1);
+        let inner = Stockham::new(m, -1.0);
+        // Reduce the quadratic argument mod 2N before touching floating
+        // point, so large i² never loses angular precision.
+        let chirp: Vec<c64> = (0..n)
+            .map(|i| {
+                let reduced = ((i as u128 * i as u128) % (2 * n as u128)) as f64;
+                c64::from_polar(1.0, sign * PI * reduced / n as f64)
+            })
+            .collect();
+        let mut kernel = vec![c64::zero(); m];
+        kernel[0] = c64::one();
+        for i in 1..n {
+            kernel[i] = chirp[i].conj();
+            kernel[m - i] = chirp[i].conj();
+        }
+        inner.run(&mut kernel, &mut vec![c64::zero(); m], 1);
+        let scale = 1.0 / m as f64;
+        for z in &mut kernel {
             *z = z.scale(scale);
         }
+        Self {
+            chirp,
+            kernel,
+            inner,
+        }
+    }
+
+    /// Same contract as [`Stockham::run`], except that `work` holds `2M`.
+    fn run(&self, data: &mut [c64], work: &mut [c64], batch: usize) {
+        let (a, scratch) = work.split_at_mut(self.kernel.len());
+        for q in 0..batch {
+            a.fill(c64::zero());
+            for (i, w) in self.chirp.iter().enumerate() {
+                a[i] = data[q + batch * i] * *w;
+            }
+            self.inner.run(a, scratch, 1);
+            for (z, k) in a.iter_mut().zip(&self.kernel) {
+                *z = (*z * *k).conj();
+            }
+            self.inner.run(a, scratch, 1);
+            for (k, w) in self.chirp.iter().enumerate() {
+                data[q + batch * k] = a[k].conj() * *w;
+            }
+        }
     }
 }
 
-/// The chirp phase `e^{±jπ n²/N}` with the quadratic argument reduced
-/// mod `2N` before touching floating point, so large `n²` never loses
-/// angular precision.
-fn chirp(n: usize, len: usize, sign: f64) -> c64 {
-    let reduced = ((n as u128 * n as u128) % (2 * len as u128)) as f64;
-    c64::from_polar(1.0, sign * PI * reduced / len as f64)
+/// Unscaled transform of one length `≥ 2` and one direction.
+enum Plan {
+    Stockham(Stockham),
+    Bluestein(Bluestein),
 }
 
-/// Bluestein chirp-z evaluation of an arbitrary-length DFT: with
-/// `nk = (n² + k² − (k−n)²)/2`, the transform becomes a circular
-/// convolution that a zero-padded radix-2 FFT evaluates exactly.
-fn fft_bluestein(data: &mut [c64], direction: Direction) {
-    let n = data.len();
-    let sign = match direction {
-        Direction::Forward => -1.0,
-        Direction::Inverse => 1.0,
-    };
-    let m = (2 * n - 1).next_power_of_two();
-
-    // a_i = x_i · e^{sign·jπ i²/N}, zero-padded to m.
-    let mut a = vec![c64::zero(); m];
-    for (i, x) in data.iter().enumerate() {
-        a[i] = *x * chirp(i, n, sign);
-    }
-    // b_i = e^{-sign·jπ i²/N}, laid out circularly (b_{-i} at m-i).
-    let mut b = vec![c64::zero(); m];
-    b[0] = c64::one();
-    for i in 1..n {
-        let w = chirp(i, n, -sign);
-        b[i] = w;
-        b[m - i] = w;
+impl Plan {
+    fn new(n: usize, direction: Direction) -> Self {
+        if is_smooth(n) {
+            Plan::Stockham(Stockham::new(n, direction.sign()))
+        } else {
+            Plan::Bluestein(Bluestein::new(n, direction.sign()))
+        }
     }
 
-    fft_radix2(&mut a, Direction::Forward);
-    fft_radix2(&mut b, Direction::Forward);
-    for (ai, bi) in a.iter_mut().zip(&b) {
-        *ai *= *bi;
+    /// Transforms the `batch` sequences interleaved in `data`, growing
+    /// `work` as needed.
+    fn run(&self, data: &mut [c64], work: &mut Vec<c64>, batch: usize) {
+        match self {
+            Plan::Stockham(s) => s.run(data, grown(work, data.len()), batch),
+            Plan::Bluestein(b) => b.run(data, grown(work, 2 * b.kernel.len()), batch),
+        }
     }
-    fft_radix2(&mut a, Direction::Inverse);
+}
 
-    for (k, out) in data.iter_mut().enumerate() {
-        *out = a[k] * chirp(k, n, sign);
+/// The first `len` elements of `work`, grown with zeros if it is shorter.
+fn grown(work: &mut Vec<c64>, len: usize) -> &mut [c64] {
+    if work.len() < len {
+        work.resize(len, c64::zero());
     }
+    &mut work[..len]
+}
+
+/// Lines interleaved per kernel call when an axis is strided: contiguous
+/// runs of this many elements keep the inner butterfly loop vectorizable
+/// while the gathered block stays cache-resident.
+const LINE_BATCH: usize = 32;
+
+/// Transforms axis `len` of `data` viewed as row-major `outer × len × inner`
+/// (unscaled).
+fn transform_axis(data: &mut [c64], len: usize, inner: usize, direction: Direction) {
+    if len <= 1 {
+        return;
+    }
+    let plan = Plan::new(len, direction);
+    let mut work = Vec::new();
+    if inner <= LINE_BATCH {
+        for block in data.chunks_exact_mut(len * inner) {
+            plan.run(block, &mut work, inner);
+        }
+        return;
+    }
+    let mut lines = vec![c64::zero(); len * LINE_BATCH];
+    for block in data.chunks_exact_mut(len * inner) {
+        for c0 in (0..inner).step_by(LINE_BATCH) {
+            let width = LINE_BATCH.min(inner - c0);
+            let lines = &mut lines[..len * width];
+            for (t, row) in lines.chunks_exact_mut(width).enumerate() {
+                row.copy_from_slice(&block[t * inner + c0..][..width]);
+            }
+            plan.run(lines, &mut work, width);
+            for (t, row) in lines.chunks_exact(width).enumerate() {
+                block[t * inner + c0..][..width].copy_from_slice(row);
+            }
+        }
+    }
+}
+
+/// Applies the `1/N` of the inverse transform.
+fn normalize(data: &mut [c64], direction: Direction) {
     if direction == Direction::Inverse {
-        let scale = 1.0 / n as f64;
+        let scale = 1.0 / data.len() as f64;
         for z in data.iter_mut() {
             *z = z.scale(scale);
         }
@@ -150,23 +337,14 @@ fn fft_bluestein(data: &mut [c64], direction: Direction) {
 
 /// In-place 1-D FFT of a complex buffer of **any** length.
 ///
-/// Power-of-two lengths use the radix-2 kernel directly; other lengths go
-/// through the Bluestein chirp-z algorithm. Zero- and one-length buffers are
-/// no-ops.
+/// Zero- and one-length buffers are no-ops.
 ///
 /// # Errors
 ///
-/// Never fails; the `Result` is retained for API compatibility.
+/// Never fails: [`FftError`] has no values.
 pub fn fft_in_place(data: &mut [c64], direction: Direction) -> Result<(), FftError> {
-    let n = data.len();
-    if n <= 1 {
-        return Ok(());
-    }
-    if n.is_power_of_two() {
-        fft_radix2(data, direction);
-    } else {
-        fft_bluestein(data, direction);
-    }
+    transform_axis(data, data.len(), 1, direction);
+    normalize(data, direction);
     Ok(())
 }
 
@@ -196,7 +374,7 @@ pub fn ifft(input: &[c64]) -> Result<Vec<c64>, FftError> {
 ///
 /// # Errors
 ///
-/// Never fails; see [`fft_in_place`].
+/// See [`fft_in_place`].
 ///
 /// # Panics
 ///
@@ -207,38 +385,19 @@ pub fn fft2_in_place(
     cols: usize,
     direction: Direction,
 ) -> Result<(), FftError> {
-    assert_eq!(data.len(), rows * cols, "buffer size mismatch");
-    if rows == 0 || cols == 0 {
-        return Ok(());
-    }
-    // Transform rows.
-    for r in 0..rows {
-        fft_in_place(&mut data[r * cols..(r + 1) * cols], direction)?;
-    }
-    // Transform columns through a scratch buffer.
-    let mut col = vec![c64::zero(); rows];
-    for c in 0..cols {
-        for r in 0..rows {
-            col[r] = data[r * cols + c];
-        }
-        fft_in_place(&mut col, direction)?;
-        for r in 0..rows {
-            data[r * cols + c] = col[r];
-        }
-    }
-    Ok(())
+    fft3_in_place(data, 1, rows, cols, direction)
 }
 
 /// In-place 3-D FFT of a `planes × rows × cols` buffer laid out plane-major
 /// (index `(p·rows + r)·cols + c`), any dimensions.
 ///
-/// Used by the matrix-free operator of `rough-core`: each z-plane carries one
-/// [`fft2_in_place`], then every (row, col) column is transformed along the
-/// plane axis.
+/// Used by the matrix-free operator of `rough-core`. Each axis is
+/// transformed in turn with one plan; the strided row and plane axes run
+/// many interleaved lines per kernel call.
 ///
 /// # Errors
 ///
-/// Never fails; see [`fft_in_place`].
+/// See [`fft_in_place`].
 ///
 /// # Panics
 ///
@@ -251,29 +410,13 @@ pub fn fft3_in_place(
     direction: Direction,
 ) -> Result<(), FftError> {
     assert_eq!(data.len(), planes * rows * cols, "buffer size mismatch");
-    if planes == 0 || rows == 0 || cols == 0 {
+    if data.is_empty() {
         return Ok(());
     }
-    let plane_len = rows * cols;
-    for p in 0..planes {
-        fft2_in_place(
-            &mut data[p * plane_len..(p + 1) * plane_len],
-            rows,
-            cols,
-            direction,
-        )?;
-    }
-    // Transform along the plane axis through a scratch buffer.
-    let mut line = vec![c64::zero(); planes];
-    for rc in 0..plane_len {
-        for p in 0..planes {
-            line[p] = data[p * plane_len + rc];
-        }
-        fft_in_place(&mut line, direction)?;
-        for p in 0..planes {
-            data[p * plane_len + rc] = line[p];
-        }
-    }
+    transform_axis(data, cols, 1, direction);
+    transform_axis(data, rows, cols, direction);
+    transform_axis(data, planes, rows * cols, direction);
+    normalize(data, direction);
     Ok(())
 }
 
@@ -303,7 +446,7 @@ mod tests {
             .map(|k| {
                 let mut acc = c64::zero();
                 for (i, xi) in x.iter().enumerate() {
-                    acc += *xi * c64::from_polar(1.0, -2.0 * PI * (k * i) as f64 / n as f64);
+                    acc += *xi * c64::from_polar(1.0, -2.0 * PI * ((k * i) % n) as f64 / n as f64);
                 }
                 acc
             })
@@ -312,7 +455,10 @@ mod tests {
 
     #[test]
     fn arbitrary_lengths_match_naive_dft() {
-        for n in [2usize, 3, 5, 6, 7, 12, 24, 30, 97] {
+        // Every length up to 64 (each radix and mix of radices, plus the
+        // Bluestein fallback for 7, 11, 13, …), 100, the matrix-free plane
+        // counts 300 and 512, and the primes 7, 11 and 97.
+        for n in (1usize..=64).chain([100, 300, 512, 7, 11, 97]) {
             let x: Vec<c64> = (0..n)
                 .map(|i| c64::new((i as f64 * 0.43).sin(), (i as f64 * 0.19).cos()))
                 .collect();
@@ -322,20 +468,22 @@ mod tests {
             for (k, (a, b)) in fast.iter().zip(&slow).enumerate() {
                 assert!(close(*a, *b, 1e-11 * scale), "n={n} bin {k}");
             }
+            let back = ifft(&fast).unwrap();
+            for (i, (a, b)) in x.iter().zip(&back).enumerate() {
+                assert!(close(*a, *b, 1e-12), "n={n} roundtrip sample {i}");
+            }
         }
     }
 
     #[test]
-    fn arbitrary_length_roundtrip() {
-        for n in [3usize, 6, 12, 24, 100] {
-            let x: Vec<c64> = (0..n)
-                .map(|i| c64::new((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()))
-                .collect();
-            let y = ifft(&fft(&x).unwrap()).unwrap();
-            for (a, b) in x.iter().zip(&y) {
-                assert!(close(*a, *b, 1e-12), "n={n}");
-            }
-        }
+    fn next_smooth_len_picks_the_smallest_smooth_length() {
+        assert_eq!(next_smooth_len(0), 1);
+        assert_eq!(next_smooth_len(1), 1);
+        assert_eq!(next_smooth_len(7), 8);
+        assert_eq!(next_smooth_len(13), 15);
+        assert_eq!(next_smooth_len(291), 300);
+        assert_eq!(next_smooth_len(512), 512);
+        assert_eq!(next_smooth_len(2 * 97 - 1), 200);
     }
 
     #[test]
@@ -448,38 +596,44 @@ mod tests {
 
     #[test]
     fn fft3_roundtrip_and_convolution_theorem() {
-        // Roundtrip on a mixed power-of-two / arbitrary-length cube.
-        let (planes, rows, cols) = (8, 6, 5);
-        let orig: Vec<c64> = (0..planes * rows * cols)
-            .map(|i| c64::new((i as f64 * 0.29).sin(), (i as f64 * 0.17).cos()))
-            .collect();
-        let mut work = orig.clone();
-        fft3_in_place(&mut work, planes, rows, cols, Direction::Forward).unwrap();
-        fft3_in_place(&mut work, planes, rows, cols, Direction::Inverse).unwrap();
-        for (a, b) in orig.iter().zip(&work) {
-            assert!(close(*a, *b, 1e-11));
-        }
+        // A mixed power-of-two / Bluestein cube, and a 2/3/5-smooth one whose
+        // plane axis mixes radices and whose lateral axes run radix 5. The
+        // 20 × 20 planes are wider than one line batch, so the plane axis
+        // also takes the gathered path.
+        for (planes, rows, cols) in [(8, 6, 5), (15, 20, 20)] {
+            let orig: Vec<c64> = (0..planes * rows * cols)
+                .map(|i| c64::new((i as f64 * 0.29).sin(), (i as f64 * 0.17).cos()))
+                .collect();
+            let mut work = orig.clone();
+            fft3_in_place(&mut work, planes, rows, cols, Direction::Forward).unwrap();
+            fft3_in_place(&mut work, planes, rows, cols, Direction::Inverse).unwrap();
+            for (a, b) in orig.iter().zip(&work) {
+                assert!(close(*a, *b, 1e-11));
+            }
 
-        // Pointwise product in the spectral domain is circular convolution:
-        // convolving with a shifted impulse must rotate the cube.
-        let mut kernel = vec![c64::zero(); planes * rows * cols];
-        let (sp, sr, sc) = (3usize, 2usize, 4usize);
-        kernel[(sp * rows + sr) * cols + sc] = c64::one();
-        let mut khat = kernel;
-        fft3_in_place(&mut khat, planes, rows, cols, Direction::Forward).unwrap();
-        let mut xhat = orig.clone();
-        fft3_in_place(&mut xhat, planes, rows, cols, Direction::Forward).unwrap();
-        for (x, k) in xhat.iter_mut().zip(&khat) {
-            *x *= *k;
-        }
-        fft3_in_place(&mut xhat, planes, rows, cols, Direction::Inverse).unwrap();
-        for p in 0..planes {
-            for r in 0..rows {
-                for c in 0..cols {
-                    let src = ((p + planes - sp) % planes * rows + (r + rows - sr) % rows) * cols
-                        + (c + cols - sc) % cols;
-                    let dst = (p * rows + r) * cols + c;
-                    assert!(close(xhat[dst], orig[src], 1e-10));
+            // Pointwise product in the spectral domain is circular
+            // convolution: convolving with a shifted impulse must rotate the
+            // cube.
+            let mut kernel = vec![c64::zero(); planes * rows * cols];
+            let (sp, sr, sc) = (3usize, 2usize, 4usize);
+            kernel[(sp * rows + sr) * cols + sc] = c64::one();
+            let mut khat = kernel;
+            fft3_in_place(&mut khat, planes, rows, cols, Direction::Forward).unwrap();
+            let mut xhat = orig.clone();
+            fft3_in_place(&mut xhat, planes, rows, cols, Direction::Forward).unwrap();
+            for (x, k) in xhat.iter_mut().zip(&khat) {
+                *x *= *k;
+            }
+            fft3_in_place(&mut xhat, planes, rows, cols, Direction::Inverse).unwrap();
+            for p in 0..planes {
+                for r in 0..rows {
+                    for c in 0..cols {
+                        let src = ((p + planes - sp) % planes * rows + (r + rows - sr) % rows)
+                            * cols
+                            + (c + cols - sc) % cols;
+                        let dst = (p * rows + r) * cols + c;
+                        assert!(close(xhat[dst], orig[src], 1e-10), "{planes}x{rows}x{cols}");
+                    }
                 }
             }
         }

@@ -16,8 +16,9 @@
 //! * [`eigen`] — Jacobi eigenvalue decomposition of real symmetric matrices and
 //!   an implicit-QL solver for symmetric tridiagonal matrices (used by the
 //!   Karhunen–Loève expansion and Golub–Welsch quadrature construction).
-//! * [`fft`] — radix-2 complex FFT in one and two dimensions (spectral surface
-//!   synthesis).
+//! * [`fft`] — mixed-radix (2/3/4/5 Stockham, Bluestein for other primes)
+//!   complex FFT in one, two and three dimensions (spectral surface synthesis,
+//!   matrix-free matvec).
 //! * [`special`] — error functions of real and complex argument (the Faddeeva
 //!   function needed by the Ewald-summed periodic Green's function).
 //! * [`quadrature`] — Gauss–Legendre and Gauss–Hermite rules plus tensor-product

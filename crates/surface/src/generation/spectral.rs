@@ -79,7 +79,8 @@ impl SpectralSurfaceGenerator {
     /// # Errors
     ///
     /// Returns [`SurfaceError::InvalidGrid`] if `n` is not a power of two of at
-    /// least 4 (required by the radix-2 FFT), or if `length` is not positive.
+    /// least 4 (the grids this synthesis is validated on; other sizes use the
+    /// Karhunen–Loève sampler), or if `length` is not positive.
     pub fn new(cf: CorrelationFunction, n: usize, length: f64) -> Result<Self, SurfaceError> {
         if n < 4 || !n.is_power_of_two() {
             return Err(SurfaceError::InvalidGrid {
@@ -152,7 +153,7 @@ impl SpectralSurfaceGenerator {
         // f(r) = Re Σ_k A_k e^{+j k·r}; the inverse FFT computes exactly this
         // (up to the 1/N² scaling which is compensated by multiplying by N²,
         // i.e. using the *forward* sum convention with e^{+j}).
-        fft2_in_place(&mut spec, n, n, Direction::Inverse).expect("power-of-two grid");
+        let Ok(()) = fft2_in_place(&mut spec, n, n, Direction::Inverse);
         let scale = (n * n) as f64;
         let heights: Vec<f64> = spec.iter().map(|z| z.re * scale).collect();
 
