@@ -151,6 +151,8 @@ impl OperatorRepr {
 struct SlabGrid {
     /// Number of interpolation levels `m`.
     levels: usize,
+    /// Level spacing `h` (0 for a flat surface).
+    spacing: f64,
     /// FFT planes `M`: the smallest 2/3/5-smooth length `≥ 2m−1` (1 for a
     /// flat surface).
     planes: usize,
@@ -235,6 +237,7 @@ fn build_slab(mesh: &PatchMesh, k_max: f64, rho_min: f64, policy: &MatrixFreePol
     if height <= 1e-9 * mesh.cell_size() {
         return SlabGrid {
             levels: 1,
+            spacing: 0.0,
             planes: 1,
             order: 1,
             starts: vec![0; cells.len()],
@@ -269,12 +272,11 @@ fn build_slab(mesh: &PatchMesh, k_max: f64, rho_min: f64, policy: &MatrixFreePol
     }
     SlabGrid {
         levels,
+        spacing: h,
         planes,
         order: p,
         starts,
         weights,
-        // `h`/`z0` are consumed here; the weights carry everything the
-        // matvec needs.
     }
 }
 
@@ -300,7 +302,7 @@ struct TableKey {
     eval: KernelEval,
     side: usize,
     delta_bits: u64,
-    z_spacing_bits: u64,
+    spacing_bits: u64,
     levels: usize,
     planes: usize,
 }
@@ -312,7 +314,6 @@ impl TableKey {
         side: usize,
         delta: f64,
         slab: &SlabGrid,
-        z_spacing: f64,
     ) -> Self {
         let k = green.wavenumber();
         Self {
@@ -322,7 +323,7 @@ impl TableKey {
             eval,
             side,
             delta_bits: delta.to_bits(),
-            z_spacing_bits: z_spacing.to_bits(),
+            spacing_bits: slab.spacing.to_bits(),
             levels: slab.levels,
             planes: slab.planes,
         }
@@ -433,9 +434,10 @@ pub struct MatrixFreeOperator {
 impl MatrixFreeOperator {
     /// Assembles the matrix-free operator for one surface realization: slab
     /// geometry, generator tables (one batched kernel evaluation per z
-    /// level), near-field sparse precorrections (reusing the locally
-    /// corrected integrator of the dense path, row-parallel under
-    /// `parallelism`), and the incident-field right-hand side.
+    /// level, the levels spread over `parallelism`), near-field sparse
+    /// precorrections (reusing the locally corrected integrator of the dense
+    /// path, row-parallel under `parallelism`), and the incident-field
+    /// right-hand side. The operator is bit-identical at any worker count.
     ///
     /// Mirrors [`crate::assembly3d::assemble_system_with`]: `g1`/`g2` are the
     /// periodic kernels of the two media, `beta` the boundary contrast, `k1`
@@ -498,20 +500,14 @@ impl MatrixFreeOperator {
         let k_max = g1.wavenumber().abs().max(g2.wavenumber().abs());
         let slab = build_slab(mesh, k_max, policy.radius * delta, &mf);
 
-        // Generator tables (spatial), one batched kernel call per z level.
-        let z_spacing = if slab.levels > 1 {
-            // Recover the level spacing the slab was built with.
-            slab_spacing(mf.order, k_max, policy.radius * delta, mf.safety)
-        } else {
-            0.0
-        };
+        // Generator tables (spatial), one batched kernel call per z level,
+        // the levels spread over `parallelism`.
         let fetch = |green: &PeriodicGreen3d| -> Arc<MediumTables> {
-            let build = || build_tables(green, eval, side, delta, &slab, z_spacing);
+            let build = || build_tables(green, eval, side, delta, &slab, parallelism);
             match table_cache {
-                Some(cache) => cache.get_or_build(
-                    TableKey::new(green, eval, side, delta, &slab, z_spacing),
-                    build,
-                ),
+                Some(cache) => {
+                    cache.get_or_build(TableKey::new(green, eval, side, delta, &slab), build)
+                }
                 None => Arc::new(build()),
             }
         };
@@ -899,17 +895,19 @@ struct NearRow {
 
 /// Evaluates the generator planes of one medium: for `t ∈ [0, m)` the kernel
 /// (and gradient) at separations `(b·Δ, a·Δ, t·h)` — one batched call per
-/// plane — and fills `t < 0` by parity (`G` even, `∇G` odd, lateral indices
-/// reflected mod n). The singular `(0, 0, 0)` sample is pinned to zero: only
-/// self pairs read that column and their precorrection subtracts the grid
-/// part exactly, so any *finite* placeholder cancels.
+/// plane, the planes spread over `parallelism` and scattered in level order,
+/// so the tables are bit-identical at any worker count — and fills `t < 0` by
+/// parity (`G` even, `∇G` odd, lateral indices reflected mod n). The singular
+/// `(0, 0, 0)` sample is pinned to zero: only self pairs read that column and
+/// their precorrection subtracts the grid part exactly, so any *finite*
+/// placeholder cancels.
 fn build_tables(
     green: &PeriodicGreen3d,
     eval: KernelEval,
     side: usize,
     delta: f64,
     slab: &SlabGrid,
-    z_spacing: f64,
+    parallelism: AssemblyParallelism,
 ) -> MediumTables {
     let nn = side * side;
     let planes = slab.planes;
@@ -919,29 +917,36 @@ fn build_tables(
     let mut gy = vec![c64::zero(); planes * nn];
     let mut gz = vec![c64::zero(); planes * nn];
 
-    let mut seps = Vec::with_capacity(nn);
-    let mut out = Vec::new();
-    for t in 0..m {
-        seps.clear();
-        for a in 0..side {
-            for b in 0..side {
-                if t == 0 && a == 0 && b == 0 {
-                    // Singular sample: evaluate a benign stand-in, overwrite
-                    // below.
-                    seps.push(SeparationVector::new(delta, 0.0, 0.0));
-                } else {
-                    seps.push(SeparationVector::new(
-                        b as f64 * delta,
-                        a as f64 * delta,
-                        t as f64 * z_spacing,
-                    ));
+    let levels = map_rows(
+        m,
+        parallelism.worker_count(),
+        || Vec::with_capacity(nn),
+        |t, seps: &mut Vec<SeparationVector>| {
+            seps.clear();
+            for a in 0..side {
+                for b in 0..side {
+                    if t == 0 && a == 0 && b == 0 {
+                        // Singular sample: evaluate a benign stand-in,
+                        // overwrite below.
+                        seps.push(SeparationVector::new(delta, 0.0, 0.0));
+                    } else {
+                        seps.push(SeparationVector::new(
+                            b as f64 * delta,
+                            a as f64 * delta,
+                            t as f64 * slab.spacing,
+                        ));
+                    }
                 }
             }
-        }
-        eval_gathered(green, eval, &seps, &mut out);
-        if t == 0 {
-            out[0] = GreenSample::default();
-        }
+            let mut out = Vec::new();
+            eval_gathered(green, eval, seps, &mut out);
+            if t == 0 {
+                out[0] = GreenSample::default();
+            }
+            out
+        },
+    );
+    for (t, out) in levels.iter().enumerate() {
         let base = t * nn;
         for (offset, sample) in out.iter().enumerate() {
             val[base + offset] = sample.value;
@@ -1227,7 +1232,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_near_correction_is_bit_identical() {
+    fn parallel_setup_is_bit_identical() {
         let mesh = rough_mesh(6, 5e-6, 0.3e-6);
         let length = mesh.patch_length();
         let g1 = PeriodicGreen3d::new(c64::new(500.0, 0.0), length);
@@ -1245,16 +1250,23 @@ mod tests {
                 parallelism,
             )
         };
+        let bits = |z: &c64| (z.re.to_bits(), z.im.to_bits());
         let serial = build(AssemblyParallelism::Serial);
-        let threaded = build(AssemblyParallelism::workers(4));
+        // Three workers do not divide the level count, so the generator
+        // planes split unevenly.
+        assert_ne!(serial.slab_levels() % 3, 0);
         let x = random_vector(serial.dim(), 7);
-        let a = serial.apply(&x);
-        let b = threaded.apply(&x);
-        for (u, v) in a.iter().zip(&b) {
-            assert_eq!(
-                (u.re.to_bits(), u.im.to_bits()),
-                (v.re.to_bits(), v.im.to_bits())
-            );
+        let reference = serial.apply(&x);
+        for workers in [2, 3, 4] {
+            let threaded = build(AssemblyParallelism::workers(workers));
+            for (u, v) in reference.iter().zip(&threaded.apply(&x)) {
+                assert_eq!(bits(u), bits(v), "{workers} workers");
+            }
+            assert_eq!(serial.near_corrections(), threaded.near_corrections());
+            assert_eq!(serial.stats(), threaded.stats());
+            for (u, v) in serial.rhs().iter().zip(threaded.rhs()) {
+                assert_eq!(bits(u), bits(v));
+            }
         }
     }
 

@@ -3,7 +3,9 @@
 //!
 //! The MOM system matrix is embarrassingly parallel across observation rows:
 //! every row panel gathers, evaluates and combines its own kernel samples
-//! without reading any other row's state. [`map_rows`] exploits that by
+//! without reading any other row's state. The matrix-free operator's
+//! generator planes are likewise independent, one work item per z level.
+//! [`map_rows`] exploits that by
 //! farming row indices to a sized set of scoped worker threads and collecting
 //! the per-row results *in row order*, so the caller's scatter loop — and
 //! therefore the assembled matrix — is **bit-identical** at any thread count:
@@ -24,12 +26,14 @@ use std::sync::Mutex;
 /// (`serial`, or a thread count; `0` means one per hardware core).
 pub const ASSEMBLY_THREADS_ENV: &str = "ROUGHSIM_ASSEMBLY_THREADS";
 
-/// How many threads one assembly call spreads its row panels over.
+/// How many threads one assembly call spreads its row panels — and, for the
+/// matrix-free operator, its generator planes and near precorrections — over.
 ///
 /// Orthogonal to [`crate::AssemblyScheme`] and [`crate::KernelEval`]: the
 /// knob changes wall-clock time only — parallel and serial assemblies are
-/// bit-identical, because every row is computed independently and scattered
-/// in a fixed order (pinned by tests at 1/2/4/8 threads for both schemes).
+/// bit-identical, because every row (or plane) is computed independently and
+/// scattered in a fixed order (pinned by tests at 1/2/4/8 threads for both
+/// dense schemes and at 1/2/3/4 for the matrix-free setup).
 ///
 /// The default is [`AssemblyParallelism::Serial`] so standalone solves keep
 /// their historical behaviour; the batch engine picks a worker count from its

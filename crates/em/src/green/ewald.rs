@@ -192,10 +192,11 @@ impl BatchTables {
     }
 }
 
-/// Reusable per-separation buffers of one batched evaluation (allocated once
-/// per [`PeriodicGreen3d::eval_batch`] call, refilled per separation): the
-/// cosine/sine recurrence tables plus the contiguous per-class `h`/`dh/ds`
-/// profiles pass 1 of the spectral sum writes and pass 2 consumes.
+/// Reusable buffers of one batched evaluation (allocated once per
+/// [`PeriodicGreen3d::eval_batch`] call): the cosine/sine recurrence tables,
+/// refilled per separation, plus the contiguous per-class `h`/`dh/ds`
+/// profiles pass 1 of the spectral sum writes (only when `|Δz|` changes) and
+/// pass 2 consumes.
 struct HarmonicScratch {
     cos_x: Vec<f64>,
     sin_x: Vec<f64>,
@@ -203,6 +204,9 @@ struct HarmonicScratch {
     sin_y: Vec<f64>,
     class_h: Vec<c64>,
     class_dh: Vec<c64>,
+    /// `s.to_bits()` of the `s = |Δz|` the class profiles were computed
+    /// for (`None` while they are unfilled).
+    profile_s: Option<u64>,
 }
 
 impl HarmonicScratch {
@@ -215,6 +219,7 @@ impl HarmonicScratch {
             sin_y: vec![0.0; len],
             class_h: vec![c64::zero(); classes],
             class_dh: vec![c64::zero(); classes],
+            profile_s: None,
         }
     }
 }
@@ -557,6 +562,11 @@ impl PeriodicGreen3d {
     /// consecutive member lanes the compiler can vectorize. The arithmetic
     /// order per class is unchanged, so results are bit-identical to the
     /// previous nested layout.
+    ///
+    /// Pass 1 depends on the separation only through `s = |Δz|`, so it is
+    /// skipped when `s` has the same bits as for the previous separation
+    /// (every lateral offset of one generator plane, every pair of a flat
+    /// surface): the profiles in the scratch are exactly what it would write.
     fn batch_spectral(
         &self,
         dx: f64,
@@ -570,16 +580,19 @@ impl PeriodicGreen3d {
         let sign_z = if dz >= 0.0 { 1.0 } else { -1.0 };
         fill_harmonics(2.0 * PI * dx / l, &mut scratch.cos_x, &mut scratch.sin_x);
         fill_harmonics(2.0 * PI * dy / l, &mut scratch.cos_y, &mut scratch.sin_y);
-        let se = c64::from_real(s * self.splitting);
 
         // Pass 1: per-class erfc/exp profiles into contiguous scratch lanes.
-        for class in 0..t.class_count() {
-            let c = t.class_c[class];
-            let c_2e = t.class_c_2e[class];
-            let term_plus = (c * s).exp() * erfc_complex(c_2e + se);
-            let term_minus = (-(c * s)).exp() * erfc_complex(c_2e - se);
-            scratch.class_h[class] = (term_plus + term_minus) / t.class_c4l2[class];
-            scratch.class_dh[class] = (term_plus - term_minus) / (4.0 * l * l);
+        if scratch.profile_s != Some(s.to_bits()) {
+            let se = c64::from_real(s * self.splitting);
+            for class in 0..t.class_count() {
+                let c = t.class_c[class];
+                let c_2e = t.class_c_2e[class];
+                let term_plus = (c * s).exp() * erfc_complex(c_2e + se);
+                let term_minus = (-(c * s)).exp() * erfc_complex(c_2e - se);
+                scratch.class_h[class] = (term_plus + term_minus) / t.class_c4l2[class];
+                scratch.class_dh[class] = (term_plus - term_minus) / (4.0 * l * l);
+            }
+            scratch.profile_s = Some(s.to_bits());
         }
 
         // Pass 2: fold the member orientations' cosine products onto the
@@ -1008,6 +1021,78 @@ mod tests {
                     assert!((got.gradient[axis] - want.gradient[axis]).abs() < 1e-12 * gscale);
                 }
             }
+        }
+    }
+
+    /// Asserts that `eval` over the whole of `pairs` gives exactly the bits
+    /// of each separation evaluated as a one-element batch.
+    fn assert_matches_one_element_batches<T: Clone>(
+        pairs: &[SeparationVector],
+        zero: T,
+        eval: impl Fn(&[SeparationVector], &mut [T]),
+        bits: impl Fn(&T) -> Vec<u64>,
+    ) {
+        let mut batch = vec![zero.clone(); pairs.len()];
+        eval(pairs, &mut batch);
+        for (pair, got) in pairs.iter().zip(&batch) {
+            let mut alone = [zero.clone()];
+            eval(&[*pair], &mut alone);
+            assert_eq!(bits(got), bits(&alone[0]), "{pair:?}");
+        }
+    }
+
+    #[test]
+    fn batched_profile_reuse_is_bit_identical_to_one_element_batches() {
+        // The spectral profile is reused while |Δz| repeats: a repeat, its
+        // negation, zero (and the origin), a new value, then the first again.
+        let value_bits = |z: &c64| vec![z.re.to_bits(), z.im.to_bits()];
+        let sample_bits = |s: &GreenSample| {
+            [s.value, s.gradient[0], s.gradient[1], s.gradient[2]]
+                .iter()
+                .flat_map(value_bits)
+                .collect()
+        };
+        for &(k, l) in &[
+            (quasi_static_k(), 5.0),
+            (lossy_k(), 5.0),
+            (c64::new(1.95, 1.95), 12.0),
+        ] {
+            let g = PeriodicGreen3d::new(k, l);
+            let (a, b) = (0.07 * l, 0.13 * l);
+            let pairs = [
+                SeparationVector::new(0.31 * l, 0.12 * l, a),
+                SeparationVector::new(-0.22 * l, 0.41 * l, a),
+                SeparationVector::new(0.05 * l, -0.17 * l, -a),
+                SeparationVector::new(0.26 * l, 0.08 * l, 0.0),
+                SeparationVector::new(0.0, 0.0, 0.0),
+                SeparationVector::new(-0.36 * l, 0.0, -0.0),
+                SeparationVector::new(0.19 * l, -0.44 * l, b),
+                SeparationVector::new(0.11 * l, 0.29 * l, a),
+            ];
+            // The unregularized kernel is singular at the origin.
+            let off_origin: Vec<SeparationVector> = pairs
+                .iter()
+                .copied()
+                .filter(|p| p.dx != 0.0 || p.dy != 0.0)
+                .collect();
+            assert_matches_one_element_batches(
+                &off_origin,
+                c64::zero(),
+                |p, o| g.eval_batch(p, o),
+                value_bits,
+            );
+            assert_matches_one_element_batches(
+                &off_origin,
+                GreenSample::default(),
+                |p, o| g.eval_batch_samples(p, o),
+                sample_bits,
+            );
+            assert_matches_one_element_batches(
+                &pairs,
+                GreenSample::default(),
+                |p, o| g.eval_batch_regularized(p, o),
+                sample_bits,
+            );
         }
     }
 
