@@ -2,9 +2,9 @@
 //! effectiveness, emitted as machine-readable `BENCH_engine.json` for CI
 //! trend tracking.
 //!
-//! Runs the same small Monte-Carlo campaign under the serial, thread-pool,
-//! subprocess and socket executors (each on a fresh cache, then once more on
-//! a warm cache) and cross-checks that every executor produced bit-identical
+//! Runs the same small Monte-Carlo campaign under the serial, thread-pool
+//! and socket executors (each on a fresh cache, then once more on a warm
+//! cache) and cross-checks that every executor produced bit-identical
 //! records — the engine's core determinism guarantee, enforced on every
 //! benchmark run. The socket executor keeps its worker processes alive
 //! between the cold and warm runs, so the warm row measures genuinely warm
@@ -18,7 +18,7 @@ use rough_em::material::Stackup;
 use rough_em::units::{GigaHertz, Micrometers};
 use rough_engine::{
     CampaignReport, KernelCache, Run, RunConfig, Scenario, SerialExecutor, SocketExecutor,
-    SubprocessExecutor, ThreadPoolExecutor, UnitExecutor,
+    ThreadPoolExecutor, UnitExecutor,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -47,13 +47,6 @@ struct Measurement {
     units: usize,
     cache_hits: usize,
     cache_misses: usize,
-    /// Whether this executor's workers rebuild every context in their own
-    /// process instead of using a kernel cache that survives across runs
-    /// (the subprocess executor, whose shard processes die after each run).
-    /// The hit rate is meaningless there and is reported as `null` rather
-    /// than a misleading 0.0. Socket workers persist across runs and report
-    /// their cache deltas back to the dispatcher, so their rate is real.
-    workers_rebuild_context: bool,
     report: CampaignReport,
 }
 
@@ -86,7 +79,6 @@ fn measure(
         units: cold.records.len(),
         cache_hits: cold.cache.hits + warm.cache.hits + warm_again.cache.hits,
         cache_misses: cold.cache.misses + warm.cache.misses + warm_again.cache.misses,
-        workers_rebuild_context: name == "subprocess",
         report: cold,
     }
 }
@@ -106,7 +98,6 @@ fn main() {
     let executors: Vec<(&'static str, Arc<dyn UnitExecutor>)> = vec![
         ("serial", Arc::new(SerialExecutor)),
         ("thread-pool", Arc::new(ThreadPoolExecutor::new(threads))),
-        ("subprocess", Arc::new(SubprocessExecutor::new(2))),
         // Same worker count as the thread pool: the socket rows then compare
         // transport overhead and cache placement, not parallelism. On a
         // multi-core host both rows use the same fleet size; on a 1-core CI
@@ -144,36 +135,16 @@ fn main() {
     let _ = writeln!(json, "  \"bit_identical\": true,");
     let _ = writeln!(json, "  \"executors\": [");
     for (index, m) in measurements.iter().enumerate() {
-        // The parent-side cache hit rate only describes executors that
-        // actually evaluate against the parent's cache. Subprocess workers
-        // rebuild every context in their own process (per shard, per run),
-        // so their parent-side counters would read as a misleading 0.0 —
-        // report null plus an explicit flag instead. The rebuilds are also
-        // why a *warm* subprocess run is not faster than a cold one (and can
-        // be slower under machine noise): the warm parent cache is never
-        // consulted by the workers.
+        // Socket workers report their cache deltas back to the dispatcher,
+        // so every row's hit rate is real.
         let lookups = m.cache_hits + m.cache_misses;
-        let hit_rate = if m.workers_rebuild_context || lookups == 0 {
-            None
-        } else {
-            Some(m.cache_hits as f64 / lookups as f64)
-        };
-        let hit_rate_json = hit_rate
-            .map(|rate| format!("{rate:.4}"))
-            .unwrap_or_else(|| "null".to_string());
-        let note = if m.workers_rebuild_context {
-            ", \"note\": \"workers rebuild contexts per process; warm runs do not benefit \
-             from the parent cache and can be slower than cold under machine noise\""
-        } else {
-            ""
-        };
+        let hit_rate = m.cache_hits as f64 / lookups.max(1) as f64;
         let _ = writeln!(
             json,
             "    {{\"name\": \"{}\", \"workers\": {}, \"units\": {}, \
              \"cold_wall_s\": {:.4}, \"warm_wall_s\": {:.4}, \
              \"cold_units_per_sec\": {:.3}, \"warm_units_per_sec\": {:.3}, \
-             \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate\": {}, \
-             \"workers_rebuild_context\": {}{}}}{}",
+             \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate\": {:.4}}}{}",
             m.name,
             m.workers,
             m.units,
@@ -183,26 +154,21 @@ fn main() {
             m.units as f64 / m.warm_wall_s.max(1e-9),
             m.cache_hits,
             m.cache_misses,
-            hit_rate_json,
-            m.workers_rebuild_context,
-            note,
+            hit_rate,
             if index + 1 < measurements.len() {
                 ","
             } else {
                 ""
             }
         );
-        let hit_rate_text = hit_rate
-            .map(|rate| format!("cache hit rate {:.1}%", rate * 100.0))
-            .unwrap_or_else(|| "cache n/a (workers rebuild contexts per process)".to_string());
         println!(
-            "  {:<12} {} workers: cold {:.2} s ({:.2} units/s), warm {:.2} s, {}",
+            "  {:<12} {} workers: cold {:.2} s ({:.2} units/s), warm {:.2} s, cache hit rate {:.1}%",
             m.name,
             m.workers,
             m.cold_wall_s,
             m.units as f64 / m.cold_wall_s.max(1e-9),
             m.warm_wall_s,
-            hit_rate_text
+            hit_rate * 100.0
         );
     }
     let _ = writeln!(json, "  ]");

@@ -15,7 +15,7 @@ use rough_engine::Engine;
 use rough_surface::correlation::CorrelationFunction;
 
 fn main() {
-    // Worker mode for ROUGHSIM_EXECUTOR=subprocess runs (no-op otherwise).
+    // Worker mode for ROUGHSIM_EXECUTOR=socket runs (no-op otherwise).
     rough_engine::subprocess::maybe_serve_worker();
     let fidelity = Fidelity::from_args();
     let sweep = FrequencySweep::linear_ghz(1.0, 9.0, fidelity.sweep_points());

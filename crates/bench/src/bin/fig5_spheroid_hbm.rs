@@ -16,7 +16,7 @@ use rough_surface::correlation::CorrelationFunction;
 use rough_surface::RoughSurface;
 
 fn main() {
-    // Worker mode for ROUGHSIM_EXECUTOR=subprocess: serves sharded units and
+    // Worker mode for ROUGHSIM_EXECUTOR=socket: serves dispatched units and
     // exits; a no-op in normal driver runs.
     rough_engine::subprocess::maybe_serve_worker();
     let fidelity = Fidelity::from_args();
@@ -68,7 +68,7 @@ fn main() {
         .build()
         .expect("valid Fig. 5 scenario");
     // Session-oriented run: executor selected via ROUGHSIM_EXECUTOR
-    // (threads[:N] | serial | subprocess[:N]), progress streamed to stderr.
+    // (threads[:N] | serial | socket[:N]), progress streamed to stderr.
     let config = RunConfig::new()
         .executor_arc(rough_bench::executor_from_env())
         .observer(rough_bench::progress_observer(sweep.points().len()));

@@ -14,7 +14,7 @@ use rough_em::units::Micrometers;
 use rough_engine::{Engine, Scenario};
 
 fn main() {
-    // Worker mode for ROUGHSIM_EXECUTOR=subprocess runs (no-op otherwise).
+    // Worker mode for ROUGHSIM_EXECUTOR=socket runs (no-op otherwise).
     rough_engine::subprocess::maybe_serve_worker();
     let fidelity = Fidelity::from_args();
     let sweep = FrequencySweep::linear_ghz(1.0, 9.0, fidelity.sweep_points());

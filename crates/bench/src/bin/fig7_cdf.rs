@@ -16,7 +16,7 @@ use rough_surface::correlation::CorrelationFunction;
 use std::sync::Arc;
 
 fn main() {
-    // Worker mode for ROUGHSIM_EXECUTOR=subprocess runs (no-op otherwise).
+    // Worker mode for ROUGHSIM_EXECUTOR=socket runs (no-op otherwise).
     rough_engine::subprocess::maybe_serve_worker();
     let fidelity = Fidelity::from_args();
     let cf = CorrelationFunction::gaussian(1.0e-6, 1.0e-6);

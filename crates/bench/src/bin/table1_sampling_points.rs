@@ -14,7 +14,7 @@ use rough_engine::Scenario;
 use rough_surface::correlation::CorrelationFunction;
 
 fn main() {
-    // Worker mode for ROUGHSIM_EXECUTOR=subprocess runs (no-op otherwise).
+    // Worker mode for ROUGHSIM_EXECUTOR=socket runs (no-op otherwise).
     rough_engine::subprocess::maybe_serve_worker();
     let fidelity = Fidelity::from_args();
     // The stochastic dimension is set by the KL truncation of each CF on the

@@ -51,9 +51,11 @@ pub fn full_fidelity_requested() -> bool {
 
 /// Selects a [`rough_engine::UnitExecutor`] from the `ROUGHSIM_EXECUTOR`
 /// environment variable, so every figure driver can switch between
-/// in-process, multi-process and socket execution without code changes.
-/// Thin wrapper over [`rough_engine::executor_from_env`] — see it for the
-/// accepted values (`serial`, `threads[:N]`, `subprocess[:N]`, `socket[:N]`).
+/// in-process and socket execution without code changes. Thin wrapper over
+/// [`rough_engine::executor_from_env_budgeted`] with the whole machine's
+/// [`rough_engine::core_budget`] — see
+/// [`rough_engine::parse_executor_spec_budgeted`] for the accepted values
+/// (`serial`, `threads[:N]`, `socket[:N]`).
 ///
 /// Each executor additionally gives every solve its fair share of the core
 /// budget as *intra-solve assembly threads* (`units × threads ≤ cores`); the
@@ -65,7 +67,8 @@ pub fn full_fidelity_requested() -> bool {
 /// Panics on an unrecognized value — drivers treat a bad configuration as
 /// fatal.
 pub fn executor_from_env() -> std::sync::Arc<dyn rough_engine::UnitExecutor> {
-    rough_engine::executor_from_env().unwrap_or_else(|e| panic!("ROUGHSIM_EXECUTOR: {e}"))
+    rough_engine::executor_from_env_budgeted(rough_engine::core_budget())
+        .unwrap_or_else(|e| panic!("ROUGHSIM_EXECUTOR: {e}"))
 }
 
 /// A [`rough_engine::RunObserver`] that prints unit/case progress to stderr —

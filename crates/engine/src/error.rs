@@ -24,8 +24,6 @@ pub enum EngineError {
     },
     /// A checkpoint file could not be written, read or validated.
     Checkpoint(String),
-    /// A worker process failed or spoke an unexpected protocol.
-    Subprocess(String),
     /// A socket transport failed: framing violation, connection loss that no
     /// surviving worker could absorb, or a daemon protocol error.
     Socket(String),
@@ -53,7 +51,6 @@ impl fmt::Display for EngineError {
                 write!(f, "run interrupted after {completed} of {total} units")
             }
             EngineError::Checkpoint(reason) => write!(f, "checkpoint failed: {reason}"),
-            EngineError::Subprocess(reason) => write!(f, "worker process failed: {reason}"),
             EngineError::Socket(reason) => write!(f, "socket transport failed: {reason}"),
             EngineError::DeadlineExceeded {
                 unit,
@@ -75,7 +72,6 @@ impl std::error::Error for EngineError {
             EngineError::InvalidScenario(_)
             | EngineError::Interrupted { .. }
             | EngineError::Checkpoint(_)
-            | EngineError::Subprocess(_)
             | EngineError::Socket(_)
             | EngineError::DeadlineExceeded { .. } => None,
         }

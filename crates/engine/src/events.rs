@@ -27,11 +27,12 @@ pub enum RunEvent {
     UnitCompleted {
         /// The committed record.
         record: UnitRecord,
-        /// Measured wall time between this unit's `UnitStarted` and its
-        /// completion, when the run layer observed both ends (subprocess
-        /// workers report records without start timestamps, so their units
-        /// carry `None`). This is the raw material for calibrating
-        /// [`crate::schedule::CostOrdered`] from real data.
+        /// Measured wall time of the unit's solve — observed between this
+        /// unit's `UnitStarted` and its completion, or measured by the socket
+        /// worker around its own solve. Every shipped executor sets it;
+        /// units restored from a checkpoint emit no event at all. This is the
+        /// raw material for calibrating [`crate::schedule::CostOrdered`] from
+        /// real data.
         wall: Option<Duration>,
     },
     /// Every unit of one case has completed.

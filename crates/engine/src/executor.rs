@@ -12,10 +12,10 @@
 //! Three executors ship with the engine:
 //!
 //! * [`SerialExecutor`] — one unit at a time on the calling thread; the
-//!   reference implementation and the workhorse of worker processes.
+//!   reference implementation the bit-identity tests compare against.
 //! * [`ThreadPoolExecutor`] — a sized thread pool (the engine's default).
-//! * [`crate::subprocess::SubprocessExecutor`] — shards units across worker
-//!   *processes* for isolation and multi-process scale-out.
+//! * [`crate::socket::SocketExecutor`] — persistent worker *processes* with
+//!   warm kernel caches, for isolation and multi-process scale-out.
 //!
 //! [`Engine`] remains the convenient facade: it owns a thread-pool executor
 //! plus a persistent [`KernelCache`] and `Engine::run` is now a thin wrapper
@@ -37,103 +37,43 @@ pub fn core_budget() -> usize {
     rough_core::parallel::available_cores()
 }
 
-/// The fair budget share of one solve when `workers` units run concurrently:
-/// `⌊budget / workers⌋` assembly threads, at least 1 — so
-/// `workers × threads ≤ budget` and a fully-sized thread pool keeps assembly
-/// serial instead of oversubscribing.
-fn budget_share(workers: usize) -> AssemblyParallelism {
-    AssemblyParallelism::workers((core_budget() / workers.max(1)).max(1))
-}
-
-/// The intra-solve assembly parallelism an executor running `workers`
-/// concurrent units should give each solve: the `ROUGHSIM_ASSEMBLY_THREADS`
-/// override when set, otherwise the executor's fair share of the core budget
-/// (`budget_share`).
-pub fn shared_budget_assembly(workers: usize) -> AssemblyParallelism {
-    AssemblyParallelism::from_env().unwrap_or_else(|| budget_share(workers))
+/// The intra-solve assembly parallelism of one solve when `workers` units
+/// share `budget` cores: the `ROUGHSIM_ASSEMBLY_THREADS` override when set,
+/// otherwise `⌊budget / workers⌋` threads (at least 1) — so
+/// `workers × threads ≤ budget` and a fully-sized pool keeps assembly serial
+/// instead of oversubscribing.
+pub fn shared_budget_assembly(budget: usize, workers: usize) -> AssemblyParallelism {
+    AssemblyParallelism::from_env()
+        .unwrap_or_else(|| AssemblyParallelism::workers((budget / workers.max(1)).max(1)))
 }
 
 /// Environment variable naming the executor every driver should use — see
-/// [`executor_from_env`].
+/// [`executor_from_env_budgeted`].
 pub const EXECUTOR_ENV: &str = "ROUGHSIM_EXECUTOR";
 
-/// Parses an executor spec string into a boxed [`UnitExecutor`]:
+/// Parses an executor spec `kind[:N]` into a [`UnitExecutor`] sized against
+/// a core `budget` — [`core_budget`] for a whole-machine driver, or a slice
+/// of it when several campaigns run at once: a daemon running `J` jobs hands
+/// each runner `budget = max(1, core_budget() / J)` so
+/// `jobs × workers × assembly threads` never oversubscribes the machine.
 ///
-/// * `""` or `threads` — hardware-sized thread pool (the default);
-/// * `threads:N` — N-thread pool;
-/// * `serial` — single-threaded reference executor;
-/// * `subprocess` / `subprocess:N` — N worker subprocesses (the binary must
-///   call [`crate::subprocess::maybe_serve_worker`] first thing in `main`);
-/// * `socket` / `socket:N` — N persistent socket workers over loopback TCP
-///   (same `maybe_serve_worker` requirement).
+/// `N` defaults to `budget` workers; each solve gets
+/// [`shared_budget_assembly`]`(budget, N)` assembly threads:
+///
+/// * `""` or `threads[:N]` — an N-thread pool;
+/// * `serial` — one unit at a time with the *whole* budget inside the solve
+///   (a single-worker pool, bit-identical to [`SerialExecutor`]);
+/// * `socket[:N]` — N persistent socket workers over loopback TCP (the
+///   binary must call [`crate::subprocess::maybe_serve_worker`] first thing
+///   in `main`).
 ///
 /// Results are bit-identical across all of them; only wall time and process
 /// layout change.
 ///
 /// # Errors
 ///
-/// Returns [`EngineError::InvalidScenario`] on an unknown kind or a malformed
-/// worker count.
-pub fn parse_executor_spec(spec: &str) -> Result<Arc<dyn UnitExecutor>, EngineError> {
-    let bad = |reason: String| EngineError::InvalidScenario(reason);
-    let (kind, workers) = match spec.split_once(':') {
-        Some((kind, n)) => (
-            kind,
-            n.parse::<usize>()
-                .map_err(|_| bad(format!("executor spec `{spec}`: bad worker count `{n}`")))?,
-        ),
-        None => (spec, 0),
-    };
-    Ok(match kind {
-        "" | "threads" => Arc::new(ThreadPoolExecutor::new(workers)),
-        "serial" => Arc::new(SerialExecutor),
-        "subprocess" => Arc::new(crate::subprocess::SubprocessExecutor::new(workers)),
-        "socket" => Arc::new(crate::socket::SocketExecutor::new(workers)),
-        other => return Err(bad(format!("unknown executor `{other}`"))),
-    })
-}
-
-/// Selects a [`UnitExecutor`] from the `ROUGHSIM_EXECUTOR` environment
-/// variable (see [`parse_executor_spec`] for the accepted values), so every
-/// driver can switch between in-process, multi-process and socket execution
-/// without code changes.
-///
-/// # Errors
-///
-/// Propagates [`parse_executor_spec`] failures.
-pub fn executor_from_env() -> Result<Arc<dyn UnitExecutor>, EngineError> {
-    parse_executor_spec(&std::env::var(EXECUTOR_ENV).unwrap_or_default())
-}
-
-/// The intra-solve assembly share of one worker drawing on `budget` cores:
-/// the `ROUGHSIM_ASSEMBLY_THREADS` override when set, else
-/// `⌊budget / workers⌋` (at least 1).
-fn budgeted_assembly(budget: usize, workers: usize) -> AssemblyParallelism {
-    AssemblyParallelism::from_env()
-        .unwrap_or_else(|| AssemblyParallelism::workers((budget / workers.max(1)).max(1)))
-}
-
-/// Parses an executor spec like [`parse_executor_spec`], but sizes the
-/// executor against an explicit core `budget` instead of the whole machine —
-/// the building block for running several campaigns concurrently: a daemon
-/// running `J` jobs at once hands each runner
-/// `budget = max(1, core_budget() / J)` so
-/// `jobs × workers × assembly threads` never oversubscribes the machine.
-///
-/// Sizing per kind (`workers = budget` when the spec leaves the count at 0,
-/// assembly share `⌊budget / workers⌋`, `ROUGHSIM_ASSEMBLY_THREADS` still
-/// winning everywhere):
-///
-/// * `threads[:N]` — an N-thread pool whose solves each get the budget share;
-/// * `serial` — one unit at a time with the *whole* budget inside the solve
-///   (realized as a single-worker pool, bit-identical to [`SerialExecutor`]);
-/// * `subprocess[:N]` / `socket[:N]` — N worker processes whose children
-///   derive their assembly share from the budget, not the machine.
-///
-/// # Errors
-///
 /// Returns [`EngineError::InvalidScenario`] on an unknown kind or a
-/// malformed worker count, like [`parse_executor_spec`].
+/// malformed worker count.
 pub fn parse_executor_spec_budgeted(
     spec: &str,
     budget: usize,
@@ -148,32 +88,25 @@ pub fn parse_executor_spec_budgeted(
         ),
         None => (spec, 0),
     };
-    let sized = |n: usize| if n == 0 { budget } else { n };
+    let workers = if workers == 0 { budget } else { workers };
     Ok(match kind {
-        "" | "threads" => {
-            let w = sized(workers);
-            Arc::new(ThreadPoolExecutor::with_assembly(
-                w,
-                budgeted_assembly(budget, w),
-            ))
-        }
+        "" | "threads" => Arc::new(ThreadPoolExecutor::with_assembly(
+            workers,
+            shared_budget_assembly(budget, workers),
+        )),
         "serial" => Arc::new(ThreadPoolExecutor::with_assembly(
             1,
-            budgeted_assembly(budget, 1),
+            shared_budget_assembly(budget, 1),
         )),
-        "subprocess" => Arc::new(
-            crate::subprocess::SubprocessExecutor::new(sized(workers)).with_core_budget(budget),
-        ),
-        "socket" => {
-            Arc::new(crate::socket::SocketExecutor::new(sized(workers)).with_core_budget(budget))
-        }
+        "socket" => Arc::new(crate::socket::SocketExecutor::new(workers).with_core_budget(budget)),
         other => return Err(bad(format!("unknown executor `{other}`"))),
     })
 }
 
 /// [`parse_executor_spec_budgeted`] over the `ROUGHSIM_EXECUTOR` environment
-/// variable — what each runner of a multi-job daemon calls with its slice of
-/// the core budget.
+/// variable, so every driver can switch between in-process and socket
+/// execution without code changes. Drivers pass [`core_budget`]; each runner
+/// of a multi-job daemon passes its slice of it.
 ///
 /// # Errors
 ///
@@ -220,10 +153,8 @@ pub trait UnitExecutor: Send + Sync + std::fmt::Debug {
 ///
 /// One unit at a time means the whole core budget is available *inside* each
 /// solve: the serial executor gives every unit
-/// [`shared_budget_assembly`]`(1)` worth of intra-solve assembly threads
-/// (still bit-identical to single-threaded assembly). Worker processes spawned
-/// by [`crate::subprocess::SubprocessExecutor`] inherit their share through
-/// the `ROUGHSIM_ASSEMBLY_THREADS` environment override instead.
+/// [`shared_budget_assembly`]`(core_budget(), 1)` worth of intra-solve
+/// assembly threads (still bit-identical to single-threaded assembly).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SerialExecutor;
 
@@ -243,7 +174,7 @@ impl UnitExecutor for SerialExecutor {
         cache: &KernelCache,
         sink: &UnitSink<'_>,
     ) -> Result<(), EngineError> {
-        let assembly = shared_budget_assembly(1);
+        let assembly = shared_budget_assembly(core_budget(), 1);
         for &unit_id in order {
             if sink.is_cancelled() {
                 return Ok(());
@@ -276,7 +207,7 @@ impl ThreadPoolExecutor {
     /// share.
     pub fn new(threads: usize) -> Self {
         let threads = if threads == 0 { core_budget() } else { threads };
-        Self::with_assembly(threads, shared_budget_assembly(threads))
+        Self::with_assembly(threads, shared_budget_assembly(core_budget(), threads))
     }
 
     /// Creates a pool executor with an explicit intra-solve assembly
@@ -676,48 +607,38 @@ mod tests {
 
     #[test]
     fn budget_split_never_oversubscribes() {
-        // units × per-solve assembly threads must stay within the core
-        // budget whenever the worker count itself fits the machine; beyond
-        // that each solve degrades to serial assembly. Tested through the
-        // pure split (budget_share) so an exported ROUGHSIM_ASSEMBLY_THREADS
-        // in the test environment — which legitimately overrides the split —
-        // cannot fail it.
-        let budget = core_budget();
-        for workers in [1usize, 2, 4, 8, 16, 64] {
-            let assembly = budget_share(workers).worker_count();
-            if workers <= budget {
-                assert!(
-                    workers * assembly <= budget,
-                    "{workers} workers x {assembly} assembly threads exceeds budget {budget}"
-                );
-            } else {
-                assert_eq!(assembly, 1, "oversized pools must keep assembly serial");
+        // units × per-solve assembly threads must stay within the budget
+        // whenever the worker count itself fits it; beyond that each solve
+        // degrades to serial assembly. An exported ROUGHSIM_ASSEMBLY_THREADS
+        // legitimately overrides the split, so then every share is the
+        // override instead.
+        let override_share = AssemblyParallelism::from_env();
+        for budget in [1usize, 2, 4, 7, core_budget()] {
+            for workers in [1usize, 2, 3, 4, 8, 16, 64] {
+                let share = shared_budget_assembly(budget, workers);
+                if let Some(pinned) = override_share {
+                    assert_eq!(share, pinned);
+                    continue;
+                }
+                let assembly = share.worker_count();
+                if workers <= budget {
+                    assert!(
+                        workers * assembly <= budget,
+                        "{workers}w x {assembly}a exceeds budget {budget}"
+                    );
+                } else {
+                    assert_eq!(assembly, 1, "oversized pools must keep assembly serial");
+                }
+            }
+            // A solo unit gets the whole budget.
+            if override_share.is_none() {
+                assert_eq!(shared_budget_assembly(budget, 1).worker_count(), budget);
             }
         }
-        // A solo unit gets the whole budget.
-        assert_eq!(budget_share(1).worker_count(), budget);
     }
 
     #[test]
     fn budgeted_specs_size_workers_and_assembly_within_the_slice() {
-        // The multi-job split: J concurrent runners each get a slice of the
-        // machine, and workers × assembly must fit the slice. Tested through
-        // budgeted_assembly (env-override-free) plus the parsed worker
-        // counts, mirroring budget_split_never_oversubscribes.
-        for budget in [1usize, 2, 4, 7] {
-            for workers in [1usize, 2, 3, 8] {
-                let assembly =
-                    AssemblyParallelism::workers((budget / workers.max(1)).max(1)).worker_count();
-                if workers <= budget {
-                    assert!(
-                        workers * assembly <= budget,
-                        "{workers}w x {assembly}a exceeds slice {budget}"
-                    );
-                } else {
-                    assert_eq!(assembly, 1);
-                }
-            }
-        }
         // An unsized `threads` spec fills exactly its slice, one worker per
         // budgeted core; `serial` keeps one unit in flight.
         let pool = parse_executor_spec_budgeted("threads", 3).unwrap();
@@ -726,6 +647,13 @@ mod tests {
         assert_eq!(solo.parallelism(), 1);
         let explicit = parse_executor_spec_budgeted("threads:2", 8).unwrap();
         assert_eq!(explicit.parallelism(), 2);
+        // Socket workers are spawned lazily, so parsing starts no process.
+        let socket = parse_executor_spec_budgeted("socket", 2).unwrap();
+        assert_eq!((socket.name(), socket.parallelism()), ("socket", 2));
+        let socket = parse_executor_spec_budgeted("socket:3", 2).unwrap();
+        assert_eq!(socket.parallelism(), 3);
+        assert!(parse_executor_spec_budgeted("subprocess", 2).is_err());
+        assert!(parse_executor_spec_budgeted("subprocess:2", 2).is_err());
         assert!(parse_executor_spec_budgeted("warp-drive", 2).is_err());
         assert!(parse_executor_spec_budgeted("threads:x", 2).is_err());
     }

@@ -18,7 +18,7 @@
 //!    session-oriented [`run::Run`] API: a [`run::RunConfig`] picks one of
 //!    three [`executor::UnitExecutor`]s ([`executor::SerialExecutor`],
 //!    [`executor::ThreadPoolExecutor`], or the multi-process
-//!    [`subprocess::SubprocessExecutor`]) and a [`schedule::Scheduler`]
+//!    [`socket::SocketExecutor`]) and a [`schedule::Scheduler`]
 //!    ([`schedule::PlanOrder`] or longest-first [`schedule::CostOrdered`]).
 //!    Work-unit seeds and germ draws are fixed at plan time from a master
 //!    seed, so results are **bit-identical regardless of executor, worker
@@ -92,9 +92,8 @@ pub use cache::{CacheStats, KernelCache};
 pub use error::EngineError;
 pub use events::{ChannelObserver, FnObserver, RunEvent, RunObserver};
 pub use executor::{
-    core_budget, executor_from_env, executor_from_env_budgeted, parse_executor_spec,
-    parse_executor_spec_budgeted, shared_budget_assembly, Engine, EngineBuilder, SerialExecutor,
-    ThreadPoolExecutor, UnitExecutor, EXECUTOR_ENV,
+    core_budget, executor_from_env_budgeted, parse_executor_spec_budgeted, shared_budget_assembly,
+    Engine, EngineBuilder, SerialExecutor, ThreadPoolExecutor, UnitExecutor, EXECUTOR_ENV,
 };
 pub use plan::Plan;
 pub use policy::{RetryPolicy, UNIT_DEADLINE_ENV};
@@ -106,5 +105,5 @@ pub use socket::{
     SocketExecutor, Transport, SOCKET_WORKER_ENV, WORKER_RECONNECT_ATTEMPTS_ENV,
     WORKER_RECONNECT_CAP_MS_ENV, WORKER_RESPAWN_CAP_ENV,
 };
-pub use subprocess::{maybe_serve_worker, SubprocessExecutor};
+pub use subprocess::maybe_serve_worker;
 pub use sweep::{SweepScenario, SweepScenarioBuilder};

@@ -93,10 +93,9 @@ pub struct CampaignReport {
     /// Worker threads used.
     pub threads: usize,
     /// Measured per-unit wall times in plan order (`None` for units restored
-    /// from a checkpoint or executed by subprocess workers, whose start
-    /// timestamps the parent does not observe). Recorded so cost models —
-    /// [`crate::schedule::CostOrdered`] today, calibrated schedulers
-    /// tomorrow — can be fitted from real data.
+    /// from a checkpoint, whose solves this run did not time). Recorded so
+    /// cost models — [`crate::schedule::CostOrdered`] today, calibrated
+    /// schedulers tomorrow — can be fitted from real data.
     pub unit_times: Vec<Option<Duration>>,
 }
 

@@ -309,19 +309,6 @@ impl UnitSink<'_> {
         Ok(())
     }
 
-    /// Commits a record with no wall time at all — the legacy path for
-    /// remote records whose worker did not measure its solve. Prefer
-    /// [`UnitSink::complete_timed`]; this remains for protocol
-    /// backwards-compatibility (a v1 stdio worker line without the wall
-    /// token).
-    pub fn complete_untimed(&self, record: UnitRecord) -> Result<(), EngineError> {
-        self.started_at
-            .lock()
-            .expect("unit timer lock poisoned")
-            .remove(&record.unit);
-        self.commit(record, None)
-    }
-
     fn emit(&self, event: &RunEvent) {
         if let Some(observer) = self.observer {
             observer.on_event(event);

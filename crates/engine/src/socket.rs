@@ -1,38 +1,36 @@
 //! Distributed execution over sockets: persistent warm workers.
 //!
-//! [`SocketExecutor`] is the distributed successor of
-//! [`crate::subprocess::SubprocessExecutor`]. Instead of piping one shard to a
-//! short-lived process per run, it keeps a fleet of **long-lived worker
-//! processes** connected over TCP or Unix-domain sockets, speaking the
-//! length-prefixed framing of [`crate::frame`] around the bit-exact
-//! [`crate::wire`] scenario encoding. The design goals, in order:
+//! [`SocketExecutor`] keeps a fleet of **long-lived worker processes**
+//! connected over TCP or Unix-domain sockets, speaking the length-prefixed
+//! framing of [`crate::frame`] around the bit-exact [`crate::wire`] scenario
+//! encoding. The design goals, in order:
 //!
 //! 1. **Warm caches where the work is.** Each worker owns a process-local
 //!    [`KernelCache`] that survives across runs: re-running a campaign (or
 //!    running the next shard of the same scenario fingerprint) hits the
 //!    worker's cached Ewald kernels, flat-reference solves and KL bases
-//!    instead of rebuilding them — the flaw that kept warm subprocess runs
-//!    from ever beating the thread pool. Worker cache activity is credited
-//!    back into the dispatcher's cache counters ([`KernelCache::credit_external`])
-//!    so reports carry real hit rates.
+//!    instead of rebuilding them. Worker cache activity is credited back into
+//!    the dispatcher's cache counters ([`KernelCache::credit_external`]) so
+//!    reports carry real hit rates.
 //! 2. **Fault tolerance without changing a single bit.** Units are dispatched
 //!    in small case-contiguous batches; workers heartbeat while computing; a
-//!    dead or silent worker's in-flight units are re-queued to survivors and a
-//!    typed [`RunEvent::WorkerLost`] is streamed. Plan-time seeding makes the
-//!    final report bit-identical no matter which worker computed which unit.
+//!    dead, silent or inconsistent worker's in-flight units are re-queued to
+//!    survivors and a typed [`RunEvent::WorkerLost`] is streamed. Plan-time
+//!    seeding makes the final report bit-identical no matter which worker
+//!    computed which unit.
 //! 3. **Honest timing.** Workers measure each solve's wall time themselves
 //!    and ship it inside the result frame, so remote units populate
-//!    [`crate::CampaignReport::unit_times`] like local ones.
+//!    [`crate::CampaignReport::unit_times`] like local ones (`None` there
+//!    means only "restored from a checkpoint").
 //!
-//! Binaries opt in through the same entry point as the stdio protocol —
-//! [`crate::subprocess::maybe_serve_worker`] checks [`SOCKET_WORKER_ENV`]
-//! too, so existing drivers and test worker entries serve both protocols.
+//! Binaries opt in through [`crate::subprocess::maybe_serve_worker`], which
+//! serves this protocol when [`SOCKET_WORKER_ENV`] is set.
 //!
 //! [`RunEvent::WorkerLost`]: crate::events::RunEvent::WorkerLost
 
 use crate::cache::{CacheStats, KernelCache};
 use crate::error::EngineError;
-use crate::executor::{core_budget, evaluate_unit, UnitExecutor};
+use crate::executor::{core_budget, evaluate_unit, shared_budget_assembly, UnitExecutor};
 use crate::frame::{kind, read_frame, write_frame, Frame, PayloadWriter};
 use crate::plan::Plan;
 use crate::report::UnitRecord;
@@ -321,7 +319,6 @@ struct SocketState {
 pub struct SocketExecutor {
     workers: usize,
     transport: Transport,
-    program: Option<PathBuf>,
     args: Vec<String>,
     heartbeat_timeout: Duration,
     core_budget: Option<usize>,
@@ -347,7 +344,6 @@ impl SocketExecutor {
         Self {
             workers,
             transport: Transport::default(),
-            program: None,
             args: Vec::new(),
             heartbeat_timeout: DEFAULT_HEARTBEAT_TIMEOUT,
             core_budget: None,
@@ -370,13 +366,6 @@ impl SocketExecutor {
     /// Selects the transport (default: loopback TCP, ephemeral port).
     pub fn with_transport(mut self, transport: Transport) -> Self {
         self.transport = transport;
-        self
-    }
-
-    /// Overrides the spawned program (defaults to
-    /// [`std::env::current_exe`]).
-    pub fn with_program(mut self, program: impl Into<PathBuf>) -> Self {
-        self.program = Some(program.into());
         self
     }
 
@@ -448,20 +437,17 @@ impl SocketExecutor {
     }
 
     fn spawn_worker(&self, addr_spec: &str, ordinal: usize) -> Result<Child, EngineError> {
-        let program = match &self.program {
-            Some(program) => program.clone(),
-            None => std::env::current_exe()
-                .map_err(|e| socket_error(format!("cannot locate current executable: {e}")))?,
-        };
-        // Same budget split as the other multi-worker executors: each worker
-        // gets its fair share of the core budget as intra-solve assembly
-        // threads, unless the parent environment pins an explicit value.
-        let assembly_share =
-            (self.core_budget.unwrap_or_else(core_budget) / self.workers.max(1)).max(1);
+        // Workers are this very build, so dispatcher and worker always speak
+        // the same frame revision.
+        let program = std::env::current_exe()
+            .map_err(|e| socket_error(format!("cannot locate current executable: {e}")))?;
+        // Each worker gets its fair share of the core budget as intra-solve
+        // assembly threads, unless the parent environment pins an explicit
+        // value.
+        let assembly =
+            shared_budget_assembly(self.core_budget.unwrap_or_else(core_budget), self.workers);
         let mut command = Command::new(&program);
-        if std::env::var_os(ASSEMBLY_THREADS_ENV).is_none() {
-            command.env(ASSEMBLY_THREADS_ENV, assembly_share.to_string());
-        }
+        command.env(ASSEMBLY_THREADS_ENV, assembly.worker_count().to_string());
         if let Some((attempts, cap_ms)) = self.reconnect {
             command.env(WORKER_RECONNECT_ATTEMPTS_ENV, attempts.to_string());
             command.env(WORKER_RECONNECT_CAP_MS_ENV, cap_ms.to_string());
@@ -589,9 +575,8 @@ impl Drop for SocketExecutor {
 /// Splits the scheduled order into case-contiguous dispatch batches.
 ///
 /// Batches never straddle a case boundary, so a worker's shard confines each
-/// context build to as few workers as possible (the same locality argument as
-/// the stdio executor's contiguous shards) — and they are small enough that a
-/// lost worker forfeits little work and survivors rebalance naturally.
+/// context build to as few workers as possible — and they are small enough
+/// that a lost worker forfeits little work and survivors rebalance naturally.
 fn dispatch_batches(plan: &Plan, order: &[usize], workers: usize) -> VecDeque<Vec<usize>> {
     let batch_size = (order.len() / (workers.max(1) * 4)).clamp(1, 16);
     let mut batches = VecDeque::new();
@@ -792,9 +777,7 @@ fn drive_worker(
                         let value = reader.f64_bits()?;
                         let relative_residual = reader.f64_bits()?;
                         let wall = reader.f64_bits()?;
-                        // Appended by the degradation-aware protocol
-                        // revision; a shorter frame means a clean solve.
-                        let degraded = reader.remaining() >= 8 && reader.u64()? != 0;
+                        let degraded = reader.u64()? != 0;
                         Ok((
                             id,
                             UnitRecord {
@@ -813,15 +796,27 @@ fn drive_worker(
                     if id != run_id {
                         continue; // stale frame from a previous run; skip
                     }
-                    if !pending.remove(&record.unit) {
+                    if !pending.contains(&record.unit) {
                         failed.store(true, Ordering::SeqCst);
                         return Err(socket_error(format!(
                             "worker {} reported unassigned unit {}",
                             worker.index, record.unit
                         )));
                     }
+                    // A wall or case index that cannot be true (seconds that
+                    // are non-finite, negative or beyond `Duration`, a case
+                    // the plan does not give this unit) is as untrustworthy
+                    // as a torn frame: lose the worker and re-queue its
+                    // batch, this unit included.
+                    let wall = Duration::try_from_secs_f64(wall_seconds)
+                        .ok()
+                        .filter(|_| plan.units()[record.unit].case_index == record.case_index);
+                    let Some(wall) = wall else {
+                        return Ok(lost(&worker, pending.into_iter().collect(), sink));
+                    };
+                    pending.remove(&record.unit);
                     sink.unit_started(&plan.units()[record.unit]);
-                    sink.complete_timed(record, Duration::from_secs_f64(wall_seconds.max(0.0)))?;
+                    sink.complete_timed(record, wall)?;
                     remaining.fetch_sub(1, Ordering::SeqCst);
                 }
                 kind::STATS => {
@@ -855,17 +850,6 @@ fn drive_worker(
 // Worker side
 // ---------------------------------------------------------------------------
 
-/// Serves the socket-worker protocol and exits the process — **when**
-/// [`SOCKET_WORKER_ENV`] is set; a no-op otherwise. Callers normally reach
-/// this through [`crate::subprocess::maybe_serve_worker`], which multiplexes
-/// both worker protocols.
-pub fn maybe_serve_socket_worker() {
-    let Ok(spec) = std::env::var(SOCKET_WORKER_ENV) else {
-        return;
-    };
-    std::process::exit(worker_main(&spec));
-}
-
 /// Persistent per-process worker state: the warm kernel cache and the plans
 /// it has already expanded, keyed by scenario fingerprint. This is what makes
 /// the socket executor's warm runs fast — the cache lives as long as the
@@ -891,7 +875,9 @@ impl WorkerState {
     }
 }
 
-fn worker_main(spec: &str) -> i32 {
+/// The worker process's main loop: dials `spec`, serves runs, and redials
+/// with backoff after a dropped connection. Returns the process exit code.
+pub(crate) fn worker_main(spec: &str) -> i32 {
     let mut state = WorkerState::new();
     let (max_attempts, policy) = reconnect_config();
     let mut attempt: u32 = 0;
@@ -1069,7 +1055,6 @@ fn evaluate_batch(
             .f64_bits(record.value)
             .f64_bits(record.relative_residual)
             .f64_bits(wall.as_secs_f64())
-            // Appended field; older dispatchers simply never read it.
             .u64(u64::from(record.degraded))
             .frame(kind::RESULT);
         // Fault point: the connection dies halfway through this RESULT
@@ -1262,12 +1247,26 @@ mod tests {
         }
     }
 
-    /// Fault injection at the *frame* level: a worker whose connection dies
-    /// halfway through writing a RESULT frame. The dispatcher must treat the
-    /// torn frame as a lost worker (never committing the partial record),
-    /// re-queue the batch to the survivor, and finish bit-identically.
+    /// How the rogue worker of the frame-level fault test misbehaves.
+    #[derive(Debug, Clone, Copy)]
+    enum Rogue {
+        /// The connection dies halfway through a RESULT frame.
+        TornFrame,
+        /// A complete RESULT whose wall time is `+inf`.
+        InfiniteWall,
+        /// A complete RESULT whose finite wall time overflows `Duration`.
+        OverflowingWall,
+        /// A complete RESULT naming a case the plan does not give the unit.
+        WrongCaseIndex,
+    }
+
+    /// Fault injection at the *frame* level: a worker that tears a RESULT
+    /// frame, or sends a complete one whose wall or case index cannot be
+    /// true. The dispatcher must treat each like a lost worker (never
+    /// committing the record), re-queue the batch to the survivor, and finish
+    /// bit-identically.
     #[test]
-    fn a_connection_dropped_mid_frame_requeues_to_survivors_bit_identically() {
+    fn a_torn_or_inconsistent_result_frame_requeues_to_survivors_bit_identically() {
         use crate::events::{FnObserver, RunEvent};
         use crate::executor::SerialExecutor;
         use crate::run::{Run, RunConfig};
@@ -1277,107 +1276,141 @@ mod tests {
             .unwrap()
             .execute()
             .unwrap();
+        let plan = plan();
+        let case_of: Vec<usize> = plan.units().iter().map(|u| u.case_index).collect();
+        let cases = plan.cases().len();
+        assert!(cases > 1, "a wrong case index needs a second case");
 
-        let listener = Listener::bind(&Transport::default()).unwrap();
-        let spec = listener.addr_spec().unwrap();
+        for rogue_kind in [
+            Rogue::TornFrame,
+            Rogue::InfiniteWall,
+            Rogue::OverflowingWall,
+            Rogue::WrongCaseIndex,
+        ] {
+            let listener = Listener::bind(&Transport::default()).unwrap();
+            let spec = listener.addr_spec().unwrap();
 
-        // Worker 1: honest, served in-process by the real worker loop.
-        let honest_spec = spec.clone();
-        let honest = std::thread::spawn(move || {
-            let conn = Conn::connect(&honest_spec).unwrap();
-            let mut state = WorkerState::new();
-            let _ = serve_connection(conn, &mut state);
-        });
-        // Worker 2: rogue — handshakes, accepts a dispatch, then drops the
-        // connection halfway through a RESULT frame.
-        let rogue_spec = spec.clone();
-        let rogue = std::thread::spawn(move || {
-            let mut conn = Conn::connect(&rogue_spec).unwrap();
-            let hello = PayloadWriter::new()
-                .u64(u64::from(crate::frame::VERSION))
-                .u64(u64::from(std::process::id()))
-                .frame(kind::HELLO);
-            write_frame(&mut conn, &hello).unwrap();
-            assert_eq!(read_frame(&mut conn).unwrap().kind, kind::RUN);
-            let dispatch = read_frame(&mut conn).unwrap();
-            assert_eq!(dispatch.kind, kind::DISPATCH);
-            let result = PayloadWriter::new()
-                .u64(1)
-                .u64(0)
-                .u64(0)
-                .f64_bits(1.0)
-                .f64_bits(0.0)
-                .f64_bits(0.0)
-                .frame(kind::RESULT);
-            let mut bytes = Vec::new();
-            write_frame(&mut bytes, &result).unwrap();
-            // Full header, half the payload, then a hard shutdown.
-            io::Write::write_all(&mut conn, &bytes[..bytes.len() / 2]).unwrap();
-            io::Write::flush(&mut conn).unwrap();
-            conn.shutdown();
-        });
+            // Worker 1: honest, served in-process by the real worker loop.
+            let honest_spec = spec.clone();
+            let honest = std::thread::spawn(move || {
+                let conn = Conn::connect(&honest_spec).unwrap();
+                let mut state = WorkerState::new();
+                let _ = serve_connection(conn, &mut state);
+            });
+            // Worker 2: rogue — handshakes, accepts a dispatch, answers its
+            // first unit with a bad RESULT frame, then hangs up.
+            let rogue_spec = spec.clone();
+            let case_of = case_of.clone();
+            let rogue = std::thread::spawn(move || {
+                let mut conn = Conn::connect(&rogue_spec).unwrap();
+                let hello = PayloadWriter::new()
+                    .u64(u64::from(crate::frame::VERSION))
+                    .u64(u64::from(std::process::id()))
+                    .frame(kind::HELLO);
+                write_frame(&mut conn, &hello).unwrap();
+                assert_eq!(read_frame(&mut conn).unwrap().kind, kind::RUN);
+                let dispatch = read_frame(&mut conn).unwrap();
+                assert_eq!(dispatch.kind, kind::DISPATCH);
+                let mut payload = dispatch.reader();
+                let run_id = payload.u64().unwrap();
+                assert!(payload.u64().unwrap() >= 1, "a dispatch carries units");
+                let unit = payload.u64().unwrap() as usize;
+                let (case_index, wall) = match rogue_kind {
+                    Rogue::TornFrame => (case_of[unit], 0.0),
+                    Rogue::InfiniteWall => (case_of[unit], f64::INFINITY),
+                    Rogue::OverflowingWall => (case_of[unit], 1e30),
+                    Rogue::WrongCaseIndex => ((case_of[unit] + 1) % cases, 0.5),
+                };
+                let result = PayloadWriter::new()
+                    .u64(run_id)
+                    .u64(unit as u64)
+                    .u64(case_index as u64)
+                    .f64_bits(1.0)
+                    .f64_bits(0.0)
+                    .f64_bits(wall)
+                    .u64(0)
+                    .frame(kind::RESULT);
+                let mut bytes = Vec::new();
+                write_frame(&mut bytes, &result).unwrap();
+                if let Rogue::TornFrame = rogue_kind {
+                    // Full header, half the payload.
+                    bytes.truncate(bytes.len() / 2);
+                }
+                io::Write::write_all(&mut conn, &bytes).unwrap();
+                io::Write::flush(&mut conn).unwrap();
+                conn.shutdown();
+            });
 
-        // Hand the executor the two pre-connected workers directly (its
-        // accept loop normally consumes the HELLO; do the same here).
-        let mut idle = Vec::new();
-        for index in 0..2 {
-            let mut conn = accept_blocking(&listener);
-            assert_eq!(read_frame(&mut conn).unwrap().kind, kind::HELLO);
-            idle.push(WorkerConn { index, conn });
-        }
-        let executor = Arc::new(SocketExecutor {
-            workers: 2,
-            transport: Transport::default(),
-            program: None,
-            args: Vec::new(),
-            core_budget: None,
-            reconnect: None,
-            respawn_cap: None,
-            heartbeat_timeout: DEFAULT_HEARTBEAT_TIMEOUT,
-            state: Mutex::new(SocketState {
-                listener: Some(listener),
-                idle,
-                children: Vec::new(),
-                next_index: 2,
-                spawned_total: 0,
-            }),
-            run_counter: AtomicU64::new(1),
-        });
+            // Hand the executor the two pre-connected workers directly (its
+            // accept loop normally consumes the HELLO; do the same here).
+            let mut idle = Vec::new();
+            for index in 0..2 {
+                let mut conn = accept_blocking(&listener);
+                assert_eq!(read_frame(&mut conn).unwrap().kind, kind::HELLO);
+                idle.push(WorkerConn { index, conn });
+            }
+            let executor = Arc::new(SocketExecutor {
+                workers: 2,
+                transport: Transport::default(),
+                args: Vec::new(),
+                core_budget: None,
+                reconnect: None,
+                respawn_cap: None,
+                heartbeat_timeout: DEFAULT_HEARTBEAT_TIMEOUT,
+                state: Mutex::new(SocketState {
+                    listener: Some(listener),
+                    idle,
+                    children: Vec::new(),
+                    next_index: 2,
+                    spawned_total: 0,
+                }),
+                run_counter: AtomicU64::new(1),
+            });
 
-        let lost = Arc::new(AtomicBool::new(false));
-        let lost_flag = Arc::clone(&lost);
-        let report = Run::new(
-            &scenario,
-            RunConfig::new()
-                .executor_arc(Arc::clone(&executor) as Arc<dyn crate::executor::UnitExecutor>)
-                .observer(FnObserver(move |event: &RunEvent| {
-                    if let RunEvent::WorkerLost { requeued, .. } = event {
-                        assert!(*requeued > 0, "the torn batch must be re-queued");
-                        lost_flag.store(true, Ordering::SeqCst);
-                    }
-                })),
-        )
-        .unwrap()
-        .execute()
-        .unwrap();
+            let lost = Arc::new(AtomicBool::new(false));
+            let lost_flag = Arc::clone(&lost);
+            let run = Run::new(
+                &scenario,
+                RunConfig::new()
+                    .executor_arc(Arc::clone(&executor) as Arc<dyn crate::executor::UnitExecutor>)
+                    .observer(FnObserver(move |event: &RunEvent| {
+                        if let RunEvent::WorkerLost { requeued, .. } = event {
+                            assert!(*requeued > 0, "the rogue batch must be re-queued");
+                            lost_flag.store(true, Ordering::SeqCst);
+                        }
+                    })),
+            )
+            .unwrap();
+            // Run under a deadline: a dispatcher that drops the rogue's unit
+            // without re-queuing it leaves the survivor waiting forever.
+            let (done, outcome) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = done.send(run.execute());
+            });
+            let report = outcome
+                .recv_timeout(Duration::from_secs(120))
+                .unwrap_or_else(|_| panic!("{rogue_kind:?}: the run panicked or hung"))
+                .unwrap();
 
-        assert!(
-            lost.load(Ordering::SeqCst),
-            "the mid-frame drop must surface as WorkerLost"
-        );
-        assert_eq!(report.records.len(), reference.records.len());
-        for (got, want) in report.records.iter().zip(&reference.records) {
-            assert_eq!(got.unit, want.unit);
-            assert_eq!(
-                got.value.to_bits(),
-                want.value.to_bits(),
-                "unit {} must be bit-identical despite the torn frame",
-                want.unit
+            assert!(
+                lost.load(Ordering::SeqCst),
+                "{rogue_kind:?} must surface as WorkerLost"
             );
-        }
+            assert_eq!(report.records.len(), reference.records.len());
+            for (got, want) in report.records.iter().zip(&reference.records) {
+                assert_eq!(got.unit, want.unit);
+                assert_eq!(got.case_index, want.case_index);
+                assert_eq!(
+                    got.value.to_bits(),
+                    want.value.to_bits(),
+                    "{rogue_kind:?}: unit {} must be bit-identical",
+                    want.unit
+                );
+            }
 
-        rogue.join().unwrap();
-        drop(executor); // SHUTDOWN frame releases the honest worker loop
-        honest.join().unwrap();
+            rogue.join().unwrap();
+            drop(executor); // SHUTDOWN frame releases the honest worker loop
+            honest.join().unwrap();
+        }
     }
 }

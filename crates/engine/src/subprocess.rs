@@ -1,15 +1,8 @@
-//! Multi-process execution: shard work units across worker processes.
+//! The worker-process entry point.
 //!
-//! [`SubprocessExecutor`] re-spawns the **current executable** in worker mode
-//! (signalled by the [`WORKER_ENV`] environment variable), ships each worker
-//! the wire-encoded scenario plus its shard of unit ids over stdin, and
-//! streams completed records back over stdout — one prefixed line per record,
-//! flushed as it completes, so checkpointing and progress events work exactly
-//! as they do in-process. Workers re-expand the plan themselves; plan-time
-//! seeding makes the re-expansion bit-identical, so a subprocess campaign
-//! produces the same [`crate::CampaignReport`] as a serial one.
-//!
-//! Binaries opt in by calling [`maybe_serve_worker`] first thing in `main`:
+//! [`crate::socket::SocketExecutor`] re-spawns the **current executable** in
+//! worker mode, signalled by [`crate::socket::SOCKET_WORKER_ENV`]. Binaries
+//! opt in by calling [`maybe_serve_worker`] first thing in `main`:
 //!
 //! ```no_run
 //! // first statement of the driver's `main`:
@@ -26,462 +19,17 @@
 //!     rough_engine::subprocess::maybe_serve_worker();
 //! }
 //! // parent side:
-//! let executor = SubprocessExecutor::new(2)
+//! let executor = SocketExecutor::new(2)
 //!     .with_args(["worker_entry", "--exact", "--nocapture"]);
 //! ```
-//!
-//! The protocol ignores stdout lines without the `RSENG-` prefix, so libtest
-//! banners (or a driver's own prints before `maybe_serve_worker`) are
-//! harmless.
 
-use crate::cache::KernelCache;
-use crate::error::EngineError;
-use crate::executor::{core_budget, evaluate_unit, UnitExecutor};
-use crate::plan::Plan;
-use crate::report::UnitRecord;
-use crate::run::UnitSink;
-use crate::wire;
-use rough_core::{AssemblyParallelism, ASSEMBLY_THREADS_ENV};
-use std::io::{BufRead, BufReader, Write};
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
-
-/// Environment variable that switches a spawned process into worker mode.
-pub const WORKER_ENV: &str = "ROUGH_ENGINE_WORKER";
-
-const RECORD_PREFIX: &str = "RSENG-REC ";
-const DONE_PREFIX: &str = "RSENG-DONE";
-const ERR_PREFIX: &str = "RSENG-ERR ";
-
-fn subprocess_error(reason: impl Into<String>) -> EngineError {
-    EngineError::Subprocess(reason.into())
-}
-
-/// Shards work units across worker processes spawned from the current binary.
-#[derive(Debug, Clone)]
-pub struct SubprocessExecutor {
-    workers: usize,
-    program: Option<PathBuf>,
-    args: Vec<String>,
-    core_budget: Option<usize>,
-}
-
-impl SubprocessExecutor {
-    /// Creates an executor with `workers` worker processes (0 means one per
-    /// hardware core).
-    pub fn new(workers: usize) -> Self {
-        let workers = if workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            workers
-        };
-        Self {
-            workers,
-            program: None,
-            args: Vec::new(),
-            core_budget: None,
-        }
-    }
-
-    /// Overrides the spawned program (defaults to
-    /// [`std::env::current_exe`]).
-    pub fn with_program(mut self, program: impl Into<PathBuf>) -> Self {
-        self.program = Some(program.into());
-        self
-    }
-
-    /// Caps the core budget this executor divides among its workers' solves
-    /// (default: the whole machine). A daemon running several campaigns
-    /// concurrently hands each job's executor its slice, so children's
-    /// assembly shares stay within `budget` instead of `core_budget()`.
-    pub fn with_core_budget(mut self, budget: usize) -> Self {
-        self.core_budget = Some(budget.max(1));
-        self
-    }
-
-    /// Sets extra arguments for the spawned program (e.g. a libtest filter
-    /// pointing at a worker-entry `#[test]`).
-    pub fn with_args(mut self, args: impl IntoIterator<Item = impl Into<String>>) -> Self {
-        self.args = args.into_iter().map(Into::into).collect();
-        self
-    }
-
-    fn spawn_worker(&self) -> Result<Child, EngineError> {
-        let program = match &self.program {
-            Some(program) => program.clone(),
-            None => std::env::current_exe()
-                .map_err(|e| subprocess_error(format!("cannot locate current executable: {e}")))?,
-        };
-        // Workers get their fair share of the machine's core budget as
-        // intra-solve assembly threads (the process-level analogue of the
-        // thread-pool executor's budget split); an explicit
-        // ROUGHSIM_ASSEMBLY_THREADS in the parent's environment passes
-        // through untouched via the inherited environment.
-        let assembly_share =
-            (self.core_budget.unwrap_or_else(core_budget) / self.workers.max(1)).max(1);
-        let mut command = Command::new(&program);
-        if std::env::var_os(ASSEMBLY_THREADS_ENV).is_none() {
-            command.env(ASSEMBLY_THREADS_ENV, assembly_share.to_string());
-        }
-        command
-            .args(&self.args)
-            .env(WORKER_ENV, "1")
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .map_err(|e| subprocess_error(format!("cannot spawn {}: {e}", program.display())))
-    }
-
-    /// Drives one worker over one shard of unit ids.
-    fn run_shard(
-        &self,
-        wire_text: &str,
-        shard: &[usize],
-        plan: &Plan,
-        sink: &UnitSink<'_>,
-    ) -> Result<(), EngineError> {
-        let mut child = self.spawn_worker()?;
-        {
-            let mut stdin = child.stdin.take().expect("piped stdin");
-            let ids: Vec<String> = shard.iter().map(|id| id.to_string()).collect();
-            let payload = format!("{wire_text}units {}\n", ids.join(" "));
-            // A worker that dies early closes the pipe; the read loop below
-            // reports the real failure, so a broken pipe here is not fatal.
-            let _ = stdin.write_all(payload.as_bytes());
-        }
-        let stdout = child.stdout.take().expect("piped stdout");
-        let reader = BufReader::new(stdout);
-        let mut received = 0usize;
-        let mut done = false;
-        for line in reader.lines() {
-            let line = line.map_err(|e| {
-                let _ = child.kill();
-                subprocess_error(format!("worker stdout read failed: {e}"))
-            })?;
-            if sink.is_cancelled() {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Ok(());
-            }
-            // Markers are matched anywhere in the line, not just at the
-            // start: harness banners (libtest prints `test name ... ` with no
-            // newline before running a test) can prepend text to the worker's
-            // first output line.
-            if let Some(rest) = find_marker(&line, RECORD_PREFIX) {
-                let (record, wall) = parse_record_line(rest).ok_or_else(|| {
-                    let _ = child.kill();
-                    subprocess_error(format!("malformed worker record `{line}`"))
-                })?;
-                if record.unit >= plan.units().len() {
-                    let _ = child.kill();
-                    return Err(subprocess_error(format!(
-                        "worker reported out-of-range unit {}",
-                        record.unit
-                    )));
-                }
-                sink.unit_started(&plan.units()[record.unit]);
-                match wall {
-                    // Workers measure their own solves; commit the remote
-                    // timing so subprocess units populate `unit_times` too.
-                    Some(wall) => sink.complete_timed(record, wall)?,
-                    None => sink.complete_untimed(record)?,
-                }
-                received += 1;
-            } else if let Some(rest) = find_marker(&line, ERR_PREFIX) {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(subprocess_error(format!("worker error: {rest}")));
-            } else if find_marker(&line, DONE_PREFIX).is_some() {
-                done = true;
-            }
-            // Anything else (libtest banners, driver prints) is ignored.
-        }
-        let status = child
-            .wait()
-            .map_err(|e| subprocess_error(format!("worker wait failed: {e}")))?;
-        if !done || received != shard.len() {
-            return Err(subprocess_error(format!(
-                "worker exited ({status}) after {received} of {} records{}",
-                shard.len(),
-                if done { "" } else { " without completing" }
-            )));
-        }
-        Ok(())
-    }
-}
-
-impl UnitExecutor for SubprocessExecutor {
-    fn name(&self) -> &'static str {
-        "subprocess"
-    }
-
-    fn parallelism(&self) -> usize {
-        self.workers
-    }
-
-    fn execute(
-        &self,
-        plan: &Plan,
-        order: &[usize],
-        _cache: &KernelCache,
-        sink: &UnitSink<'_>,
-    ) -> Result<(), EngineError> {
-        if order.is_empty() || sink.is_cancelled() {
-            return Ok(());
-        }
-        let wire_text = wire::encode_scenario(plan.scenario());
-        // Contiguous slices of the *scheduled* order: both shipped schedulers
-        // keep a case's units adjacent (plan order by construction,
-        // cost-ordered by stable per-case sort), so contiguous shards confine
-        // each case's context build — Ewald kernels, flat-reference solve,
-        // KL basis, all rebuilt per worker process — to as few workers as
-        // possible while still balancing unit counts to within one.
-        let workers = self.workers.min(order.len()).max(1);
-        let base = order.len() / workers;
-        let extra = order.len() % workers;
-        let mut shards: Vec<Vec<usize>> = Vec::with_capacity(workers);
-        let mut cursor = 0usize;
-        for index in 0..workers {
-            let len = base + usize::from(index < extra);
-            shards.push(order[cursor..cursor + len].to_vec());
-            cursor += len;
-        }
-
-        let results: Vec<Result<(), EngineError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|shard| scope.spawn(|| self.run_shard(&wire_text, shard, plan, sink)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker driver thread panicked"))
-                .collect()
-        });
-        results.into_iter().collect()
-    }
-}
-
-/// Returns the text after `marker` when the line contains it (markers are
-/// unique enough that harness noise cannot produce them by accident).
-fn find_marker<'a>(line: &'a str, marker: &str) -> Option<&'a str> {
-    line.find(marker).map(|start| &line[start + marker.len()..])
-}
-
-fn record_wire_line(record: &UnitRecord, wall: Duration) -> String {
-    let mut line = format!(
-        "{RECORD_PREFIX}{} {} {:016x} {:016x} {:016x}",
-        record.unit,
-        record.case_index,
-        record.value.to_bits(),
-        record.relative_residual.to_bits(),
-        wall.as_secs_f64().to_bits()
-    );
-    // Appended only when set, so clean-run lines stay byte-identical to the
-    // pre-degradation wire format.
-    if record.degraded {
-        line.push_str(" 1");
-    }
-    line
-}
-
-/// Parses a record line. The fifth token — the worker-measured wall seconds
-/// of the solve, as f64 bits — is optional so v1 lines (no timing) from older
-/// workers still parse; they commit untimed. A sixth `1` token marks a record
-/// produced through the solver degradation ladder; absent means clean.
-fn parse_record_line(rest: &str) -> Option<(UnitRecord, Option<Duration>)> {
-    let mut tokens = rest.split_ascii_whitespace();
-    let unit = tokens.next()?.parse().ok()?;
-    let case_index = tokens.next()?.parse().ok()?;
-    let value = f64::from_bits(u64::from_str_radix(tokens.next()?, 16).ok()?);
-    let relative_residual = f64::from_bits(u64::from_str_radix(tokens.next()?, 16).ok()?);
-    let wall = tokens
-        .next()
-        .and_then(|token| u64::from_str_radix(token, 16).ok())
-        .map(f64::from_bits)
-        .filter(|seconds| seconds.is_finite() && *seconds >= 0.0)
-        .map(Duration::from_secs_f64);
-    let degraded = tokens.next().is_some_and(|token| token == "1");
-    Some((
-        UnitRecord {
-            unit,
-            case_index,
-            value,
-            relative_residual,
-            degraded,
-        },
-        wall,
-    ))
-}
-
-/// Serves a worker protocol and exits the process — **when** [`WORKER_ENV`]
-/// (stdio shards) or [`crate::socket::SOCKET_WORKER_ENV`] (persistent socket
-/// workers) is set; a no-op otherwise. Call it first thing in every binary
-/// that may host a [`SubprocessExecutor`] or a
-/// [`crate::socket::SocketExecutor`] — one entry point covers both.
+/// Serves the socket-worker protocol and exits the process — **when**
+/// [`crate::socket::SOCKET_WORKER_ENV`] is set; a no-op otherwise. Call it
+/// first thing in every binary that may host a
+/// [`crate::socket::SocketExecutor`].
 pub fn maybe_serve_worker() {
-    // Socket mode takes precedence: it never returns when its variable is
-    // set, and a process is only ever one kind of worker.
-    crate::socket::maybe_serve_socket_worker();
-    if std::env::var_os(WORKER_ENV).is_none() {
+    let Ok(spec) = std::env::var(crate::socket::SOCKET_WORKER_ENV) else {
         return;
-    }
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let code = match serve(stdin.lock(), stdout.lock()) {
-        Ok(()) => 0,
-        Err(error) => {
-            // Report through the protocol so the parent sees the cause even
-            // when stderr is swallowed.
-            let stdout = std::io::stdout();
-            let mut out = stdout.lock();
-            let _ = writeln!(out, "{ERR_PREFIX}{error}");
-            let _ = out.flush();
-            1
-        }
     };
-    std::process::exit(code);
-}
-
-/// The worker side of the protocol: reads the scenario and a unit-id list
-/// from `input`, evaluates each unit serially, and streams prefixed record
-/// lines to `output`.
-fn serve(input: impl BufRead, mut output: impl Write) -> Result<(), EngineError> {
-    let mut scenario_text = String::new();
-    let mut unit_ids: Vec<usize> = Vec::new();
-    for line in input.lines() {
-        let line = line.map_err(|e| subprocess_error(format!("worker stdin read failed: {e}")))?;
-        if let Some(rest) = line.strip_prefix("units ") {
-            for token in rest.split_ascii_whitespace() {
-                unit_ids.push(
-                    token
-                        .parse()
-                        .map_err(|_| subprocess_error(format!("malformed unit id `{token}`")))?,
-                );
-            }
-            break;
-        }
-        scenario_text.push_str(&line);
-        scenario_text.push('\n');
-    }
-    let scenario = wire::decode_scenario(&scenario_text)?;
-    let plan = Plan::new(&scenario)?;
-    let cache = KernelCache::new();
-    // The parent sized our assembly share into the environment; a worker
-    // launched by hand without it stays serial (the safe default).
-    let assembly = AssemblyParallelism::from_env().unwrap_or(AssemblyParallelism::Serial);
-    // Detach the protocol stream from any partial line the host harness may
-    // have left on stdout (libtest prints `test name ... ` with no newline).
-    writeln!(output).map_err(|e| subprocess_error(format!("worker stdout write failed: {e}")))?;
-    for unit_id in &unit_ids {
-        let unit = plan.units().get(*unit_id).ok_or_else(|| {
-            subprocess_error(format!("unit id {unit_id} out of range for this plan"))
-        })?;
-        let started = Instant::now();
-        let record = evaluate_unit(&plan, unit, &cache, assembly)?;
-        writeln!(output, "{}", record_wire_line(&record, started.elapsed()))
-            .and_then(|()| output.flush())
-            .map_err(|e| subprocess_error(format!("worker stdout write failed: {e}")))?;
-    }
-    writeln!(output, "{DONE_PREFIX} {}", unit_ids.len())
-        .and_then(|()| output.flush())
-        .map_err(|e| subprocess_error(format!("worker stdout write failed: {e}")))?;
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::scenario::Scenario;
-    use rough_core::RoughnessSpec;
-    use rough_em::material::Stackup;
-    use rough_em::units::{GigaHertz, Micrometers};
-
-    #[test]
-    fn record_lines_roundtrip_bitwise() {
-        let record = UnitRecord {
-            unit: 17,
-            case_index: 3,
-            value: 0.1 + 0.2,
-            relative_residual: 4.9e-324, // smallest subnormal
-            degraded: false,
-        };
-        let wall = Duration::from_micros(123_456);
-        let line = record_wire_line(&record, wall);
-        let (parsed, parsed_wall) =
-            parse_record_line(line.strip_prefix(RECORD_PREFIX).unwrap()).unwrap();
-        assert_eq!(parsed, record);
-        assert_eq!(parsed_wall, Some(wall));
-
-        // Clean lines never carry the degraded token; flagged lines do, and
-        // the flag survives the roundtrip.
-        assert_eq!(line.split_ascii_whitespace().count(), 6);
-        let flagged = UnitRecord {
-            degraded: true,
-            ..record
-        };
-        let line = record_wire_line(&flagged, wall);
-        assert!(line.ends_with(" 1"));
-        let (parsed, _) = parse_record_line(line.strip_prefix(RECORD_PREFIX).unwrap()).unwrap();
-        assert!(parsed.degraded);
-    }
-
-    #[test]
-    fn legacy_record_lines_without_wall_token_still_parse() {
-        let rest = format!("4 1 {:016x} {:016x}", 1.5f64.to_bits(), 1e-12f64.to_bits());
-        let (record, wall) = parse_record_line(&rest).unwrap();
-        assert_eq!(record.unit, 4);
-        assert_eq!(wall, None);
-    }
-
-    #[test]
-    fn serve_evaluates_requested_units_and_reports_done() {
-        let scenario = Scenario::builder(Stackup::paper_baseline())
-            .name("worker-serve-unit")
-            .roughness(RoughnessSpec::gaussian(
-                Micrometers::new(1.0),
-                Micrometers::new(1.0),
-            ))
-            .frequencies([GigaHertz::new(5.0).into()])
-            .cells_per_side(6)
-            .max_kl_modes(2)
-            .monte_carlo(3)
-            .master_seed(5)
-            .build()
-            .unwrap();
-        let input = format!("{}units 2 0\n", wire::encode_scenario(&scenario));
-        let mut output = Vec::new();
-        serve(input.as_bytes(), &mut output).unwrap();
-        let text = String::from_utf8(output).unwrap();
-        let records: Vec<UnitRecord> = text
-            .lines()
-            .filter_map(|l| l.strip_prefix(RECORD_PREFIX))
-            .filter_map(parse_record_line)
-            .map(|(record, wall)| {
-                assert!(wall.is_some(), "served records must carry wall times");
-                record
-            })
-            .collect();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].unit, 2);
-        assert_eq!(records[1].unit, 0);
-        assert!(text.lines().any(|l| l == format!("{DONE_PREFIX} 2")));
-
-        // Determinism: the worker's record for unit 0 matches an in-process
-        // evaluation bit for bit.
-        let plan = Plan::new(&scenario).unwrap();
-        let cache = KernelCache::new();
-        let local =
-            evaluate_unit(&plan, &plan.units()[0], &cache, AssemblyParallelism::Serial).unwrap();
-        assert_eq!(records[1].value.to_bits(), local.value.to_bits());
-    }
-
-    #[test]
-    fn serve_rejects_bad_input() {
-        let mut out = Vec::new();
-        assert!(serve("garbage\nunits 0\n".as_bytes(), &mut out).is_err());
-    }
+    std::process::exit(crate::socket::worker_main(&spec));
 }

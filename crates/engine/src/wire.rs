@@ -1,8 +1,8 @@
 //! Bit-exact scenario serialization for worker processes and checkpoints.
 //!
-//! The [`crate::subprocess::SubprocessExecutor`] ships the scenario to worker
-//! processes over stdin, and checkpoints embed it so [`crate::run::Run::resume`]
-//! can rebuild the plan from the file alone. Both consumers need the decoded
+//! The [`crate::socket::SocketExecutor`] ships the scenario to worker
+//! processes in its RUN frame, and checkpoints embed it so
+//! [`crate::run::Run::resume`] can rebuild the plan from the file alone. Both consumers need the decoded
 //! scenario to re-plan *bit-identically* — the same germ draws, the same KL
 //! truncation, the same context keys — so every float is encoded as the hex of
 //! its IEEE-754 bit pattern, never as decimal text.

@@ -1,8 +1,8 @@
 //! Integration tests of the session-oriented run API: executor equivalence
-//! (serial vs thread pool vs subprocess must agree bit for bit), checkpoint
+//! (serial vs thread pool vs socket must agree bit for bit), checkpoint
 //! interruption + resume determinism, and event streaming.
 //!
-//! The subprocess tests re-spawn **this test binary** with a libtest filter
+//! The socket tests re-spawn **this test binary** with a libtest filter
 //! pointing at [`engine_worker_entry`], which serves the worker protocol when
 //! the worker environment variable is set and is a no-op pass otherwise.
 
@@ -11,19 +11,15 @@ use rough_em::material::Stackup;
 use rough_em::units::{GigaHertz, Micrometers};
 use rough_engine::{
     CampaignReport, CancelToken, CostOrdered, EngineError, FnObserver, Run, RunConfig, RunEvent,
-    Scenario, SerialExecutor, SocketExecutor, SubprocessExecutor, ThreadPoolExecutor, UnitExecutor,
+    Scenario, SerialExecutor, SocketExecutor, ThreadPoolExecutor, UnitExecutor,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Worker-mode entry point for the subprocess executor (see module docs).
+/// Worker-mode entry point for the socket executor (see module docs).
 #[test]
 fn engine_worker_entry() {
     rough_engine::subprocess::maybe_serve_worker();
-}
-
-fn subprocess_executor(workers: usize) -> SubprocessExecutor {
-    SubprocessExecutor::new(workers).with_args(["engine_worker_entry", "--exact", "--nocapture"])
 }
 
 fn socket_executor(workers: usize) -> SocketExecutor {
@@ -87,19 +83,19 @@ fn assert_reports_bit_identical(a: &CampaignReport, b: &CampaignReport, label: &
 }
 
 #[test]
-fn serial_threadpool_and_subprocess_executors_agree_bitwise() {
+fn serial_threadpool_and_socket_executors_agree_bitwise() {
     let serial = run_with(SerialExecutor);
     assert_eq!(serial.records.len(), 6);
     assert!(serial.cases.iter().all(|c| c.mean > 0.5));
 
     let pooled2 = run_with(ThreadPoolExecutor::new(2));
     let pooled8 = run_with(ThreadPoolExecutor::new(8));
-    let subprocess = run_with(subprocess_executor(2));
+    let socket = run_with(socket_executor(2));
 
     assert_reports_bit_identical(&serial, &pooled2, "serial vs 2 threads");
     assert_reports_bit_identical(&serial, &pooled8, "serial vs 8 threads");
-    assert_reports_bit_identical(&serial, &subprocess, "serial vs subprocess");
-    assert_eq!(subprocess.threads, 2);
+    assert_reports_bit_identical(&serial, &socket, "serial vs socket");
+    assert_eq!(socket.threads, 2);
 }
 
 fn temp_checkpoint(name: &str) -> std::path::PathBuf {
@@ -164,13 +160,13 @@ fn interrupted_runs_resume_bit_identically_across_executors() {
             &format!("fresh vs resumed ({threads} threads)"),
         );
     }
-    let resumed = interrupt_and_resume("resume-subprocess.jsonl", 3, subprocess_executor(2));
-    assert_reports_bit_identical(&reference, &resumed, "fresh vs resumed (subprocess)");
+    let resumed = interrupt_and_resume("resume-socket.jsonl", 3, socket_executor(2));
+    assert_reports_bit_identical(&reference, &resumed, "fresh vs resumed (socket)");
 }
 
 #[test]
 fn resume_after_cost_ordered_interruption_matches_plan_order_runs() {
-    // Interrupt a cost-ordered subprocess run, resume serially in plan order:
+    // Interrupt a cost-ordered socket run, resume serially in plan order:
     // schedule and executor may change across the interruption without
     // affecting a single output bit.
     let path = temp_checkpoint("resume-cross-schedule.jsonl");
@@ -178,7 +174,7 @@ fn resume_after_cost_ordered_interruption_matches_plan_order_runs() {
     let observer_token = token.clone();
     let completed = AtomicUsize::new(0);
     let config = RunConfig::new()
-        .executor(subprocess_executor(2))
+        .executor(socket_executor(2))
         .scheduler(CostOrdered::new())
         .checkpoint(&path)
         .cancel_token(token)
@@ -251,9 +247,8 @@ fn socket_executor_agrees_bitwise_and_stays_warm_across_runs() {
     let reference = run_with(SerialExecutor);
 
     // One persistent worker, two runs on the same executor: the second run
-    // must hit the *worker-side* cache for every unit (the fix over the
-    // subprocess executor, whose workers rebuild contexts every run) and
-    // every unit must carry a worker-measured wall time.
+    // must hit the *worker-side* cache for every unit, and every unit must
+    // carry a worker-measured wall time.
     let executor: Arc<SocketExecutor> = Arc::new(socket_executor(1));
     let first = Run::new(
         &scenario(),

@@ -8,7 +8,7 @@
 //! keeps durable queue/checkpoint/report state under the state directory
 //! (default `roughsimd-state`, or `ROUGHSIMD_STATE`), and executes campaigns
 //! with the executor named by `ROUGHSIM_EXECUTOR` (`threads[:N]`, `serial`,
-//! `subprocess[:N]`, `socket[:N]`; default: hardware-sized thread pool).
+//! `socket[:N]`; default: hardware-sized thread pool).
 //!
 //! With `ROUGHSIM_EXECUTOR=socket:N` the daemon re-executes *itself* as its
 //! persistent workers — which is why `main` consults
@@ -23,9 +23,9 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
 }
 
 fn main() {
-    // Worker mode: when the engine spawned this process as a socket or
-    // subprocess worker, serve units and exit without touching the daemon
-    // path. Must run before anything else.
+    // Worker mode: when the engine spawned this process as a socket worker,
+    // serve units and exit without touching the daemon path. Must run before
+    // anything else.
     rough_engine::maybe_serve_worker();
 
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -26,9 +26,10 @@
 //!   [`Scenario`](engine::Scenario)s (stackup × roughness grid × frequency
 //!   sweep × ensemble) planned into deduplicated work units and executed
 //!   through the session-oriented [`Run`](engine::Run) API — pluggable
-//!   executors (serial / thread pool / worker subprocesses), plan-order or
-//!   cost-ordered scheduling, streamed [`RunEvent`](engine::RunEvent)s, and
-//!   JSONL unit checkpoints that resume bit-identically.
+//!   executors (serial / thread pool / persistent socket workers),
+//!   plan-order or cost-ordered scheduling, streamed
+//!   [`RunEvent`](engine::RunEvent)s, and JSONL unit checkpoints that resume
+//!   bit-identically.
 //! * [`sweep`] — broadband frequency sweeps on top of the engine: adaptive
 //!   refinement of a [`SweepScenario`](engine::SweepScenario) band with
 //!   warm-state reuse, a vector-fitting-style rational curve model with an
@@ -82,11 +83,10 @@ pub use rough_sweep as sweep;
 /// * [`Run`](rough_engine::Run) + [`RunConfig`](rough_engine::RunConfig) —
 ///   the session-oriented service API. A `RunConfig` picks the executor
 ///   ([`SerialExecutor`](rough_engine::SerialExecutor),
-///   [`ThreadPoolExecutor`](rough_engine::ThreadPoolExecutor), the
-///   multi-process [`SubprocessExecutor`](rough_engine::SubprocessExecutor),
-///   or [`SocketExecutor`](rough_engine::SocketExecutor) — persistent
-///   distributed workers with warm per-worker kernel caches and bit-identical
-///   re-dispatch when a worker dies), the schedule
+///   [`ThreadPoolExecutor`](rough_engine::ThreadPoolExecutor), or the
+///   multi-process [`SocketExecutor`](rough_engine::SocketExecutor) —
+///   persistent distributed workers with warm per-worker kernel caches and
+///   bit-identical re-dispatch when a worker dies), the schedule
 ///   ([`PlanOrder`](rough_engine::PlanOrder) or longest-first
 ///   [`CostOrdered`](rough_engine::CostOrdered), optionally calibrated with a
 ///   measured [`CostTable`](rough_engine::CostTable)), an optional JSONL
@@ -149,7 +149,7 @@ pub mod prelude {
     pub use rough_engine::SweepScenario;
     pub use rough_engine::{
         CancelToken, CostOrdered, CostTable, Engine, PlanOrder, Run, RunConfig, RunEvent, Scenario,
-        SerialExecutor, SocketExecutor, SubprocessExecutor, ThreadPoolExecutor,
+        SerialExecutor, SocketExecutor, ThreadPoolExecutor,
     };
     pub use rough_numerics::complex::c64;
     pub use rough_service::{Client, Daemon, DaemonConfig, Priority};
