@@ -32,7 +32,11 @@
 //!   remainder `G_p − 1/(4πR)` is integrated with adaptive tensor
 //!   Gauss–Legendre quadrature, for every source cell within
 //!   [`NearFieldPolicy::radius`] cell sizes (minimum-image distance, so the
-//!   periodic seam is corrected too).
+//!   periodic seam is corrected too). An entry between two exactly flat
+//!   cells at the same height depends only on their lattice offset, so the
+//!   flat-offset table integrates each such offset once and every other
+//!   flat–flat pair copies it (the matrix-free near precorrections read the
+//!   same table).
 //!
 //! Orthogonal to the scheme, [`KernelEval`] selects how the Ewald-summed
 //! kernel itself is evaluated. The default, [`KernelEval::Batched`], is
@@ -67,6 +71,22 @@ use rough_numerics::linalg::CMatrix;
 use rough_numerics::quadrature::{gauss_legendre_on, QuadratureRule};
 use rough_numerics::quadrature2d::{AdaptiveTensorGauss, QuadScratch};
 use std::f64::consts::PI;
+
+#[cfg(test)]
+thread_local! {
+    static PER_PAIR: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `f` with every [`FlatOffsetTable`] it builds left empty, so each
+/// near entry is integrated for its own pair: the oracle the table is tested
+/// against.
+#[cfg(test)]
+pub(crate) fn per_pair<T>(f: impl FnOnce() -> T) -> T {
+    PER_PAIR.with(|flag| flag.set(true));
+    let out = f();
+    PER_PAIR.with(|flag| flag.set(false));
+    out
+}
 
 /// Evaluates gathered separations either through the batched kernel API or —
 /// the oracle path — one scalar [`PeriodicGreen3d::sample`] call per entry.
@@ -342,12 +362,14 @@ fn assemble_medium_legacy(
     }
 }
 
-/// One near entry of a corrected row panel: the source column and the
-/// (possibly periodically shifted) source-cell centre.
+/// One near entry of a corrected row panel: the source column, the
+/// (possibly periodically shifted) source-cell centre, and the entry itself
+/// when the flat-offset table already holds it.
 struct NearEntry {
     j: usize,
     src_x: f64,
     src_y: f64,
+    reused: Option<(c64, c64)>,
 }
 
 /// Row-local buffers of the corrected scheme, one per worker: kernel
@@ -380,7 +402,8 @@ struct CorrectedRow {
 /// near entry are gathered into contiguous slices, evaluated in one batched
 /// kernel call each, and scattered back — the analytic statics and the
 /// (kernel-free) adaptive remainder quadrature of the near entries are
-/// untouched.
+/// untouched. Near entries between exactly flat cells at the same height are
+/// read from the [`FlatOffsetTable`] instead.
 fn assemble_medium_corrected(
     mesh: &PatchMesh,
     green: &PeriodicGreen3d,
@@ -396,6 +419,7 @@ fn assemble_medium_corrected(
     let near_radius_sq = (policy.radius * delta) * (policy.radius * delta);
     let rule = NearRules::for_policy(policy);
     let image_points = rule.image.len() * rule.image.len();
+    let flat = FlatOffsetTable::build(mesh, green, policy, &rule, eval);
 
     let rows = map_rows(
         n,
@@ -403,34 +427,18 @@ fn assemble_medium_corrected(
         CorrectedScratch::default,
         |i, scratch| {
             let ci = cells[i];
+            let mut stats = AssemblyStats::default();
             scratch.far_js.clear();
             scratch.far_seps.clear();
             scratch.near_entries.clear();
             scratch.image_seps.clear();
             for (j, cj) in cells.iter().enumerate() {
-                if i == j {
-                    gather_image_points(
-                        &rule.image,
-                        &ci,
-                        cj,
-                        cj.x,
-                        cj.y,
-                        delta,
-                        &mut scratch.image_seps,
-                    );
-                    scratch.near_entries.push(NearEntry {
-                        j,
-                        src_x: cj.x,
-                        src_y: cj.y,
-                    });
-                    continue;
-                }
                 let dx = ci.x - cj.x;
                 let dy = ci.y - cj.y;
                 let dz = ci.z - cj.z;
                 // Minimum-image separation: cells adjacent across the periodic
                 // seam are genuine near neighbours of the kernel's nearest
-                // image.
+                // image. The self pair has zero separation and no shift.
                 let wrap_x = (dx / length).round() * length;
                 let wrap_y = (dy / length).round() * length;
                 let dxw = dx - wrap_x;
@@ -439,16 +447,24 @@ fn assemble_medium_corrected(
 
                 if r2 < near_radius_sq {
                     let (src_x, src_y) = (cj.x + wrap_x, cj.y + wrap_y);
-                    gather_image_points(
-                        &rule.image,
-                        &ci,
-                        cj,
+                    let reused = flat.lookup(i, j, &ci, cj, [dxw, dyw], &mut stats);
+                    if reused.is_none() {
+                        gather_image_points(
+                            &rule.image,
+                            &ci,
+                            cj,
+                            src_x,
+                            src_y,
+                            delta,
+                            &mut scratch.image_seps,
+                        );
+                    }
+                    scratch.near_entries.push(NearEntry {
+                        j,
                         src_x,
                         src_y,
-                        delta,
-                        &mut scratch.image_seps,
-                    );
-                    scratch.near_entries.push(NearEntry { j, src_x, src_y });
+                        reused,
+                    });
                 } else {
                     scratch.far_js.push(j);
                     scratch.far_seps.push(SeparationVector::new(dx, dy, dz));
@@ -468,21 +484,28 @@ fn assemble_medium_corrected(
                 far.push((j, s, d));
             }
             let mut near = Vec::with_capacity(scratch.near_entries.len());
-            let mut stats = AssemblyStats::default();
-            for (index, entry) in scratch.near_entries.iter().enumerate() {
-                let images = &scratch.image_out[image_points * index..image_points * (index + 1)];
-                let (s, d) = corrected_entry(
-                    green,
-                    &ci,
-                    &cells[entry.j],
-                    entry.src_x,
-                    entry.src_y,
-                    delta,
-                    &rule,
-                    images,
-                    &mut scratch.quad,
-                    &mut stats,
-                );
+            let mut image_cursor = 0;
+            for entry in &scratch.near_entries {
+                let (s, d) = match entry.reused {
+                    Some(exact) => exact,
+                    None => {
+                        let images = &scratch.image_out
+                            [image_points * image_cursor..image_points * (image_cursor + 1)];
+                        image_cursor += 1;
+                        corrected_entry(
+                            green,
+                            &ci,
+                            &cells[entry.j],
+                            entry.src_x,
+                            entry.src_y,
+                            delta,
+                            &rule,
+                            images,
+                            &mut scratch.quad,
+                            &mut stats,
+                        )
+                    }
+                };
                 near.push((entry.j, s, d));
             }
             CorrectedRow { far, near, stats }
@@ -492,7 +515,7 @@ fn assemble_medium_corrected(
     // Serial scatter in row order; each row owns exactly its own matrix row.
     let mut single = CMatrix::zeros(n, n);
     let mut double = CMatrix::zeros(n, n);
-    let mut stats = AssemblyStats::default();
+    let mut stats = flat.stats;
     for (i, row) in rows.iter().enumerate() {
         for &(j, s, d) in &row.far {
             single[(i, j)] = s;
@@ -557,6 +580,178 @@ pub(crate) fn gather_image_points(
             let zs = source.z + source.fx * (xs - src_x) + source.fy * (ys - src_y);
             out.push(SeparationVector::new(p[0] - xs, p[1] - ys, p[2] - zs));
         }
+    }
+}
+
+/// The flat-offset table of one medium and one mesh: the exact locally
+/// corrected `(S, D)` of the near pairs between two exactly flat cells
+/// (`fx == fy == 0`) at the same height, one per in-plane minimum-image
+/// lattice offset within [`NearFieldPolicy::radius`].
+///
+/// The periodic kernel is translation invariant and a flat cell is its own
+/// tangent plane, so such an entry depends only on the offset. Each offset
+/// is integrated once, for the first pair in row-major order that has it,
+/// through the same [`gather_image_points`] → regularized kernel (under the
+/// configured [`KernelEval`]) → [`corrected_entry`] path as any other near
+/// entry; every other pair with that offset copies it. The table is built
+/// serially before the row-parallel pass, so the assembly stays
+/// bit-identical at any thread count, and finding the representative pairs
+/// visits one offset stencil per flat cell, `O(stencil × N)`. The dense
+/// corrected assembly and the matrix-free near precorrections both read it.
+pub(crate) struct FlatOffsetTable {
+    /// Offsets span `-reach..=reach` cells along each axis.
+    reach: isize,
+    /// Cell size Δ, the unit of the offsets.
+    delta: f64,
+    /// One slot per offset, `(oy, ox)` row-major; `None` where no flat pair
+    /// has that offset.
+    slots: Vec<Option<FlatEntry>>,
+    /// The integrations that filled the table.
+    pub(crate) stats: AssemblyStats,
+}
+
+/// One integrated flat-offset entry and the pair it was integrated for.
+#[derive(Clone, Copy)]
+struct FlatEntry {
+    first: (usize, usize),
+    exact: (c64, c64),
+}
+
+/// Whether a cell is exactly flat (zero slope along both axes).
+fn is_flat(cell: &Cell3d) -> bool {
+    cell.fx == 0.0 && cell.fy == 0.0
+}
+
+impl FlatOffsetTable {
+    /// Integrates every flat-cell lattice offset of `mesh` that some near
+    /// pair has, with the kernel of one medium.
+    pub(crate) fn build(
+        mesh: &PatchMesh,
+        green: &PeriodicGreen3d,
+        policy: NearFieldPolicy,
+        rule: &NearRules,
+        eval: KernelEval,
+    ) -> Self {
+        let reach = policy.radius.ceil() as isize;
+        let width = (2 * reach + 1) as usize;
+        let mut table = Self {
+            reach,
+            delta: mesh.cell_size(),
+            slots: vec![None; width * width],
+            stats: AssemblyStats::default(),
+        };
+        #[cfg(test)]
+        if PER_PAIR.with(std::cell::Cell::get) {
+            return table;
+        }
+
+        // The first pair of each offset: flat observation cells in row-major
+        // order, each visiting its offset stencil. Within one row every
+        // offset names a distinct source cell, so the first row that reaches
+        // an offset holds its first pair.
+        let side = mesh.cells_per_side() as isize;
+        let cells = mesh.cells();
+        let length = mesh.patch_length();
+        let delta = table.delta;
+        let near_radius_sq = (policy.radius * delta) * (policy.radius * delta);
+        let mut firsts: Vec<Option<(usize, usize, f64, f64)>> = vec![None; width * width];
+        for (i, ci) in cells.iter().enumerate() {
+            if !is_flat(ci) {
+                continue;
+            }
+            let (ix, iy) = (i as isize % side, i as isize / side);
+            for oy in -reach..=reach {
+                for ox in -reach..=reach {
+                    let j =
+                        ((iy - oy).rem_euclid(side) * side + (ix - ox).rem_euclid(side)) as usize;
+                    let cj = &cells[j];
+                    // The same minimum-image classification as the rows.
+                    let wrap_x = ((ci.x - cj.x) / length).round() * length;
+                    let wrap_y = ((ci.y - cj.y) / length).round() * length;
+                    let dxw = ci.x - cj.x - wrap_x;
+                    let dyw = ci.y - cj.y - wrap_y;
+                    if dxw * dxw + dyw * dyw >= near_radius_sq {
+                        continue;
+                    }
+                    if let Some(slot) = table.slot(ci, cj, [dxw, dyw]) {
+                        firsts[slot].get_or_insert((i, j, cj.x + wrap_x, cj.y + wrap_y));
+                    }
+                }
+            }
+        }
+
+        let image_points = rule.image.len() * rule.image.len();
+        let mut seps = Vec::new();
+        for &(i, j, src_x, src_y) in firsts.iter().flatten() {
+            gather_image_points(
+                &rule.image,
+                &cells[i],
+                &cells[j],
+                src_x,
+                src_y,
+                delta,
+                &mut seps,
+            );
+        }
+        let mut samples = Vec::new();
+        eval_gathered_regularized(green, eval, &seps, &mut samples);
+        let mut quad = QuadScratch::default();
+        let mut images = samples.chunks_exact(image_points);
+        for (slot, first) in table.slots.iter_mut().zip(&firsts) {
+            if let &Some((i, j, src_x, src_y)) = first {
+                let exact = corrected_entry(
+                    green,
+                    &cells[i],
+                    &cells[j],
+                    src_x,
+                    src_y,
+                    delta,
+                    rule,
+                    images.next().expect("one image block per first pair"),
+                    &mut quad,
+                    &mut table.stats,
+                );
+                *slot = Some(FlatEntry {
+                    first: (i, j),
+                    exact,
+                });
+            }
+        }
+        table
+    }
+
+    /// The slot of a pair with wrapped in-plane separation `separation`,
+    /// when both cells are exactly flat at the same height.
+    fn slot(&self, observation: &Cell3d, source: &Cell3d, separation: [f64; 2]) -> Option<usize> {
+        if !(is_flat(observation) && is_flat(source) && observation.z == source.z) {
+            return None;
+        }
+        let ox = (separation[0] / self.delta).round() as isize;
+        let oy = (separation[1] / self.delta).round() as isize;
+        if ox.abs() > self.reach || oy.abs() > self.reach {
+            return None;
+        }
+        Some(((oy + self.reach) * (2 * self.reach + 1) + ox + self.reach) as usize)
+    }
+
+    /// The table's `(S, D)` for the near pair `(i, j)` with wrapped in-plane
+    /// separation `separation`, or `None` when the pair is not flat–flat at
+    /// equal height. A hit on any pair but the one its offset was integrated
+    /// for counts in `stats.reused_entries`.
+    pub(crate) fn lookup(
+        &self,
+        i: usize,
+        j: usize,
+        observation: &Cell3d,
+        source: &Cell3d,
+        separation: [f64; 2],
+        stats: &mut AssemblyStats,
+    ) -> Option<(c64, c64)> {
+        let entry = self.slots[self.slot(observation, source, separation)?]?;
+        if entry.first != (i, j) {
+            stats.reused_entries += 1;
+        }
+        Some(entry.exact)
     }
 }
 
@@ -817,9 +1012,44 @@ pub fn assemble_system_with(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rough_surface::RoughSurface;
+
+    /// The Fig. 5 half-spheroid (h = 5.8 µm, base radius 4.7 µm on a 12 µm
+    /// tile) scaled to a `tile`-long patch: a rough bump on an exactly flat
+    /// plane, whose corner cells are flat.
+    pub(crate) fn fig5_spheroid_mesh(cells: usize, tile: f64) -> PatchMesh {
+        let scale = tile / 12.0e-6;
+        let (height, radius) = (5.8e-6 * scale, 4.7e-6 * scale);
+        PatchMesh::from_surface(&RoughSurface::from_fn(cells, tile, |x, y| {
+            let (dx, dy) = (x - 0.5 * tile, y - 0.5 * tile);
+            let r2 = (dx * dx + dy * dy) / (radius * radius);
+            if r2 < 1.0 {
+                height * (1.0 - r2).sqrt()
+            } else {
+                0.0
+            }
+        }))
+    }
+
+    /// Kernel wavenumber pairs `(tile, [k₁, k₂])` the flat-offset table is
+    /// checked in: the paper stack-up on the Fig. 5 tile at 2 and 16 GHz, and
+    /// the high-`|k|L` regime of the matrix-free equivalence tests.
+    pub(crate) fn flat_table_regimes() -> [(f64, [c64; 2]); 3] {
+        use rough_em::material::Stackup;
+        use rough_em::units::{Frequency, GigaHertz};
+        let stack = Stackup::paper_baseline();
+        let paper = |ghz: f64| {
+            let f: Frequency = GigaHertz::new(ghz).into();
+            (12.0e-6, [stack.k1(f), stack.k2(f)])
+        };
+        [
+            paper(2.0),
+            paper(16.0),
+            (5e-6, [c64::new(800.0, 0.0), c64::new(4.0e6, 4.0e6)]),
+        ]
+    }
 
     fn small_mesh() -> PatchMesh {
         PatchMesh::from_surface(&RoughSurface::from_fn(4, 5e-6, |x, y| {
@@ -831,6 +1061,16 @@ mod tests {
 
     fn both_schemes() -> [AssemblyScheme; 2] {
         [AssemblyScheme::Legacy, AssemblyScheme::default()]
+    }
+
+    fn max_abs(m: &CMatrix) -> f64 {
+        let mut max = 0.0f64;
+        for i in 0..m.rows() {
+            for j in 0..m.cols() {
+                max = max.max(m[(i, j)].abs());
+            }
+        }
+        max
     }
 
     #[test]
@@ -943,12 +1183,15 @@ mod tests {
     #[test]
     fn batched_and_scalar_assembly_agree_for_both_schemes() {
         // The blocked row-panel path may differ from the per-entry oracle only
-        // at the summation-reassociation level of the batched kernel.
-        let mesh = small_mesh();
+        // at the summation-reassociation level of the batched kernel — also
+        // where the flat-offset table fires (the spheroid's flat corners).
         // Conductor-like and dielectric-like kernels.
-        for &k in &[c64::new(1.0e6, 1.0e6), c64::new(2.0e5, 0.0)] {
-            let g = PeriodicGreen3d::new(k, 5e-6);
-            for scheme in both_schemes() {
+        for mesh in [small_mesh(), fig5_spheroid_mesh(6, 5e-6)] {
+            for (k, scheme) in [c64::new(1.0e6, 1.0e6), c64::new(2.0e5, 0.0)]
+                .into_iter()
+                .flat_map(|k| both_schemes().map(|scheme| (k, scheme)))
+            {
+                let g = PeriodicGreen3d::new(k, 5e-6);
                 let scalar = assemble_medium_with(
                     &mesh,
                     &g,
@@ -967,15 +1210,6 @@ mod tests {
                 // almost-coplanar pairs) carry rounding noise proportional to
                 // the *largest* entry of their block, so that is the scale the
                 // reassociation-level agreement is measured against.
-                let max_abs = |m: &CMatrix| {
-                    let mut max = 0.0f64;
-                    for i in 0..m.rows() {
-                        for j in 0..m.cols() {
-                            max = max.max(m[(i, j)].abs());
-                        }
-                    }
-                    max
-                };
                 let scale_s = max_abs(&scalar.single_layer);
                 let scale_d = max_abs(&scalar.double_layer).max(scale_s);
                 for i in 0..mesh.len() {
@@ -1000,13 +1234,24 @@ mod tests {
     fn parallel_assembly_is_bit_identical_across_thread_counts() {
         // Rows are independent work items scattered serially, so the
         // assembled matrices must match the serial result bit for bit at any
-        // thread count — for both schemes and both kernel evaluation paths.
-        let mesh = small_mesh();
+        // thread count — for both schemes and both kernel evaluation paths,
+        // on a fully rough mesh and on one whose flat region the flat-offset
+        // table serves.
         let g = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 5e-6);
-        for scheme in both_schemes() {
+        for (mesh, scheme) in [small_mesh(), fig5_spheroid_mesh(6, 5e-6)]
+            .into_iter()
+            .flat_map(|mesh| both_schemes().map(|scheme| (mesh.clone(), scheme)))
+        {
             for eval in [KernelEval::Batched, KernelEval::Scalar] {
                 let serial =
                     assemble_medium_with(&mesh, &g, scheme, eval, AssemblyParallelism::Serial);
+                let flat_region = mesh.cells().iter().any(is_flat);
+                assert_eq!(
+                    serial.stats.reused_entries > 0,
+                    flat_region && scheme.is_corrected(),
+                    "{scheme:?}/{eval:?}: {:?}",
+                    serial.stats
+                );
                 for threads in [1usize, 2, 4, 8] {
                     let parallel = assemble_medium_with(
                         &mesh,
@@ -1037,6 +1282,70 @@ mod tests {
                         parallel.stats, serial.stats,
                         "{scheme:?}/{eval:?} stats at {threads} threads"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flat_offset_table_matches_the_per_pair_oracle() {
+        // On a flat mesh and on the Fig. 5 spheroid, in both media: the pair
+        // each offset is integrated for must carry the per-pair oracle's bits,
+        // and every other entry the table serves must agree with its own
+        // per-pair integration to the kernel's translation noise. (Two
+        // translates of one offset already differ by up to ~2e-11 of the
+        // block's largest entry in the oracle itself: a one-ulp change of a
+        // separation moves the lossy conductor's regularized Ewald kernel by
+        // ~1e-9 relative.) The corner cells are flat on both meshes, so the
+        // x-seam pair (0, n − 1) and its wrapped neighbours are served too.
+        let policy = NearFieldPolicy::default();
+        for (tile, ks) in flat_table_regimes() {
+            for cells in [8, 10] {
+                let flat = PatchMesh::from_surface(&RoughSurface::flat(cells, tile));
+                for (mesh, k) in [flat, fig5_spheroid_mesh(cells, tile)]
+                    .into_iter()
+                    .flat_map(|mesh| ks.map(|k| (mesh.clone(), k)))
+                {
+                    assert!(is_flat(&mesh.cells()[0]) && is_flat(&mesh.cells()[cells - 1]));
+                    let g = PeriodicGreen3d::new(k, tile);
+                    let table = assemble_medium(&mesh, &g, AssemblyScheme::default());
+                    let oracle = per_pair(|| assemble_medium(&mesh, &g, AssemblyScheme::default()));
+                    let offsets = FlatOffsetTable::build(
+                        &mesh,
+                        &g,
+                        policy,
+                        &NearRules::for_policy(policy),
+                        KernelEval::default(),
+                    );
+                    let bits = |z: c64| (z.re.to_bits(), z.im.to_bits());
+                    for entry in offsets.slots.iter().flatten() {
+                        let (i, j) = entry.first;
+                        assert_eq!(bits(entry.exact.0), bits(oracle.single_layer[(i, j)]));
+                        assert_eq!(bits(entry.exact.1), bits(oracle.double_layer[(i, j)]));
+                        assert_eq!(bits(table.single_layer[(i, j)]), bits(entry.exact.0));
+                    }
+                    let scale = max_abs(&oracle.single_layer).max(max_abs(&oracle.double_layer));
+                    for i in 0..mesh.len() {
+                        for j in 0..mesh.len() {
+                            for (name, a, b) in [
+                                ("S", table.single_layer[(i, j)], oracle.single_layer[(i, j)]),
+                                ("D", table.double_layer[(i, j)], oracle.double_layer[(i, j)]),
+                            ] {
+                                assert!(
+                                    (a - b).abs() <= 1e-10 * scale,
+                                    "{cells} cells, k = {k}: {name}[{i}][{j}] {a} vs {b}"
+                                );
+                            }
+                        }
+                    }
+                    // Each copy replaces one per-pair integration, and the
+                    // copies add no adaptive work.
+                    let (t, o) = (table.stats, oracle.stats);
+                    assert!(t.reused_entries > 0 && o.reused_entries == 0, "{t:?}");
+                    assert_eq!(t.corrected_entries + t.reused_entries, o.corrected_entries);
+                    assert!(t.adaptive_panels < o.adaptive_panels);
+                    assert!(t.depth_cap_hits <= o.depth_cap_hits);
+                    assert!(t.unconverged_entries <= o.unconverged_entries);
                 }
             }
         }

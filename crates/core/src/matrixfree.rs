@@ -39,10 +39,13 @@
 //! (2-D minimum-image, a superset of the dense scheme's 3-D near set) gets a
 //! sparse correction `exact − grid`: `exact` is the *identical* locally
 //! corrected integral the dense path computes
-//! ([`crate::assembly3d`]'s analytic statics + adaptive remainder), or the
-//! dense far-field midpoint formula for 2-D-near/3-D-far pairs; `grid` is the
-//! slab-interpolated value read directly from the generator tables. Near
-//! entries therefore match the dense operator *exactly* (up to FFT roundoff);
+//! ([`crate::assembly3d`]'s analytic statics + adaptive remainder, read from
+//! the same flat-offset table for pairs of exactly flat cells at equal
+//! height, so each such lattice offset is integrated once per medium), or
+//! the dense far-field midpoint formula for 2-D-near/3-D-far pairs; `grid`
+//! is the slab-interpolated value read directly from the generator tables.
+//! Near entries therefore match the dense operator *exactly* (up to FFT
+//! roundoff);
 //! far entries carry only the slab interpolation error, which the spacing
 //! rule keeps near machine precision (see [`MatrixFreePolicy::safety`]).
 //!
@@ -52,7 +55,8 @@
 //! Fig. 5 golden (`tests/matrixfree_equivalence.rs`).
 
 use crate::assembly3d::{
-    corrected_entry, eval_gathered, eval_gathered_regularized, gather_image_points, NearRules,
+    corrected_entry, eval_gathered, eval_gathered_regularized, gather_image_points,
+    FlatOffsetTable, NearRules,
 };
 use crate::mesh::PatchMesh;
 use crate::nearfield::{AssemblyStats, KernelEval, NearFieldPolicy};
@@ -435,8 +439,9 @@ impl MatrixFreeOperator {
     /// Assembles the matrix-free operator for one surface realization: slab
     /// geometry, generator tables (one batched kernel evaluation per z
     /// level, the levels spread over `parallelism`), near-field sparse
-    /// precorrections (reusing the locally corrected integrator of the dense
-    /// path, row-parallel under `parallelism`), and the incident-field
+    /// precorrections (reusing the locally corrected integrator and the
+    /// flat-offset table of the dense path, row-parallel under
+    /// `parallelism`), and the incident-field
     /// right-hand side. The operator is bit-identical at any worker count.
     ///
     /// Mirrors [`crate::assembly3d::assemble_system_with`]: `g1`/`g2` are the
@@ -515,14 +520,19 @@ impl MatrixFreeOperator {
 
         // Near-field sparse precorrections: every 2-D minimum-image near pair
         // (superset of the dense 3-D near set) gets `exact − grid`.
+        // Flat–flat pairs at equal height read their exact entries from the
+        // flat-offset tables; both media's tables fill the same slots.
         let rule = NearRules::for_policy(policy);
         let image_points = rule.image.len() * rule.image.len();
         let greens = [g1, g2];
+        let flat = greens.map(|green| FlatOffsetTable::build(mesh, green, policy, &rule, eval));
         let rows = map_rows(ncells, parallelism.worker_count(), NearScratch::default, {
             let slab = &slab;
             let tables = &tables;
+            let flat = &flat;
             move |i, scratch: &mut NearScratch| {
                 let ci = cells[i];
+                let mut row = NearRow::default();
                 scratch.entries.clear();
                 scratch.image_seps.clear();
                 scratch.far_seps.clear();
@@ -542,20 +552,29 @@ impl MatrixFreeOperator {
                     if i == j || r2 < near_radius_sq {
                         // Same near set and same integrator as the dense path.
                         let (src_x, src_y) = (cj.x + wrap_x, cj.y + wrap_y);
-                        gather_image_points(
-                            &rule.image,
-                            &ci,
-                            cj,
-                            src_x,
-                            src_y,
-                            delta,
-                            &mut scratch.image_seps,
-                        );
+                        let kind = match flat
+                            .each_ref()
+                            .map(|t| t.lookup(i, j, &ci, cj, [dxw, dyw], &mut row.stats))
+                        {
+                            [Some(s1), Some(s2)] => NearKind::Reused([s1, s2]),
+                            _ => {
+                                gather_image_points(
+                                    &rule.image,
+                                    &ci,
+                                    cj,
+                                    src_x,
+                                    src_y,
+                                    delta,
+                                    &mut scratch.image_seps,
+                                );
+                                NearKind::Corrected
+                            }
+                        };
                         scratch.entries.push(NearProbe {
                             j,
                             src_x,
                             src_y,
-                            corrected: true,
+                            kind,
                         });
                     } else {
                         // In-plane near but vertically far: the dense path
@@ -565,7 +584,7 @@ impl MatrixFreeOperator {
                             j,
                             src_x: 0.0,
                             src_y: 0.0,
-                            corrected: false,
+                            kind: NearKind::Far,
                         });
                     }
                 }
@@ -580,14 +599,14 @@ impl MatrixFreeOperator {
                     eval_gathered(green, eval, &scratch.far_seps, &mut scratch.far_out[m]);
                 }
 
-                let mut row = NearRow::default();
                 let mut image_cursor = 0;
                 let mut far_cursor = 0;
                 for entry in &scratch.entries {
                     let cj = &cells[entry.j];
                     for m in 0..2 {
-                        let (s_exact, d_exact) = if entry.corrected {
-                            corrected_entry(
+                        let (s_exact, d_exact) = match entry.kind {
+                            NearKind::Reused(exact) => exact[m],
+                            NearKind::Corrected => corrected_entry(
                                 greens[m],
                                 &ci,
                                 cj,
@@ -599,16 +618,17 @@ impl MatrixFreeOperator {
                                     ..image_points * (image_cursor + 1)],
                                 &mut scratch.quad,
                                 &mut row.stats,
-                            )
-                        } else {
-                            let sample = &scratch.far_out[m][far_cursor];
-                            let s = sample.value * area;
-                            let grad = sample.gradient;
-                            let d = -(grad[0] * cj.normal[0]
-                                + grad[1] * cj.normal[1]
-                                + grad[2] * cj.normal[2])
-                                * (cj.jacobian * area);
-                            (s, d)
+                            ),
+                            NearKind::Far => {
+                                let sample = &scratch.far_out[m][far_cursor];
+                                let s = sample.value * area;
+                                let grad = sample.gradient;
+                                let d = -(grad[0] * cj.normal[0]
+                                    + grad[1] * cj.normal[1]
+                                    + grad[2] * cj.normal[2])
+                                    * (cj.jacobian * area);
+                                (s, d)
+                            }
                         };
                         let (s_grid, d_grid) =
                             grid_entry(&tables[m], slab, side, area, i, entry.j, cj.fx, cj.fy);
@@ -618,10 +638,10 @@ impl MatrixFreeOperator {
                             row.selfs[2 * m + 1] = d_exact;
                         }
                     }
-                    if entry.corrected {
-                        image_cursor += 1;
-                    } else {
-                        far_cursor += 1;
+                    match entry.kind {
+                        NearKind::Reused(_) => {}
+                        NearKind::Corrected => image_cursor += 1,
+                        NearKind::Far => far_cursor += 1,
                     }
                 }
                 row
@@ -630,7 +650,8 @@ impl MatrixFreeOperator {
 
         let mut near = [Vec::with_capacity(ncells), Vec::with_capacity(ncells)];
         let mut self_entries = Vec::with_capacity(ncells);
-        let mut stats = AssemblyStats::default();
+        let mut stats = flat[0].stats;
+        stats.merge(&flat[1].stats);
         for row in rows {
             let [n1, n2] = row.corrections;
             near[0].push(n1);
@@ -685,7 +706,9 @@ impl MatrixFreeOperator {
     }
 
     /// Merged integration diagnostics of the near-field precorrections (both
-    /// media), matching the dense assembly's reporting.
+    /// media), matching the dense assembly's reporting: the counts cover
+    /// integrations actually performed, and exact entries copied from the
+    /// flat-offset table count in [`AssemblyStats::reused_entries`].
     pub fn stats(&self) -> &AssemblyStats {
         &self.stats
     }
@@ -865,12 +888,22 @@ impl LinearOperator for BlockDiagonalPreconditioner {
     }
 }
 
+/// How the exact value of one near pair is obtained.
+enum NearKind {
+    /// Integrated here by the locally corrected scheme.
+    Corrected,
+    /// Copied from the flat-offset tables: `(S, D)` of media 1 and 2.
+    Reused([(c64, c64); 2]),
+    /// In-plane near but vertically far: the dense far midpoint formula.
+    Far,
+}
+
 /// One near-pair probe collected during row classification.
 struct NearProbe {
     j: usize,
     src_x: f64,
     src_y: f64,
-    corrected: bool,
+    kind: NearKind,
 }
 
 /// Row-local gather/evaluate buffers of the near-field precorrection pass.
@@ -1020,7 +1053,8 @@ fn grid_entry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assembly3d::assemble_system_with;
+    use crate::assembly3d::tests::{fig5_spheroid_mesh, flat_table_regimes};
+    use crate::assembly3d::{assemble_system_with, per_pair};
     use crate::nearfield::AssemblyScheme;
     use rough_surface::RoughSurface;
 
@@ -1233,39 +1267,114 @@ mod tests {
 
     #[test]
     fn parallel_setup_is_bit_identical() {
-        let mesh = rough_mesh(6, 5e-6, 0.3e-6);
-        let length = mesh.patch_length();
-        let g1 = PeriodicGreen3d::new(c64::new(500.0, 0.0), length);
-        let g2 = PeriodicGreen3d::new(c64::new(1.5e6, 1.5e6), length);
-        let build = |parallelism| {
-            MatrixFreeOperator::assemble(
-                &mesh,
-                &g1,
-                &g2,
-                c64::new(0.0, -1e-7),
-                c64::new(500.0, 0.0),
-                NearFieldPolicy::default(),
-                MatrixFreePolicy::default(),
-                KernelEval::default(),
-                parallelism,
-            )
-        };
-        let bits = |z: &c64| (z.re.to_bits(), z.im.to_bits());
-        let serial = build(AssemblyParallelism::Serial);
-        // Three workers do not divide the level count, so the generator
-        // planes split unevenly.
-        assert_ne!(serial.slab_levels() % 3, 0);
-        let x = random_vector(serial.dim(), 7);
-        let reference = serial.apply(&x);
-        for workers in [2, 3, 4] {
-            let threaded = build(AssemblyParallelism::workers(workers));
-            for (u, v) in reference.iter().zip(&threaded.apply(&x)) {
-                assert_eq!(bits(u), bits(v), "{workers} workers");
+        // A fully rough mesh, and the Fig. 5 spheroid whose flat corners the
+        // flat-offset tables serve.
+        let g1 = PeriodicGreen3d::new(c64::new(500.0, 0.0), 5e-6);
+        let g2 = PeriodicGreen3d::new(c64::new(1.5e6, 1.5e6), 5e-6);
+        for (mesh, flat_region) in [
+            (rough_mesh(6, 5e-6, 0.3e-6), false),
+            (fig5_spheroid_mesh(6, 5e-6), true),
+        ] {
+            let build = |parallelism| {
+                MatrixFreeOperator::assemble(
+                    &mesh,
+                    &g1,
+                    &g2,
+                    c64::new(0.0, -1e-7),
+                    c64::new(500.0, 0.0),
+                    NearFieldPolicy::default(),
+                    MatrixFreePolicy::default(),
+                    KernelEval::default(),
+                    parallelism,
+                )
+            };
+            let bits = |z: &c64| (z.re.to_bits(), z.im.to_bits());
+            let serial = build(AssemblyParallelism::Serial);
+            assert_eq!(serial.stats().reused_entries > 0, flat_region);
+            // Three workers do not divide the level count, so the generator
+            // planes split unevenly.
+            assert_ne!(serial.slab_levels() % 3, 0);
+            let x = random_vector(serial.dim(), 7);
+            let reference = serial.apply(&x);
+            for workers in [1, 2, 3, 4, 8] {
+                let threaded = build(AssemblyParallelism::workers(workers));
+                for (u, v) in reference.iter().zip(&threaded.apply(&x)) {
+                    assert_eq!(bits(u), bits(v), "{workers} workers");
+                }
+                for (a, b) in serial
+                    .near
+                    .iter()
+                    .flatten()
+                    .zip(threaded.near.iter().flatten())
+                {
+                    assert_eq!(a.len(), b.len());
+                    for (&(j, ds, dd), &(k, es, ed)) in a.iter().zip(b) {
+                        assert_eq!((j, bits(&ds), bits(&dd)), (k, bits(&es), bits(&ed)));
+                    }
+                }
+                assert_eq!(serial.stats(), threaded.stats());
+                for (u, v) in serial.rhs().iter().zip(threaded.rhs()) {
+                    assert_eq!(bits(u), bits(v));
+                }
             }
-            assert_eq!(serial.near_corrections(), threaded.near_corrections());
-            assert_eq!(serial.stats(), threaded.stats());
-            for (u, v) in serial.rhs().iter().zip(threaded.rhs()) {
-                assert_eq!(bits(u), bits(v));
+        }
+    }
+
+    #[test]
+    fn matrixfree_flat_offset_corrections_match_the_per_pair_oracle() {
+        // The near precorrections read the same flat-offset tables as the
+        // dense assembly: every correction must agree with the per-pair
+        // integration to the kernel's translation noise (see the dense
+        // `flat_offset_table_matches_the_per_pair_oracle`), in both media, on
+        // a flat mesh and on the Fig. 5 spheroid, seam pairs included.
+        for (tile, [k1, k2]) in flat_table_regimes() {
+            for cells in [8, 10] {
+                let flat = PatchMesh::from_surface(&RoughSurface::flat(cells, tile));
+                for mesh in [flat, fig5_spheroid_mesh(cells, tile)] {
+                    let g1 = PeriodicGreen3d::new(k1, tile);
+                    let g2 = PeriodicGreen3d::new(k2, tile);
+                    let build = || {
+                        MatrixFreeOperator::assemble(
+                            &mesh,
+                            &g1,
+                            &g2,
+                            c64::new(0.0, -1e-7),
+                            k1,
+                            NearFieldPolicy::default(),
+                            MatrixFreePolicy::default(),
+                            KernelEval::default(),
+                            AssemblyParallelism::Serial,
+                        )
+                    };
+                    let table = build();
+                    let oracle = per_pair(build);
+                    for (m, (fast, slow)) in table.near.iter().zip(&oracle.near).enumerate() {
+                        let scale = slow
+                            .iter()
+                            .flatten()
+                            .map(|&(_, ds, dd)| ds.abs().max(dd.abs()))
+                            .fold(0.0, f64::max);
+                        for (i, (a, b)) in fast.iter().zip(slow).enumerate() {
+                            assert_eq!(a.len(), b.len());
+                            for (&(j, ds, dd), &(k, es, ed)) in a.iter().zip(b) {
+                                assert_eq!(j, k);
+                                assert!(
+                                    (ds - es).abs() <= 1e-10 * scale
+                                        && (dd - ed).abs() <= 1e-10 * scale,
+                                    "{cells} cells, medium {m}, ({i}, {j}): \
+                                     ({ds}, {dd}) vs ({es}, {ed})"
+                                );
+                            }
+                        }
+                    }
+                    let (t, o) = (table.stats(), oracle.stats());
+                    assert!(t.reused_entries > 0 && o.reused_entries == 0, "{t:?}");
+                    assert_eq!(t.corrected_entries + t.reused_entries, o.corrected_entries);
+                    assert!(t.adaptive_panels < o.adaptive_panels);
+                    assert!(t.depth_cap_hits <= o.depth_cap_hits);
+                    assert!(t.unconverged_entries <= o.unconverged_entries);
+                    assert_eq!(table.near_corrections(), oracle.near_corrections());
+                }
             }
         }
     }

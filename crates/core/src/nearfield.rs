@@ -29,17 +29,30 @@ use rough_numerics::quadrature2d::AdaptiveOutcome;
 /// accepting it would hide a resolution problem; campaigns can assert
 /// [`AssemblyStats::all_converged`] or log the worst achieved error.
 ///
+/// Every count describes integrations actually performed. In the 3D
+/// corrected assembly an entry between two exactly flat cells at the same
+/// height depends only on their lattice offset, so it is integrated once per
+/// offset and copied to every other such pair; the copies are counted in
+/// [`reused_entries`](AssemblyStats::reused_entries), not in
+/// `corrected_entries`, and add no panels, depth-cap hits or unconverged
+/// entries. `corrected_entries + reused_entries` is the number of locally
+/// corrected entries in the assembled operator.
+///
 /// Stats merge associatively and are accumulated in row order, so they are
 /// identical for serial and parallel assemblies.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AssemblyStats {
     /// Locally corrected (self + near) entries integrated adaptively.
     pub corrected_entries: usize,
-    /// Total adaptive panels evaluated across those entries.
+    /// Locally corrected entries copied from an earlier integration of the
+    /// same flat-cell lattice offset instead of being integrated again.
+    pub reused_entries: usize,
+    /// Total adaptive panels evaluated across the integrated entries.
     pub adaptive_panels: usize,
     /// Leaf panels accepted *only* because the depth cap was hit.
     pub depth_cap_hits: usize,
-    /// Entries whose adaptive remainder did not meet the tolerance.
+    /// Integrated entries whose adaptive remainder did not meet the
+    /// tolerance.
     pub unconverged_entries: usize,
     /// Largest per-entry achieved absolute error estimate (the embedded
     /// `|coarse − fine|` sum over the entry's accepted leaves).
@@ -61,6 +74,7 @@ impl AssemblyStats {
     /// Merges another assembly's statistics into this one.
     pub fn merge(&mut self, other: &Self) {
         self.corrected_entries += other.corrected_entries;
+        self.reused_entries += other.reused_entries;
         self.adaptive_panels += other.adaptive_panels;
         self.depth_cap_hits += other.depth_cap_hits;
         self.unconverged_entries += other.unconverged_entries;
