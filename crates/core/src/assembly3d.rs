@@ -1292,12 +1292,12 @@ pub(crate) mod tests {
         // On a flat mesh and on the Fig. 5 spheroid, in both media: the pair
         // each offset is integrated for must carry the per-pair oracle's bits,
         // and every other entry the table serves must agree with its own
-        // per-pair integration to the kernel's translation noise. (Two
-        // translates of one offset already differ by up to ~2e-11 of the
-        // block's largest entry in the oracle itself: a one-ulp change of a
-        // separation moves the lossy conductor's regularized Ewald kernel by
-        // ~1e-9 relative.) The corner cells are flat on both meshes, so the
-        // x-seam pair (0, n − 1) and its wrapped neighbours are served too.
+        // per-pair integration to rounding: two translates of one offset see
+        // separations that differ in the last bits, and the Ewald kernel is
+        // smooth in the separation (its `erfc` has no branch switch), so they
+        // agree to a few 1e-15 of the block's largest entry. The corner cells
+        // are flat on both meshes, so the x-seam pair (0, n − 1) and its
+        // wrapped neighbours are served too.
         let policy = NearFieldPolicy::default();
         for (tile, ks) in flat_table_regimes() {
             for cells in [8, 10] {
@@ -1332,7 +1332,7 @@ pub(crate) mod tests {
                                 ("D", table.double_layer[(i, j)], oracle.double_layer[(i, j)]),
                             ] {
                                 assert!(
-                                    (a - b).abs() <= 1e-10 * scale,
+                                    (a - b).abs() <= 1e-13 * scale,
                                     "{cells} cells, k = {k}: {name}[{i}][{j}] {a} vs {b}"
                                 );
                             }

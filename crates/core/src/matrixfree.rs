@@ -1324,7 +1324,7 @@ mod tests {
     fn matrixfree_flat_offset_corrections_match_the_per_pair_oracle() {
         // The near precorrections read the same flat-offset tables as the
         // dense assembly: every correction must agree with the per-pair
-        // integration to the kernel's translation noise (see the dense
+        // integration to rounding (see the dense
         // `flat_offset_table_matches_the_per_pair_oracle`), in both media, on
         // a flat mesh and on the Fig. 5 spheroid, seam pairs included.
         for (tile, [k1, k2]) in flat_table_regimes() {
@@ -1359,8 +1359,8 @@ mod tests {
                             for (&(j, ds, dd), &(k, es, ed)) in a.iter().zip(b) {
                                 assert_eq!(j, k);
                                 assert!(
-                                    (ds - es).abs() <= 1e-10 * scale
-                                        && (dd - ed).abs() <= 1e-10 * scale,
+                                    (ds - es).abs() <= 1e-13 * scale
+                                        && (dd - ed).abs() <= 1e-13 * scale,
                                     "{cells} cells, medium {m}, ({i}, {j}): \
                                      ({ds}, {dd}) vs ({es}, {ed})"
                                 );
