@@ -160,9 +160,7 @@ fn operator_scaling_sweep() -> Vec<String> {
     // Largest grid the dense path actually runs at; beyond it dense numbers
     // are extrapolated from this anchor (assembly ∝ cells⁴, LU ∝ unknowns³).
     let dense_limit = 24usize;
-    let AssemblyScheme::LocallyCorrected(policy) = AssemblyScheme::default() else {
-        unreachable!("default assembly scheme is locally corrected");
-    };
+    let AssemblyScheme::LocallyCorrected(policy) = AssemblyScheme::default();
 
     println!("\noperator scaling sweep: dense+DirectLu vs matrix-free FFT+preconditioned BiCGSTAB");
     println!(

@@ -11,18 +11,18 @@
 //! ```
 //!
 //! with `S_ij ≈ Δ·G_p(x_i − x_j, z_i − z_j)` and `D_ij ≈ Δ·J_j·n̂_j·∇'G_p`.
-//! Like the 3D path, the singular/near-singular entries follow the selected
-//! [`AssemblyScheme`]: the legacy fixed rules of the seed, or the locally
-//! corrected scheme — the `−ln R/(2π)` static singularity integrated
-//! analytically along the exact tangent-line segment (log integral for `S`,
-//! subtended angle for `D`) plus adaptive Gauss–Legendre quadrature of the
-//! smooth remainder, with periodic wrap-around in the near test.
+//! Like the 3D path, the singular/near-singular entries are locally corrected
+//! ([`AssemblyScheme::LocallyCorrected`]): the `−ln R/(2π)` static
+//! singularity is integrated analytically along the exact tangent-line
+//! segment (log integral for `S`, subtended angle for `D`) plus adaptive
+//! Gauss–Legendre quadrature of the smooth remainder, with periodic
+//! wrap-around in the near test.
 //!
 //! Like the 3D assembly, rows are independent work items:
 //! [`AssemblyParallelism`] spreads them over worker threads with per-worker
 //! scratch and a serial row-ordered scatter, so parallel and serial
-//! assemblies are bit-identical. Under [`KernelEval::Batched`] the corrected
-//! scheme's adaptive remainder also evaluates its kernel samples in node
+//! assemblies are bit-identical. Under [`KernelEval::Batched`] the adaptive
+//! remainder also evaluates its kernel samples in node
 //! blocks ([`AdaptiveLineGauss::integrate_pair_batched`] feeding
 //! [`PeriodicGreen2d::eval_batch_samples`]) instead of one scalar kernel call
 //! per quadrature node.
@@ -30,13 +30,10 @@
 use crate::mesh::{ContourMesh, Segment2d};
 use crate::nearfield::{AssemblyScheme, AssemblyStats, KernelEval, NearFieldPolicy};
 use crate::parallel::{map_rows, AssemblyParallelism};
-use rough_em::green::free_space::{
-    ln_integral_over_segment, ln_r_integral_over_segment, subtended_angle_of_segment,
-};
+use rough_em::green::free_space::{ln_r_integral_over_segment, subtended_angle_of_segment};
 use rough_em::green::{Green2dSample, PeriodicGreen2d, Separation2d};
 use rough_numerics::complex::c64;
 use rough_numerics::linalg::CMatrix;
-use rough_numerics::quadrature::gauss_legendre_on;
 use rough_numerics::quadrature2d::{AdaptiveLineGauss, QuadScratch};
 use std::f64::consts::PI;
 
@@ -67,7 +64,7 @@ pub struct MediumBlocks2d {
     pub single_layer: CMatrix,
     /// Double-layer matrix `D` (N × N).
     pub double_layer: CMatrix,
-    /// Integration diagnostics (all zero for the legacy scheme).
+    /// Integration diagnostics of the adaptive near-field remainder.
     pub stats: AssemblyStats,
 }
 
@@ -94,8 +91,8 @@ pub fn assemble_medium_2d(
 /// strategies.
 ///
 /// [`KernelEval::Batched`] (the [`assemble_medium_2d`] default) gathers the
-/// far-field separations of every matrix row — and, for the corrected
-/// scheme, the node blocks of the adaptive near-field remainder — into
+/// far-field separations of every matrix row — and the node blocks of the
+/// adaptive near-field remainder — into
 /// blocked [`PeriodicGreen2d::eval_batch_samples`] calls;
 /// [`KernelEval::Scalar`] evaluates the same points per entry and is the
 /// equivalence oracle. `parallelism` spreads the rows over worker threads
@@ -115,15 +112,11 @@ pub fn assemble_medium_2d_with(
         (green.period() - mesh.period()).abs() < 1e-9 * mesh.period(),
         "Green's function period must match the contour period"
     );
-    match scheme {
-        AssemblyScheme::Legacy => assemble_medium_2d_legacy(mesh, green, eval, parallelism),
-        AssemblyScheme::LocallyCorrected(policy) => {
-            assemble_medium_2d_corrected(mesh, green, policy, eval, parallelism)
-        }
-    }
+    let AssemblyScheme::LocallyCorrected(policy) = scheme;
+    assemble_medium_2d_corrected(mesh, green, policy, eval, parallelism)
 }
 
-/// Row-local buffers of the 2D assemblies, one per worker.
+/// Row-local buffers of the 2D assembly, one per worker.
 #[derive(Default)]
 struct Scratch2d {
     far_js: Vec<usize>,
@@ -139,72 +132,6 @@ struct Row2d {
     /// `(j, S_ij, D_ij)` in classification order.
     entries: Vec<(usize, c64, c64)>,
     stats: AssemblyStats,
-}
-
-/// The seed near-field treatment, kept as the comparison baseline (the far
-/// field is gathered into row panels; near quadrature is unchanged).
-fn assemble_medium_2d_legacy(
-    mesh: &ContourMesh,
-    green: &PeriodicGreen2d,
-    eval: KernelEval,
-    parallelism: AssemblyParallelism,
-) -> MediumBlocks2d {
-    let n = mesh.len();
-    let segments = mesh.segments();
-    let width = mesh.segment_width();
-
-    // Self term: ∫_seg −ln|x'|/(2π) dx' analytically plus the regular
-    // (constant-at-the-origin) part of the periodic kernel times the width.
-    let log_part = -ln_integral_over_segment(width) / (2.0 * PI);
-    let self_single = c64::from_real(log_part) + green.regularized_at_origin() * width;
-
-    let rows = map_rows(
-        n,
-        parallelism.worker_count(),
-        Scratch2d::default,
-        |i, scratch| {
-            let si = segments[i];
-            scratch.far_js.clear();
-            scratch.far_seps.clear();
-            let mut entries: Vec<(usize, c64, c64)> = Vec::with_capacity(n);
-            for (j, sj) in segments.iter().enumerate() {
-                if i == j {
-                    entries.push((i, self_single, c64::zero()));
-                    continue;
-                }
-                let dx = si.x - sj.x;
-                let dz = si.z - sj.z;
-
-                // Near interactions get a proper quadrature over the source
-                // segment (tangent-line surface representation) instead of a
-                // single midpoint sample.
-                let near_radius = 2.2 * width;
-                if dx * dx + dz * dz < near_radius * near_radius {
-                    let (sij, dij) = integrate_source_segment(green, &si, sj, width);
-                    entries.push((j, sij, dij));
-                    continue;
-                }
-                scratch.far_js.push(j);
-                scratch.far_seps.push(Separation2d::new(dx, dz));
-            }
-
-            eval_gathered_2d(green, eval, &scratch.far_seps, &mut scratch.far_out);
-            for (sample, &j) in scratch.far_out.iter().zip(&scratch.far_js) {
-                let sj = segments[j];
-                let s = sample.value * width;
-                // ∇'G = −∇_Δ G
-                let d = -(sample.gradient[0] * sj.normal[0] + sample.gradient[1] * sj.normal[1])
-                    * (sj.jacobian * width);
-                entries.push((j, s, d));
-            }
-            Row2d {
-                entries,
-                stats: AssemblyStats::default(),
-            }
-        },
-    );
-
-    scatter_rows_2d(n, rows)
 }
 
 /// Locally corrected 2D assembly: analytic `ln R` extraction plus adaptive
@@ -413,31 +340,6 @@ fn corrected_entry_2d(
     )
 }
 
-/// Integrates the single- and double-layer kernels over one *near* source
-/// segment with a 4-point Gauss rule (tangent-line surface representation).
-/// Legacy scheme only.
-fn integrate_source_segment(
-    green: &PeriodicGreen2d,
-    observation: &Segment2d,
-    source: &Segment2d,
-    width: f64,
-) -> (c64, c64) {
-    let rule = gauss_legendre_on(4, -0.5 * width, 0.5 * width);
-    let mut s = c64::zero();
-    let mut d = c64::zero();
-    for (q, w) in rule.iter() {
-        let xs = source.x + q;
-        let zs = source.z + source.fx * q;
-        let dx = observation.x - xs;
-        let dz = observation.z - zs;
-        let sample = green.sample(dx, dz);
-        s += sample.value * w;
-        d += -(sample.gradient[0] * source.normal[0] + sample.gradient[1] * source.normal[1])
-            * (source.jacobian * w);
-    }
-    (s, d)
-}
-
 /// The assembled 2D SWM system.
 #[derive(Debug, Clone)]
 pub struct SwmSystem2d {
@@ -521,28 +423,22 @@ mod tests {
     use super::*;
     use rough_surface::Profile1d;
 
-    fn both_schemes() -> [AssemblyScheme; 2] {
-        [AssemblyScheme::Legacy, AssemblyScheme::default()]
-    }
-
     #[test]
     fn flat_contour_double_layer_vanishes() {
         let mesh = ContourMesh::from_profile(&Profile1d::flat(8, 5e-6));
         let g = PeriodicGreen2d::new(c64::new(1.0e6, 1.0e6), 5e-6);
-        for scheme in both_schemes() {
-            let blocks = assemble_medium_2d(&mesh, &g, scheme);
-            // The exact double layer vanishes on a flat contour; the truncated
-            // Kummer series leaves a residue far below anything that could
-            // compete with the ½ free term of the integral equation.
-            let scale = blocks.single_layer[(0, 0)].abs();
-            for i in 0..8 {
-                for j in 0..8 {
-                    assert!(
-                        blocks.double_layer[(i, j)].abs() < 1e-5 * scale,
-                        "{scheme:?}: D[{i}][{j}] = {}",
-                        blocks.double_layer[(i, j)]
-                    );
-                }
+        let blocks = assemble_medium_2d(&mesh, &g, AssemblyScheme::default());
+        // The exact double layer vanishes on a flat contour; the truncated
+        // Kummer series leaves a residue far below anything that could
+        // compete with the ½ free term of the integral equation.
+        let scale = blocks.single_layer[(0, 0)].abs();
+        for i in 0..8 {
+            for j in 0..8 {
+                assert!(
+                    blocks.double_layer[(i, j)].abs() < 1e-5 * scale,
+                    "D[{i}][{j}] = {}",
+                    blocks.double_layer[(i, j)]
+                );
             }
         }
     }
@@ -558,14 +454,12 @@ mod tests {
         .unwrap();
         let mesh = ContourMesh::from_profile(&profile);
         let g = PeriodicGreen2d::new(c64::new(1.0e6, 1.0e6), 5e-6);
-        for scheme in both_schemes() {
-            let blocks = assemble_medium_2d(&mesh, &g, scheme);
-            for i in 0..8 {
-                assert!(
-                    blocks.single_layer[(i, i)].abs() > blocks.single_layer[(i, (i + 1) % 8)].abs(),
-                    "{scheme:?}: row {i}"
-                );
-            }
+        let blocks = assemble_medium_2d(&mesh, &g, AssemblyScheme::default());
+        for i in 0..8 {
+            assert!(
+                blocks.single_layer[(i, i)].abs() > blocks.single_layer[(i, (i + 1) % 8)].abs(),
+                "row {i}"
+            );
         }
     }
 
@@ -584,7 +478,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_scalar_assembly_agree_for_both_schemes() {
+    fn batched_and_scalar_assembly_agree() {
         let profile = Profile1d::new(
             5e-6,
             (0..10)
@@ -593,44 +487,43 @@ mod tests {
         )
         .unwrap();
         let mesh = ContourMesh::from_profile(&profile);
+        let scheme = AssemblyScheme::default();
         for &k in &[c64::new(1.0e6, 1.0e6), c64::new(2.0e5, 0.0)] {
             let g = PeriodicGreen2d::new(k, 5e-6);
-            for scheme in both_schemes() {
-                let scalar = assemble_medium_2d_with(
-                    &mesh,
-                    &g,
-                    scheme,
-                    KernelEval::Scalar,
-                    AssemblyParallelism::Serial,
-                );
-                let batched = assemble_medium_2d_with(
-                    &mesh,
-                    &g,
-                    scheme,
-                    KernelEval::Batched,
-                    AssemblyParallelism::Serial,
-                );
-                let mut scale = 0.0f64;
-                for i in 0..mesh.len() {
-                    for j in 0..mesh.len() {
-                        scale = scale
-                            .max(scalar.single_layer[(i, j)].abs())
-                            .max(scalar.double_layer[(i, j)].abs());
-                    }
+            let scalar = assemble_medium_2d_with(
+                &mesh,
+                &g,
+                scheme,
+                KernelEval::Scalar,
+                AssemblyParallelism::Serial,
+            );
+            let batched = assemble_medium_2d_with(
+                &mesh,
+                &g,
+                scheme,
+                KernelEval::Batched,
+                AssemblyParallelism::Serial,
+            );
+            let mut scale = 0.0f64;
+            for i in 0..mesh.len() {
+                for j in 0..mesh.len() {
+                    scale = scale
+                        .max(scalar.single_layer[(i, j)].abs())
+                        .max(scalar.double_layer[(i, j)].abs());
                 }
-                for i in 0..mesh.len() {
-                    for j in 0..mesh.len() {
-                        let (a, b) = (scalar.single_layer[(i, j)], batched.single_layer[(i, j)]);
-                        assert!(
-                            (a - b).abs() <= 1e-12 * (scale + a.abs()),
-                            "{scheme:?} S[{i}][{j}]: {a} vs {b}"
-                        );
-                        let (a, b) = (scalar.double_layer[(i, j)], batched.double_layer[(i, j)]);
-                        assert!(
-                            (a - b).abs() <= 1e-12 * (scale + a.abs()),
-                            "{scheme:?} D[{i}][{j}]: {a} vs {b}"
-                        );
-                    }
+            }
+            for i in 0..mesh.len() {
+                for j in 0..mesh.len() {
+                    let (a, b) = (scalar.single_layer[(i, j)], batched.single_layer[(i, j)]);
+                    assert!(
+                        (a - b).abs() <= 1e-12 * (scale + a.abs()),
+                        "k = {k}: S[{i}][{j}]: {a} vs {b}"
+                    );
+                    let (a, b) = (scalar.double_layer[(i, j)], batched.double_layer[(i, j)]);
+                    assert!(
+                        (a - b).abs() <= 1e-12 * (scale + a.abs()),
+                        "k = {k}: D[{i}][{j}]: {a} vs {b}"
+                    );
                 }
             }
         }
@@ -647,38 +540,35 @@ mod tests {
         .unwrap();
         let mesh = ContourMesh::from_profile(&profile);
         let g = PeriodicGreen2d::new(c64::new(1.0e6, 1.0e6), 5e-6);
-        for scheme in both_schemes() {
-            for eval in [KernelEval::Batched, KernelEval::Scalar] {
-                let serial =
-                    assemble_medium_2d_with(&mesh, &g, scheme, eval, AssemblyParallelism::Serial);
-                for threads in [1usize, 2, 4, 8] {
-                    let parallel = assemble_medium_2d_with(
-                        &mesh,
-                        &g,
-                        scheme,
-                        eval,
-                        AssemblyParallelism::workers(threads),
-                    );
-                    for i in 0..mesh.len() {
-                        for j in 0..mesh.len() {
-                            let (a, b) =
-                                (serial.single_layer[(i, j)], parallel.single_layer[(i, j)]);
-                            assert_eq!(
-                                (a.re.to_bits(), a.im.to_bits()),
-                                (b.re.to_bits(), b.im.to_bits()),
-                                "{scheme:?}/{eval:?} S[{i}][{j}] at {threads} threads"
-                            );
-                            let (a, b) =
-                                (serial.double_layer[(i, j)], parallel.double_layer[(i, j)]);
-                            assert_eq!(
-                                (a.re.to_bits(), a.im.to_bits()),
-                                (b.re.to_bits(), b.im.to_bits()),
-                                "{scheme:?}/{eval:?} D[{i}][{j}] at {threads} threads"
-                            );
-                        }
+        let scheme = AssemblyScheme::default();
+        for eval in [KernelEval::Batched, KernelEval::Scalar] {
+            let serial =
+                assemble_medium_2d_with(&mesh, &g, scheme, eval, AssemblyParallelism::Serial);
+            for threads in [1usize, 2, 4, 8] {
+                let parallel = assemble_medium_2d_with(
+                    &mesh,
+                    &g,
+                    scheme,
+                    eval,
+                    AssemblyParallelism::workers(threads),
+                );
+                for i in 0..mesh.len() {
+                    for j in 0..mesh.len() {
+                        let (a, b) = (serial.single_layer[(i, j)], parallel.single_layer[(i, j)]);
+                        assert_eq!(
+                            (a.re.to_bits(), a.im.to_bits()),
+                            (b.re.to_bits(), b.im.to_bits()),
+                            "{eval:?} S[{i}][{j}] at {threads} threads"
+                        );
+                        let (a, b) = (serial.double_layer[(i, j)], parallel.double_layer[(i, j)]);
+                        assert_eq!(
+                            (a.re.to_bits(), a.im.to_bits()),
+                            (b.re.to_bits(), b.im.to_bits()),
+                            "{eval:?} D[{i}][{j}] at {threads} threads"
+                        );
                     }
-                    assert_eq!(parallel.stats, serial.stats);
                 }
+                assert_eq!(parallel.stats, serial.stats);
             }
         }
     }
@@ -690,8 +580,6 @@ mod tests {
         let blocks = assemble_medium_2d(&mesh, &g, AssemblyScheme::default());
         assert!(blocks.stats.corrected_entries >= mesh.len());
         assert!(blocks.stats.all_converged(), "{:?}", blocks.stats);
-        let legacy = assemble_medium_2d(&mesh, &g, AssemblyScheme::Legacy);
-        assert_eq!(legacy.stats, AssemblyStats::default());
     }
 
     #[test]
@@ -705,7 +593,7 @@ mod tests {
             &g2,
             c64::new(0.0, -1e-8),
             c64::new(200.0, 0.0),
-            AssemblyScheme::Legacy,
+            AssemblyScheme::default(),
         );
         assert_eq!(sys.matrix.rows(), 12);
         assert_eq!(sys.rhs.len(), 12);

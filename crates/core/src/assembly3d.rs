@@ -20,28 +20,23 @@
 //! surface); the paper absorbs them differently but the flat-patch validation
 //! in `swm3d.rs` pins the convention against the analytic Fresnel solution.
 //!
-//! How the singular (self) and near-singular (neighbour) entries are
-//! integrated is selected by [`AssemblyScheme`]:
+//! The singular (self) and near-singular (neighbour) entries are locally
+//! corrected ([`AssemblyScheme::LocallyCorrected`]): the `1/(4πR)` static
+//! part is integrated *analytically* over the exact tangent-plane cell
+//! parallelogram (Wilton polygon potential for `S`, signed solid angle for
+//! `D`), and the smooth remainder `G_p − 1/(4πR)` is integrated with adaptive
+//! tensor Gauss–Legendre quadrature, for every source cell within
+//! [`NearFieldPolicy::radius`] cell sizes (minimum-image distance, so the
+//! periodic seam is corrected too). Every other entry is one midpoint sample
+//! of the periodic kernel. An entry between two exactly flat cells at the
+//! same height depends only on their lattice offset, so the flat-offset table
+//! integrates each such offset once and every other flat–flat pair copies it
+//! (the matrix-free near precorrections read the same table).
 //!
-//! * **Legacy** — the seed behaviour: the static self singularity on a
-//!   metric-stretched rectangle, a fixed 3 × 3 Gauss rule on near neighbours,
-//!   midpoint sampling elsewhere.
-//! * **Locally corrected** — the `1/(4πR)` static part is integrated
-//!   *analytically* over the exact tangent-plane cell parallelogram (Wilton
-//!   polygon potential for `S`, signed solid angle for `D`), and the smooth
-//!   remainder `G_p − 1/(4πR)` is integrated with adaptive tensor
-//!   Gauss–Legendre quadrature, for every source cell within
-//!   [`NearFieldPolicy::radius`] cell sizes (minimum-image distance, so the
-//!   periodic seam is corrected too). An entry between two exactly flat
-//!   cells at the same height depends only on their lattice offset, so the
-//!   flat-offset table integrates each such offset once and every other
-//!   flat–flat pair copies it (the matrix-free near precorrections read the
-//!   same table).
-//!
-//! Orthogonal to the scheme, [`KernelEval`] selects how the Ewald-summed
-//! kernel itself is evaluated. The default, [`KernelEval::Batched`], is
-//! **blocked row-panel assembly**: for each observation row, every far-field
-//! observation–source separation (and, in the corrected scheme, every
+//! Orthogonal to the near-field policy, [`KernelEval`] selects how the
+//! Ewald-summed kernel itself is evaluated. The default,
+//! [`KernelEval::Batched`], is **blocked row-panel assembly**: for each
+//! observation row, every far-field observation–source separation (and every
 //! fixed-rule periodic-image quadrature point of the row's near entries) is
 //! gathered into a contiguous slice, evaluated in one batched kernel call
 //! ([`PeriodicGreen3d::eval_batch_samples`] /
@@ -56,14 +51,14 @@
 //! and combines only its own kernel samples), computed with per-worker scratch
 //! through [`crate::parallel::map_rows`] and scattered serially in row order —
 //! so a parallel assembly is **bit-identical** to the serial one at any
-//! thread count (pinned by tests at 1/2/4/8 threads for both schemes).
+//! thread count (pinned by tests at 1/2/4/8 threads for both kernel paths).
 
 use crate::mesh::{Cell3d, PatchMesh};
 use crate::nearfield::{AssemblyScheme, AssemblyStats, KernelEval, NearFieldPolicy};
 use crate::parallel::{map_rows, AssemblyParallelism};
 use rough_em::green::free_space::{
-    inverse_r_integral_over_planar_polygon, inverse_r_integral_over_rectangle,
-    smooth_kernel_3d_with_derivative, smooth_part_at_origin, solid_angle_of_planar_polygon,
+    inverse_r_integral_over_planar_polygon, smooth_kernel_3d_with_derivative,
+    solid_angle_of_planar_polygon,
 };
 use rough_em::green::{GreenSample, PeriodicGreen3d, SeparationVector};
 use rough_numerics::complex::c64;
@@ -136,8 +131,7 @@ pub struct MediumBlocks {
     /// Double-layer interaction matrix `D` (N × N).
     pub double_layer: CMatrix,
     /// Integration diagnostics of this assembly (adaptive-quadrature panel
-    /// counts and depth-cap hits; all zero for the legacy scheme, which uses
-    /// fixed rules only).
+    /// counts, reused flat-offset entries and depth-cap hits).
     pub stats: AssemblyStats,
 }
 
@@ -190,176 +184,8 @@ pub fn assemble_medium_with(
         (green.period() - mesh.patch_length()).abs() < 1e-9 * mesh.patch_length(),
         "Green's function period must match the mesh patch length"
     );
-    match scheme {
-        AssemblyScheme::Legacy => assemble_medium_legacy(mesh, green, eval, parallelism),
-        AssemblyScheme::LocallyCorrected(policy) => {
-            assemble_medium_corrected(mesh, green, policy, eval, parallelism)
-        }
-    }
-}
-
-/// Row-local gather/evaluate buffers of the legacy scheme, one per worker.
-#[derive(Default)]
-struct LegacyScratch {
-    far_js: Vec<usize>,
-    far_seps: Vec<SeparationVector>,
-    far_out: Vec<GreenSample>,
-    near_js: Vec<usize>,
-    near_seps: Vec<SeparationVector>,
-    near_out: Vec<GreenSample>,
-}
-
-/// The computed entries of one legacy row panel (row `i` owns every pair
-/// `(i, j)` with `j > i`; the scatter writes both triangle halves).
-struct LegacyRow {
-    self_single: c64,
-    /// `(j, S_ij = S_ji, D_ij, D_ji)` of the far pairs.
-    far: Vec<(usize, c64, c64, c64)>,
-    /// `(j, S_ij, S_ji, D_ij, D_ji)` of the near pairs.
-    near: Vec<(usize, c64, c64, c64, c64)>,
-}
-
-/// The seed near-field treatment, kept as the comparison baseline. With
-/// [`KernelEval::Scalar`] it reproduces the seed bit-for-bit; under the
-/// batched default the same quadrature points are evaluated through the
-/// batched kernel, which differs only at the summation-reassociation level
-/// (≤ 1e-12 relative).
-fn assemble_medium_legacy(
-    mesh: &PatchMesh,
-    green: &PeriodicGreen3d,
-    eval: KernelEval,
-    parallelism: AssemblyParallelism,
-) -> MediumBlocks {
-    let n = mesh.len();
-    let cells = mesh.cells();
-    let area = mesh.cell_area();
-    let delta = mesh.cell_size();
-
-    // Self term: ∫_cell 1/(4πR) dx'dy' handled analytically, the smooth
-    // remainder (e^{jkR}−1)/(4πR) with its midpoint value jk/4π, and the
-    // periodic-image contribution through the regularized kernel.
-    let regular_at_zero = green.regularized(0.0, 0.0, 0.0).value;
-    let smooth_at_zero = smooth_part_at_origin(green.wavenumber());
-
-    // The fixed near rule of the legacy scheme, hoisted out of the row loop.
-    let near_rule = gauss_legendre_on(3, -0.5 * delta, 0.5 * delta);
-    let points_per_cell = near_rule.len() * near_rule.len();
-
-    let rows = map_rows(
-        n,
-        parallelism.worker_count(),
-        LegacyScratch::default,
-        |i, scratch| {
-            // The distance between two points of the same *tilted* cell is
-            // larger than their projected separation: R² = ρᵀ(I + ∇f ∇fᵀ)ρ.
-            // Diagonalizing the metric stretches the cell by the Jacobian
-            // J = √(1+|∇f|²) along the gradient direction, so the analytic
-            // static integral becomes the one over a Δ × JΔ rectangle divided
-            // by J. Neglecting this tilt makes the self term too large by
-            // O(|∇f|²), which would systematically bias the loss-enhancement
-            // factor low.
-            let stretch = cells[i].jacobian;
-            let static_part =
-                inverse_r_integral_over_rectangle(delta, delta * stretch) / (4.0 * PI * stretch);
-            let self_single =
-                c64::from_real(static_part) + (smooth_at_zero + regular_at_zero) * area;
-            // The principal value of the double layer over the (locally flat)
-            // self cell vanishes, as does the gradient of the regularized
-            // kernel at the origin, so D_ii = 0.
-
-            // Gather pass: classify each pair of the row panel as near (fixed
-            // tensor-rule quadrature over the source cell, both directions) or
-            // far (one midpoint kernel sample shared by (i, j) and (j, i)).
-            let ci = cells[i];
-            scratch.far_js.clear();
-            scratch.far_seps.clear();
-            scratch.near_js.clear();
-            scratch.near_seps.clear();
-            for (j, cj) in cells.iter().enumerate().skip(i + 1) {
-                let dx = ci.x - cj.x;
-                let dy = ci.y - cj.y;
-                let dz = ci.z - cj.z;
-                let r2 = dx * dx + dy * dy + dz * dz;
-
-                // Near interactions: the 1/R kernel varies strongly across the
-                // source cell, so a single midpoint sample biases the absorbed
-                // power low on rough surfaces. Integrate over the source cell
-                // with a tensor Gauss rule (tangent-plane surface
-                // representation).
-                let near_radius = 2.5 * delta;
-                if r2 < near_radius * near_radius {
-                    scratch.near_js.push(j);
-                    gather_source_cell_points(&near_rule, &ci, cj, &mut scratch.near_seps);
-                    gather_source_cell_points(&near_rule, cj, &ci, &mut scratch.near_seps);
-                } else {
-                    scratch.far_js.push(j);
-                    scratch.far_seps.push(SeparationVector::new(dx, dy, dz));
-                }
-            }
-
-            eval_gathered(green, eval, &scratch.far_seps, &mut scratch.far_out);
-            eval_gathered(green, eval, &scratch.near_seps, &mut scratch.near_out);
-
-            // Combine pass: fold the evaluated samples into this row's entry
-            // values (the scatter into the matrix happens serially outside).
-            let mut far = Vec::with_capacity(scratch.far_js.len());
-            for (sample, &j) in scratch.far_out.iter().zip(&scratch.far_js) {
-                let cj = cells[j];
-                let s = sample.value * area;
-
-                // ∇'G = −∇_Δ G. D_ij tests the source-cell normal n̂_j; D_ji
-                // the normal n̂_i with the opposite separation (∇_Δ G is odd).
-                let grad = sample.gradient;
-                let dij =
-                    -(grad[0] * cj.normal[0] + grad[1] * cj.normal[1] + grad[2] * cj.normal[2])
-                        * (cj.jacobian * area);
-                let dji =
-                    (grad[0] * ci.normal[0] + grad[1] * ci.normal[1] + grad[2] * ci.normal[2])
-                        * (ci.jacobian * area);
-                far.push((j, s, dij, dji));
-            }
-            let mut near = Vec::with_capacity(scratch.near_js.len());
-            for (index, &j) in scratch.near_js.iter().enumerate() {
-                let block = &scratch.near_out
-                    [2 * points_per_cell * index..2 * points_per_cell * (index + 1)];
-                let (sij, dij) =
-                    combine_source_cell(&near_rule, &cells[j], &block[..points_per_cell]);
-                let (sji, dji) = combine_source_cell(&near_rule, &ci, &block[points_per_cell..]);
-                near.push((j, sij, sji, dij, dji));
-            }
-            LegacyRow {
-                self_single,
-                far,
-                near,
-            }
-        },
-    );
-
-    // Serial scatter in row order: deterministic and race-free by
-    // construction, so the matrices are bit-identical at any thread count.
-    let mut single = CMatrix::zeros(n, n);
-    let mut double = CMatrix::zeros(n, n);
-    for (i, row) in rows.iter().enumerate() {
-        single[(i, i)] = row.self_single;
-        for &(j, s, dij, dji) in &row.far {
-            single[(i, j)] = s;
-            single[(j, i)] = s;
-            double[(i, j)] = dij;
-            double[(j, i)] = dji;
-        }
-        for &(j, sij, sji, dij, dji) in &row.near {
-            single[(i, j)] = sij;
-            single[(j, i)] = sji;
-            double[(i, j)] = dij;
-            double[(j, i)] = dji;
-        }
-    }
-
-    MediumBlocks {
-        single_layer: single,
-        double_layer: double,
-        stats: AssemblyStats::default(),
-    }
+    let AssemblyScheme::LocallyCorrected(policy) = scheme;
+    assemble_medium_corrected(mesh, green, policy, eval, parallelism)
 }
 
 /// One near entry of a corrected row panel: the source column, the
@@ -874,56 +700,6 @@ pub(crate) fn corrected_entry(
     )
 }
 
-/// Gathers the tensor-rule quadrature separations of one *near* legacy source
-/// cell (surface represented by the tangent plane at the cell centre), in the
-/// exact nested order [`combine_source_cell`] consumes them.
-fn gather_source_cell_points(
-    rule: &QuadratureRule,
-    observation: &Cell3d,
-    source: &Cell3d,
-    out: &mut Vec<SeparationVector>,
-) {
-    for (qx, _) in rule.iter() {
-        for (qy, _) in rule.iter() {
-            let xs = source.x + qx;
-            let ys = source.y + qy;
-            let zs = source.z + source.fx * qx + source.fy * qy;
-            out.push(SeparationVector::new(
-                observation.x - xs,
-                observation.y - ys,
-                observation.z - zs,
-            ));
-        }
-    }
-}
-
-/// Combines pre-evaluated kernel samples ([`gather_source_cell_points`]
-/// order) into the single- and double-layer entries of one *near* legacy
-/// source cell.
-fn combine_source_cell(
-    rule: &QuadratureRule,
-    source: &Cell3d,
-    samples: &[GreenSample],
-) -> (c64, c64) {
-    let mut s = c64::zero();
-    let mut d = c64::zero();
-    let mut index = 0;
-    for (_, wx) in rule.iter() {
-        for (_, wy) in rule.iter() {
-            let sample = &samples[index];
-            index += 1;
-            let w = wx * wy;
-            s += sample.value * w;
-            let grad = sample.gradient;
-            d += -(grad[0] * source.normal[0]
-                + grad[1] * source.normal[1]
-                + grad[2] * source.normal[2])
-                * (source.jacobian * w);
-        }
-    }
-    (s, d)
-}
-
 /// The full `2N × 2N` SWM system matrix and the incident-field right-hand side.
 #[derive(Debug, Clone)]
 pub struct SwmSystem {
@@ -1014,6 +790,7 @@ pub fn assemble_system_with(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use rough_em::green::free_space::{inverse_r_integral_over_rectangle, smooth_part_at_origin};
     use rough_surface::RoughSurface;
 
     /// The Fig. 5 half-spheroid (h = 5.8 µm, base radius 4.7 µm on a 12 µm
@@ -1059,10 +836,6 @@ pub(crate) mod tests {
         }))
     }
 
-    fn both_schemes() -> [AssemblyScheme; 2] {
-        [AssemblyScheme::Legacy, AssemblyScheme::default()]
-    }
-
     fn max_abs(m: &CMatrix) -> f64 {
         let mut max = 0.0f64;
         for i in 0..m.rows() {
@@ -1077,28 +850,25 @@ pub(crate) mod tests {
     fn single_layer_is_symmetric_and_diagonally_dominant_in_magnitude() {
         let mesh = small_mesh();
         let g2 = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 5e-6);
-        for scheme in both_schemes() {
-            let blocks = assemble_medium(&mesh, &g2, scheme);
-            let n = mesh.len();
-            for i in 0..n {
-                for j in 0..n {
-                    // Far pairs share one midpoint sample and are exactly
-                    // symmetric; near pairs are integrated from each side over
-                    // the tangent plane of their own source cell and may
-                    // differ by a few percent on a curved surface.
-                    let a = blocks.single_layer[(i, j)];
-                    let b = blocks.single_layer[(j, i)];
-                    assert!(
-                        (a - b).abs() <= 0.15 * a.abs().max(b.abs()),
-                        "{scheme:?}: S[{i}][{j}] vs S[{j}][{i}]: {a} vs {b}"
-                    );
-                }
-                // The singular self integral dominates neighbouring
-                // interactions.
+        let blocks = assemble_medium(&mesh, &g2, AssemblyScheme::default());
+        let n = mesh.len();
+        for i in 0..n {
+            for j in 0..n {
+                // Far pairs sample the even kernel at opposite separations and
+                // are symmetric; near pairs are integrated from each side over
+                // the tangent plane of their own source cell and may differ by
+                // a few percent on a curved surface.
+                let a = blocks.single_layer[(i, j)];
+                let b = blocks.single_layer[(j, i)];
                 assert!(
-                    blocks.single_layer[(i, i)].abs() > blocks.single_layer[(i, (i + 1) % n)].abs()
+                    (a - b).abs() <= 0.15 * a.abs().max(b.abs()),
+                    "S[{i}][{j}] vs S[{j}][{i}]: {a} vs {b}"
                 );
             }
+            // The singular self integral dominates neighbouring interactions.
+            assert!(
+                blocks.single_layer[(i, i)].abs() > blocks.single_layer[(i, (i + 1) % n)].abs()
+            );
         }
     }
 
@@ -1109,17 +879,15 @@ pub(crate) mod tests {
         // by symmetry, so the whole double-layer block must be ~0.
         let mesh = PatchMesh::from_surface(&RoughSurface::flat(4, 5e-6));
         let g = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 5e-6);
-        for scheme in both_schemes() {
-            let blocks = assemble_medium(&mesh, &g, scheme);
-            let scale = blocks.single_layer[(0, 0)].abs();
-            for i in 0..mesh.len() {
-                for j in 0..mesh.len() {
-                    assert!(
-                        blocks.double_layer[(i, j)].abs() < 1e-10 * scale,
-                        "{scheme:?}: D[{i}][{j}] = {}",
-                        blocks.double_layer[(i, j)]
-                    );
-                }
+        let blocks = assemble_medium(&mesh, &g, AssemblyScheme::default());
+        let scale = blocks.single_layer[(0, 0)].abs();
+        for i in 0..mesh.len() {
+            for j in 0..mesh.len() {
+                assert!(
+                    blocks.double_layer[(i, j)].abs() < 1e-10 * scale,
+                    "D[{i}][{j}] = {}",
+                    blocks.double_layer[(i, j)]
+                );
             }
         }
     }
@@ -1128,23 +896,14 @@ pub(crate) mod tests {
     fn self_term_scales_roughly_linearly_with_cell_size() {
         // The dominant static self integral is proportional to Δ (not Δ²).
         let g = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 5e-6);
-        for scheme in both_schemes() {
-            let coarse = assemble_medium(
-                &PatchMesh::from_surface(&RoughSurface::flat(4, 5e-6)),
-                &g,
-                scheme,
-            );
-            let fine = assemble_medium(
-                &PatchMesh::from_surface(&RoughSurface::flat(8, 5e-6)),
-                &g,
-                scheme,
-            );
-            let ratio = coarse.single_layer[(0, 0)].abs() / fine.single_layer[(0, 0)].abs();
-            // The corrected scheme integrates the smooth remainder exactly
-            // (instead of one midpoint sample), which shifts the ratio a
-            // little below the legacy value at this lossy wavenumber.
-            assert!(ratio > 1.55 && ratio < 2.4, "{scheme:?}: ratio = {ratio}");
-        }
+        let self_term = |cells| {
+            let mesh = PatchMesh::from_surface(&RoughSurface::flat(cells, 5e-6));
+            assemble_medium(&mesh, &g, AssemblyScheme::default()).single_layer[(0, 0)].abs()
+        };
+        // The smooth remainder, integrated over the cell, shifts the ratio a
+        // little below 2 at this lossy wavenumber.
+        let ratio = self_term(4) / self_term(8);
+        assert!(ratio > 1.55 && ratio < 2.4, "ratio = {ratio}");
     }
 
     #[test]
@@ -1167,30 +926,35 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn corrected_and_legacy_static_self_terms_agree_on_flat_cells() {
-        // On a flat patch the legacy metric-stretch approximation is exact, so
-        // the two schemes may differ only by the remainder treatment — a
-        // sub-percent effect at this low frequency.
+    fn flat_self_term_matches_the_closed_form() {
+        // On a flat cell the static part is the closed-form `1/R` integral
+        // over the Δ × Δ square; the smooth remainder `(e^{jkR} − 1)/(4πR)`
+        // and the periodic images contribute their value at the origin times
+        // the cell area. The corrected scheme integrates the remainder instead
+        // of sampling it once, a sub-percent difference at this low frequency.
         let mesh = PatchMesh::from_surface(&RoughSurface::flat(4, 5e-6));
         let g = PeriodicGreen3d::new(c64::new(1.0e5, 1.0e5), 5e-6);
-        let legacy = assemble_medium(&mesh, &g, AssemblyScheme::Legacy);
-        let corrected = assemble_medium(&mesh, &g, AssemblyScheme::default());
-        let a = legacy.single_layer[(0, 0)];
-        let b = corrected.single_layer[(0, 0)];
-        assert!((a - b).abs() < 1e-2 * a.abs(), "{a} vs {b}");
+        let delta = mesh.cell_size();
+        let closed_form =
+            c64::from_real(inverse_r_integral_over_rectangle(delta, delta) / (4.0 * PI))
+                + (smooth_part_at_origin(g.wavenumber()) + g.regularized(0.0, 0.0, 0.0).value)
+                    * (delta * delta);
+        let corrected = assemble_medium(&mesh, &g, AssemblyScheme::default()).single_layer[(0, 0)];
+        assert!(
+            (corrected - closed_form).abs() < 1e-2 * closed_form.abs(),
+            "{corrected} vs {closed_form}"
+        );
     }
 
     #[test]
-    fn batched_and_scalar_assembly_agree_for_both_schemes() {
+    fn batched_and_scalar_assembly_agree() {
         // The blocked row-panel path may differ from the per-entry oracle only
         // at the summation-reassociation level of the batched kernel — also
         // where the flat-offset table fires (the spheroid's flat corners).
         // Conductor-like and dielectric-like kernels.
+        let scheme = AssemblyScheme::default();
         for mesh in [small_mesh(), fig5_spheroid_mesh(6, 5e-6)] {
-            for (k, scheme) in [c64::new(1.0e6, 1.0e6), c64::new(2.0e5, 0.0)]
-                .into_iter()
-                .flat_map(|k| both_schemes().map(|scheme| (k, scheme)))
-            {
+            for k in [c64::new(1.0e6, 1.0e6), c64::new(2.0e5, 0.0)] {
                 let g = PeriodicGreen3d::new(k, 5e-6);
                 let scalar = assemble_medium_with(
                     &mesh,
@@ -1217,12 +981,12 @@ pub(crate) mod tests {
                         let (a, b) = (scalar.single_layer[(i, j)], batched.single_layer[(i, j)]);
                         assert!(
                             (a - b).abs() <= 1e-12 * (scale_s + a.abs()),
-                            "{scheme:?} S[{i}][{j}]: {a} vs {b}"
+                            "k = {k}: S[{i}][{j}]: {a} vs {b}"
                         );
                         let (a, b) = (scalar.double_layer[(i, j)], batched.double_layer[(i, j)]);
                         assert!(
                             (a - b).abs() <= 1e-12 * (scale_d + a.abs()),
-                            "{scheme:?} D[{i}][{j}]: {a} vs {b}"
+                            "k = {k}: D[{i}][{j}]: {a} vs {b}"
                         );
                     }
                 }
@@ -1234,22 +998,19 @@ pub(crate) mod tests {
     fn parallel_assembly_is_bit_identical_across_thread_counts() {
         // Rows are independent work items scattered serially, so the
         // assembled matrices must match the serial result bit for bit at any
-        // thread count — for both schemes and both kernel evaluation paths,
-        // on a fully rough mesh and on one whose flat region the flat-offset
-        // table serves.
+        // thread count — for both kernel evaluation paths, on a fully rough
+        // mesh and on one whose flat region the flat-offset table serves.
         let g = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 5e-6);
-        for (mesh, scheme) in [small_mesh(), fig5_spheroid_mesh(6, 5e-6)]
-            .into_iter()
-            .flat_map(|mesh| both_schemes().map(|scheme| (mesh.clone(), scheme)))
-        {
+        let scheme = AssemblyScheme::default();
+        for mesh in [small_mesh(), fig5_spheroid_mesh(6, 5e-6)] {
             for eval in [KernelEval::Batched, KernelEval::Scalar] {
                 let serial =
                     assemble_medium_with(&mesh, &g, scheme, eval, AssemblyParallelism::Serial);
                 let flat_region = mesh.cells().iter().any(is_flat);
                 assert_eq!(
                     serial.stats.reused_entries > 0,
-                    flat_region && scheme.is_corrected(),
-                    "{scheme:?}/{eval:?}: {:?}",
+                    flat_region,
+                    "{eval:?}: {:?}",
                     serial.stats
                 );
                 for threads in [1usize, 2, 4, 8] {
@@ -1267,20 +1028,20 @@ pub(crate) mod tests {
                             assert_eq!(
                                 (a.re.to_bits(), a.im.to_bits()),
                                 (b.re.to_bits(), b.im.to_bits()),
-                                "{scheme:?}/{eval:?} S[{i}][{j}] at {threads} threads"
+                                "{eval:?} S[{i}][{j}] at {threads} threads"
                             );
                             let (a, b) =
                                 (serial.double_layer[(i, j)], parallel.double_layer[(i, j)]);
                             assert_eq!(
                                 (a.re.to_bits(), a.im.to_bits()),
                                 (b.re.to_bits(), b.im.to_bits()),
-                                "{scheme:?}/{eval:?} D[{i}][{j}] at {threads} threads"
+                                "{eval:?} D[{i}][{j}] at {threads} threads"
                             );
                         }
                     }
                     assert_eq!(
                         parallel.stats, serial.stats,
-                        "{scheme:?}/{eval:?} stats at {threads} threads"
+                        "{eval:?} stats at {threads} threads"
                     );
                 }
             }
@@ -1370,9 +1131,6 @@ pub(crate) mod tests {
             "{:?} vs self scale {self_scale}",
             corrected.stats
         );
-        // The legacy scheme uses fixed rules only: no adaptive statistics.
-        let legacy = assemble_medium(&mesh, &g, AssemblyScheme::Legacy);
-        assert_eq!(legacy.stats, AssemblyStats::default());
     }
 
     #[test]
@@ -1407,7 +1165,7 @@ pub(crate) mod tests {
             &g2,
             c64::new(0.0, -1e-8),
             c64::new(200.0, 0.0),
-            AssemblyScheme::Legacy,
+            AssemblyScheme::default(),
         );
         assert_eq!(system.surface_unknowns, 16);
         assert_eq!(system.matrix.rows(), 32);

@@ -8,8 +8,7 @@
 //! sampling systematically biased. Once the skin depth drops below the cell
 //! size the bias overwhelms the physical roughness-loss trend.
 //!
-//! [`AssemblyScheme`] selects between the seed behaviour
-//! ([`AssemblyScheme::Legacy`]) and the locally corrected scheme
+//! Both dimensions use the locally corrected scheme
 //! ([`AssemblyScheme::LocallyCorrected`]): analytic integration of the static
 //! singularity over the exact source-cell geometry (Wilton polygon potential
 //! and solid angle in 3D, segment log-integral and subtended angle in 2D) plus
@@ -82,7 +81,7 @@ impl AssemblyStats {
     }
 
     /// `true` when every adaptive entry met the tolerance before the depth
-    /// cap (vacuously true for the legacy scheme's fixed rules).
+    /// cap.
     pub fn all_converged(&self) -> bool {
         self.unconverged_entries == 0
     }
@@ -136,19 +135,39 @@ impl NearFieldPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if the radius is not positive or the order is zero.
+    /// Panics if [`NearFieldPolicy::validate`] rejects it.
     pub fn new(radius: f64, order: usize) -> Self {
-        assert!(radius > 0.0, "near-field radius must be positive");
-        assert!(order > 0, "quadrature order must be positive");
-        Self { radius, order }
+        let policy = Self { radius, order };
+        if let Err(message) = policy.validate() {
+            panic!("{message}");
+        }
+        policy
+    }
+
+    /// Validates the knobs. The fields are public, so a policy built by a
+    /// struct literal (e.g. decoded from a scenario) is checked here, where
+    /// it enters a solve, instead of panicking deep inside the assembly.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable description of the first violated constraint.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.radius.is_finite() && self.radius > 0.0) {
+            return Err(format!(
+                "near-field radius must be positive and finite, got {}",
+                self.radius
+            ));
+        }
+        if self.order == 0 {
+            return Err("near-field quadrature order must be positive, got 0".into());
+        }
+        Ok(())
     }
 }
 
 impl Default for NearFieldPolicy {
     /// The default corrects every source cell within 2.5 cell sizes with an
-    /// order-4 (embedded order-6) adaptive rule — the same neighbourhood the
-    /// legacy scheme treated with a fixed 3 × 3 rule, now integrated to a
-    /// controlled accuracy.
+    /// order-4 (embedded order-6) adaptive rule.
     fn default() -> Self {
         Self {
             radius: 2.5,
@@ -158,36 +177,22 @@ impl Default for NearFieldPolicy {
 }
 
 /// How the MOM matrix entries are integrated.
+///
+/// The locally corrected scheme is the only one; the enum is kept so the
+/// scheme's `Debug` form (part of scenario fingerprints and cache keys) and
+/// the callers that match on the variant stay unchanged.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AssemblyScheme {
-    /// The seed behaviour: analytic static self term approximated on a
-    /// metric-stretched rectangle, fixed low-order Gauss rules on near
-    /// neighbours (no periodic wrap-around in the near test), midpoint
-    /// sampling elsewhere. Kept as the comparison baseline for convergence
-    /// studies and regression tests.
-    Legacy,
     /// Locally corrected near-field assembly: exact analytic static integrals
     /// over the tangent-plane cell geometry plus adaptive quadrature for the
     /// smooth remainder.
     LocallyCorrected(NearFieldPolicy),
 }
 
-impl AssemblyScheme {
-    /// The locally corrected scheme with default policy.
-    pub fn corrected() -> Self {
-        Self::LocallyCorrected(NearFieldPolicy::default())
-    }
-
-    /// Returns `true` for the locally corrected scheme.
-    pub fn is_corrected(&self) -> bool {
-        matches!(self, Self::LocallyCorrected(_))
-    }
-}
-
 impl Default for AssemblyScheme {
     /// Locally corrected with the default [`NearFieldPolicy`].
     fn default() -> Self {
-        Self::corrected()
+        Self::LocallyCorrected(NearFieldPolicy::default())
     }
 }
 
@@ -197,16 +202,24 @@ mod tests {
 
     #[test]
     fn defaults_are_the_corrected_scheme() {
-        let scheme = AssemblyScheme::default();
-        assert!(scheme.is_corrected());
-        match scheme {
-            AssemblyScheme::LocallyCorrected(policy) => {
-                assert_eq!(policy.radius, 2.5);
-                assert_eq!(policy.order, 4);
-            }
-            AssemblyScheme::Legacy => unreachable!(),
+        let AssemblyScheme::LocallyCorrected(policy) = AssemblyScheme::default();
+        assert_eq!(policy, NearFieldPolicy::new(2.5, 4));
+        assert_eq!(policy.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_or_non_positive_radius_and_zero_order() {
+        for radius in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
+            let error = NearFieldPolicy { radius, order: 4 }.validate().unwrap_err();
+            assert!(error.contains("radius must be positive"), "{error}");
         }
-        assert!(!AssemblyScheme::Legacy.is_corrected());
+        let error = NearFieldPolicy {
+            radius: 2.5,
+            order: 0,
+        }
+        .validate()
+        .unwrap_err();
+        assert!(error.contains("order must be positive"), "{error}");
     }
 
     #[test]

@@ -32,8 +32,8 @@ pub const ASSEMBLY_THREADS_ENV: &str = "ROUGHSIM_ASSEMBLY_THREADS";
 /// Orthogonal to [`crate::AssemblyScheme`] and [`crate::KernelEval`]: the
 /// knob changes wall-clock time only — parallel and serial assemblies are
 /// bit-identical, because every row (or plane) is computed independently and
-/// scattered in a fixed order (pinned by tests at 1/2/4/8 threads for both
-/// dense schemes and at 1/2/3/4 for the matrix-free setup).
+/// scattered in a fixed order (pinned by tests at 1/2/4/8 threads for the
+/// dense 3D and 2D assemblies and at 1/2/3/4 for the matrix-free setup).
 ///
 /// The default is [`AssemblyParallelism::Serial`] so standalone solves keep
 /// their historical behaviour; the batch engine picks a worker count from its

@@ -107,8 +107,11 @@ impl Swm2dProblem {
     ///
     /// # Errors
     ///
-    /// Propagates solver failures.
+    /// Returns [`SwmError::InvalidConfiguration`] for an invalid near-field
+    /// policy; propagates solver failures.
     pub fn absorbed_power(&self, profile: &Profile1d) -> Result<f64, SwmError> {
+        let AssemblyScheme::LocallyCorrected(policy) = self.assembly;
+        policy.validate().map_err(SwmError::InvalidConfiguration)?;
         let mesh = ContourMesh::from_profile(profile);
         let g1 = PeriodicGreen2d::new(self.stack.k1(self.frequency), mesh.period());
         let g2 = PeriodicGreen2d::new(self.stack.k2(self.frequency), mesh.period());
@@ -132,7 +135,7 @@ impl Swm2dProblem {
     ///
     /// # Errors
     ///
-    /// Propagates solver failures.
+    /// Propagates the errors of [`Swm2dProblem::absorbed_power`].
     pub fn solve(&self, profile: &Profile1d) -> Result<LossResult, SwmError> {
         let flat = Profile1d::flat(profile.len(), profile.period());
         let reference = self.absorbed_power(&flat)?;

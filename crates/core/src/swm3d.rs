@@ -383,12 +383,7 @@ impl SwmProblem {
                 (solution, stats, n)
             }
             OperatorRepr::MatrixFree(mf_policy) => {
-                let AssemblyScheme::LocallyCorrected(policy) = operator.assembly else {
-                    return Err(SwmError::InvalidConfiguration(
-                        "the matrix-free operator requires the locally corrected assembly scheme"
-                            .into(),
-                    ));
-                };
+                let AssemblyScheme::LocallyCorrected(policy) = operator.assembly;
                 let mf = MatrixFreeOperator::assemble_with_cache(
                     &mesh,
                     &operator.g1,
@@ -622,8 +617,7 @@ impl SwmProblemBuilder {
     /// Selects the operator representation (defaults to
     /// [`OperatorRepr::Dense`]). The matrix-free representation evaluates the
     /// far field as an FFT convolution with sparse near-field precorrections
-    /// and requires a Krylov [`SolverKind`] plus the locally corrected
-    /// assembly scheme.
+    /// and requires a Krylov [`SolverKind`].
     pub fn operator_repr(mut self, operator_repr: OperatorRepr) -> Self {
         self.operator_repr = operator_repr;
         self
@@ -644,7 +638,8 @@ impl SwmProblemBuilder {
     /// # Errors
     ///
     /// Returns [`SwmError::InvalidConfiguration`] if the frequency is missing
-    /// or not positive, or the grid is too coarse.
+    /// or not positive, the grid is too coarse or too fine, or the
+    /// near-field or matrix-free policy is invalid.
     pub fn build(self) -> Result<SwmProblem, SwmError> {
         let frequency = self.frequency.ok_or_else(|| {
             SwmError::InvalidConfiguration("a simulation frequency must be specified".into())
@@ -660,19 +655,14 @@ impl SwmProblemBuilder {
                 self.cells_per_side
             )));
         }
+        let AssemblyScheme::LocallyCorrected(policy) = self.assembly;
+        policy.validate().map_err(SwmError::InvalidConfiguration)?;
         if let OperatorRepr::MatrixFree(mf) = self.operator_repr {
             mf.validate().map_err(SwmError::InvalidConfiguration)?;
             if self.solver == SolverKind::DirectLu {
                 return Err(SwmError::InvalidConfiguration(
                     "the matrix-free operator never forms the dense matrix DirectLu needs; \
                      select a Krylov solver (Bicgstab or Gmres)"
-                        .into(),
-                ));
-            }
-            if matches!(self.assembly, AssemblyScheme::Legacy) {
-                return Err(SwmError::InvalidConfiguration(
-                    "the matrix-free operator precorrects near entries with the locally \
-                     corrected scheme; AssemblyScheme::Legacy is not supported"
                         .into(),
                 ));
             }
@@ -909,16 +899,6 @@ mod tests {
         assert!(matches!(
             SwmProblem::builder(stack, spec.clone())
                 .frequency(GigaHertz::new(5.0).into())
-                .operator_repr(OperatorRepr::MatrixFree(Default::default()))
-                .build(),
-            Err(SwmError::InvalidConfiguration(_))
-        ));
-        // The legacy scheme has no locally corrected near integrals to reuse.
-        assert!(matches!(
-            SwmProblem::builder(stack, spec.clone())
-                .frequency(GigaHertz::new(5.0).into())
-                .solver(SolverKind::Bicgstab { tolerance: 1e-10 })
-                .assembly(AssemblyScheme::Legacy)
                 .operator_repr(OperatorRepr::MatrixFree(Default::default()))
                 .build(),
             Err(SwmError::InvalidConfiguration(_))

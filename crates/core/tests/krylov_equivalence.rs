@@ -66,9 +66,7 @@ fn block_preconditioner_keeps_iteration_counts_small() {
     );
     let surface = problem.sample_surface(5);
     let operator = problem.operator();
-    let AssemblyScheme::LocallyCorrected(policy) = operator.assembly() else {
-        panic!("default scheme is locally corrected");
-    };
+    let AssemblyScheme::LocallyCorrected(policy) = operator.assembly();
     let mesh = rough_core::mesh::PatchMesh::from_surface(&surface);
     let mf = MatrixFreeOperator::assemble(
         &mesh,

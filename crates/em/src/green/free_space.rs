@@ -662,7 +662,7 @@ mod tests {
 
     #[test]
     fn segment_ln_integral_matches_centred_closed_form_and_quadrature() {
-        // Observation at the segment centre reduces to the legacy helper.
+        // Observation at the segment centre reduces to the centred closed form.
         let w = 0.8;
         let value = ln_r_integral_over_segment([0.0, 0.0], [-0.5 * w, 0.0], [0.5 * w, 0.0]);
         assert!((value - ln_integral_over_segment(w)).abs() < 1e-14);

@@ -33,8 +33,8 @@ use std::sync::Arc;
 /// (cells per side), the patch length, the frequency, the material stack, the
 /// solver and the near-field assembly scheme. The last three matter because
 /// the engine's kernel cache outlives a single scenario: campaigns over
-/// different stacks — or over legacy vs locally corrected assembly — must
-/// never share contexts (the cached flat-reference solve bakes the assembly
+/// different stacks — or over different near-field policies — must never
+/// share contexts (the cached flat-reference solve bakes the assembly
 /// scheme in). Frequencies and lengths are compared by bit pattern, and the
 /// stack/solver/assembly by a fingerprint of their exact parameter values:
 /// scenario axes are finite lists of exact values, not computed quantities.

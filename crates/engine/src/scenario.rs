@@ -217,7 +217,7 @@ impl ScenarioBuilder {
 
     /// Selects the operator representation used by every work unit (defaults
     /// to [`OperatorRepr::Dense`]). The matrix-free representation requires a
-    /// Krylov solver and the locally corrected assembly scheme.
+    /// Krylov solver.
     pub fn operator_repr(mut self, operator_repr: OperatorRepr) -> Self {
         self.operator_repr = operator_repr;
         self
@@ -271,8 +271,9 @@ impl ScenarioBuilder {
     /// # Errors
     ///
     /// Returns [`EngineError::InvalidScenario`] when the case grid is empty,
-    /// no ensemble mode was chosen, budgets are zero, or the mode is
-    /// inconsistent with the roughness specifications.
+    /// no ensemble mode was chosen, budgets are zero, the mode is
+    /// inconsistent with the roughness specifications, or the near-field or
+    /// matrix-free policy is invalid.
     pub fn build(self) -> Result<Scenario, EngineError> {
         let mode = self.mode.ok_or_else(|| {
             EngineError::InvalidScenario(
@@ -331,18 +332,14 @@ impl ScenarioBuilder {
                 "stochastic ensemble modes require stochastic roughness specifications".into(),
             ));
         }
+        let AssemblyScheme::LocallyCorrected(policy) = self.assembly;
+        policy.validate().map_err(EngineError::InvalidScenario)?;
         if let OperatorRepr::MatrixFree(mf) = self.operator_repr {
             mf.validate().map_err(EngineError::InvalidScenario)?;
             if self.solver == SolverKind::DirectLu {
                 return Err(EngineError::InvalidScenario(
                     "the matrix-free operator requires a Krylov solver (bicgstab or gmres), \
                      not DirectLu"
-                        .into(),
-                ));
-            }
-            if matches!(self.assembly, AssemblyScheme::Legacy) {
-                return Err(EngineError::InvalidScenario(
-                    "the matrix-free operator requires the locally corrected assembly scheme"
                         .into(),
                 ));
             }

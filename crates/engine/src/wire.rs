@@ -114,19 +114,13 @@ pub fn encode_scenario(scenario: &Scenario) -> String {
             let _ = writeln!(out, "solver gmres {} {restart}", bits(tolerance));
         }
     }
-    match scenario.assembly {
-        AssemblyScheme::Legacy => {
-            let _ = writeln!(out, "assembly legacy");
-        }
-        AssemblyScheme::LocallyCorrected(policy) => {
-            let _ = writeln!(
-                out,
-                "assembly corrected {} {}",
-                bits(policy.radius),
-                policy.order
-            );
-        }
-    }
+    let AssemblyScheme::LocallyCorrected(policy) = scenario.assembly;
+    let _ = writeln!(
+        out,
+        "assembly corrected {} {}",
+        bits(policy.radius),
+        policy.order
+    );
     match scenario.operator_repr {
         // Dense is the default and is omitted, so blocks written before the
         // operator representation existed decode unchanged.
@@ -265,7 +259,6 @@ pub fn decode_scenario(text: &str) -> Result<Scenario, EngineError> {
             }
             "assembly" => {
                 assembly = Some(match arg(0)? {
-                    "legacy" => AssemblyScheme::Legacy,
                     "corrected" => AssemblyScheme::LocallyCorrected(NearFieldPolicy {
                         radius: parse_bits(arg(1)?)?,
                         order: parse_usize(arg(2)?)?,
@@ -439,11 +432,60 @@ mod tests {
                 tolerance: 1e-9,
                 restart: 30,
             })
-            .assembly(AssemblyScheme::Legacy)
+            .assembly(AssemblyScheme::LocallyCorrected(NearFieldPolicy::new(
+                3.5, 6,
+            )))
             .deterministic(surface)
             .build()
             .unwrap();
         roundtrip(&scenario);
+    }
+
+    fn default_scenario() -> Scenario {
+        Scenario::builder(Stackup::paper_baseline())
+            .roughness(RoughnessSpec::gaussian(
+                Micrometers::new(1.0),
+                Micrometers::new(1.0),
+            ))
+            .frequencies([GigaHertz::new(5.0).into()])
+            .monte_carlo(3)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn default_scenario_wire_text_and_fingerprint_are_pinned() {
+        // Checkpoints, worker frames and daemon cache keys depend on these
+        // exact bytes; a change here invalidates every stored result.
+        let scenario = default_scenario();
+        let expected = "roughsim-scenario-v1
+name campaign
+seed 8201
+cells 8
+kl 8 3fee666666666666
+surrogate 20000
+stack 3e51ee76071bbcc5 400d99999999999a
+solver lu
+assembly corrected 4004000000000000 4
+mode mc 3
+freqs 41f2a05f20000000
+rough gaussian 3eb0c6f7a0b5ed8d 3eb0c6f7a0b5ed8d 3ed4f8b588e368f0
+end
+";
+        assert_eq!(encode_scenario(&scenario), expected);
+        assert_eq!(scenario_fingerprint(&scenario), 0x2b4b_38ad_6984_d745);
+    }
+
+    #[test]
+    fn legacy_assembly_blocks_are_refused() {
+        let wire = encode_scenario(&default_scenario())
+            .replace("assembly corrected 4004000000000000 4", "assembly legacy");
+        match decode_scenario(&wire) {
+            Err(EngineError::Checkpoint(message)) => {
+                assert!(message.contains("unknown assembly `legacy`"), "{message}")
+            }
+            other => panic!("expected a wire error, got {other:?}"),
+        }
     }
 
     #[test]

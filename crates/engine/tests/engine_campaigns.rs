@@ -1,11 +1,15 @@
 //! Integration tests of the batch engine: thread-count invariance of the
-//! statistics, kernel-cache effectiveness, and plan/solve budgets.
+//! statistics, kernel-cache effectiveness, plan/solve budgets, and the
+//! validation of near-field policies at every entry point.
 
-use rough_core::{AssemblyScheme, RoughnessSpec};
+use rough_core::swm2d::Swm2dProblem;
+use rough_core::{AssemblyScheme, NearFieldPolicy, RoughnessSpec, SwmError, SwmProblem};
 use rough_em::material::Stackup;
 use rough_em::units::{GigaHertz, Micrometers};
-use rough_engine::{CaseOutcome, Engine, Scenario};
+use rough_engine::wire::{decode_scenario, encode_scenario};
+use rough_engine::{CaseOutcome, Engine, EngineError, Scenario};
 use rough_stochastic::sparse_grid::SparseGrid;
+use rough_surface::Profile1d;
 
 fn monte_carlo_scenario(realizations: usize, master_seed: u64) -> Scenario {
     Scenario::builder(Stackup::paper_baseline())
@@ -123,11 +127,11 @@ fn different_stackups_never_share_cached_contexts() {
 }
 
 #[test]
-fn legacy_and_corrected_assemblies_never_share_cached_contexts() {
-    // Same stack, grid and frequency, different near-field assembly scheme:
-    // the cached flat-reference solve bakes the assembly in, so sharing a
-    // context across schemes would silently corrupt one of the campaigns.
-    let scenario_for = |assembly: AssemblyScheme| {
+fn different_near_field_policies_never_share_cached_contexts() {
+    // Same stack, grid and frequency, different near-field radius: the cached
+    // flat-reference solve bakes the assembly in, so sharing a context across
+    // policies would silently corrupt one of the campaigns.
+    let scenario_for = |radius: f64| {
         Scenario::builder(Stackup::paper_baseline())
             .roughness(RoughnessSpec::gaussian(
                 Micrometers::new(1.0),
@@ -136,40 +140,118 @@ fn legacy_and_corrected_assemblies_never_share_cached_contexts() {
             .frequencies([GigaHertz::new(5.0).into()])
             .cells_per_side(6)
             .max_kl_modes(3)
-            .assembly(assembly)
+            .assembly(AssemblyScheme::LocallyCorrected(NearFieldPolicy::new(
+                radius, 4,
+            )))
             .monte_carlo(3)
             .master_seed(5)
             .build()
             .expect("valid scenario")
     };
     let engine = Engine::builder().threads(1).build();
-    let corrected = engine
-        .run(&scenario_for(AssemblyScheme::default()))
-        .expect("corrected campaign");
-    let legacy = engine
-        .run(&scenario_for(AssemblyScheme::Legacy))
-        .expect("legacy campaign");
+    let default = engine
+        .run(&scenario_for(2.5))
+        .expect("default-radius campaign");
+    let wider = engine
+        .run(&scenario_for(3.5))
+        .expect("wider-radius campaign");
     assert_eq!(
-        legacy.cache.misses, 1,
-        "a different assembly scheme must build its own context"
+        wider.cache.misses, 1,
+        "a different near-field policy must build its own context"
     );
     assert_ne!(
-        corrected.cases[0].mean.to_bits(),
-        legacy.cases[0].mean.to_bits(),
-        "the two schemes integrate near fields differently"
+        default.cases[0].mean.to_bits(),
+        wider.cases[0].mean.to_bits(),
+        "the two policies correct different neighbourhoods"
     );
-    // The KL basis does not depend on the assembly scheme and is reused.
-    assert_eq!(legacy.cache.kl_misses, 0);
-    assert!(legacy.cache.kl_hits >= 1);
-    // Re-running either scenario hits its own cached context.
+    // The KL basis does not depend on the assembly and is reused.
+    assert_eq!(wider.cache.kl_misses, 0);
+    assert!(wider.cache.kl_hits >= 1);
+    // Re-running a scenario hits its own cached context.
     let again = engine
-        .run(&scenario_for(AssemblyScheme::default()))
-        .expect("corrected rerun");
+        .run(&scenario_for(2.5))
+        .expect("default-radius rerun");
     assert_eq!(again.cache.misses, 0);
     assert_eq!(
         again.cases[0].mean.to_bits(),
-        corrected.cases[0].mean.to_bits()
+        default.cases[0].mean.to_bits()
     );
+}
+
+#[test]
+fn invalid_near_field_policies_are_typed_errors_on_every_path() {
+    // The policy fields are public, so a struct literal (or a decoded wire
+    // block) bypasses `NearFieldPolicy::new`; each entry point must refuse
+    // the policy before any kernel or quadrature sees it.
+    let stack = Stackup::paper_baseline();
+    let spec = RoughnessSpec::gaussian(Micrometers::new(1.0), Micrometers::new(1.0));
+    let frequency = GigaHertz::new(5.0).into();
+    let scenario_with = |assembly| {
+        Scenario::builder(stack)
+            .roughness(spec.clone())
+            .frequencies([frequency])
+            .cells_per_side(4)
+            .assembly(assembly)
+            .monte_carlo(2)
+            .build()
+    };
+    let valid_wire = encode_scenario(&scenario_with(AssemblyScheme::default()).expect("valid"));
+    for policy in [
+        NearFieldPolicy {
+            radius: f64::NAN,
+            order: 4,
+        },
+        NearFieldPolicy {
+            radius: -1.0,
+            order: 4,
+        },
+        NearFieldPolicy {
+            radius: 2.5,
+            order: 0,
+        },
+    ] {
+        let assembly = AssemblyScheme::LocallyCorrected(policy);
+        let wire = valid_wire.replace(
+            "assembly corrected 4004000000000000 4",
+            &format!(
+                "assembly corrected {:016x} {}",
+                policy.radius.to_bits(),
+                policy.order
+            ),
+        );
+        assert!(
+            matches!(decode_scenario(&wire), Err(EngineError::InvalidScenario(_))),
+            "{policy:?}: wire"
+        );
+        assert!(
+            matches!(
+                scenario_with(assembly),
+                Err(EngineError::InvalidScenario(_))
+            ),
+            "{policy:?}: scenario builder"
+        );
+        assert!(
+            matches!(
+                SwmProblem::builder(stack, spec.clone())
+                    .frequency(frequency)
+                    .cells_per_side(4)
+                    .assembly(assembly)
+                    .build(),
+                Err(SwmError::InvalidConfiguration(_))
+            ),
+            "{policy:?}: 3D builder"
+        );
+        let problem_2d = Swm2dProblem::new(stack, frequency)
+            .expect("valid 2D problem")
+            .with_assembly(assembly);
+        assert!(
+            matches!(
+                problem_2d.absorbed_power(&Profile1d::flat(4, 5e-6)),
+                Err(SwmError::InvalidConfiguration(_))
+            ),
+            "{policy:?}: 2D solve"
+        );
+    }
 }
 
 #[test]

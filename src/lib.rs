@@ -120,10 +120,11 @@ pub use rough_sweep as sweep;
 /// the `1/R` (3D) / `ln R` (2D) static singularity is integrated analytically
 /// over the exact tangent-plane cell geometry and the smooth remainder with
 /// adaptive Gauss–Legendre quadrature, for every source cell within
-/// `radius` cell sizes (minimum-image distance). Select
-/// `AssemblyScheme::Legacy` via the respective `assembly(..)` builder methods
-/// to reproduce the seed behaviour, e.g. for convergence comparisons; raise
-/// `radius`/`order` for high-accuracy reference runs.
+/// `radius` cell sizes (minimum-image distance). It is the only near-field
+/// scheme; raise `radius`/`order` through the respective `assembly(..)`
+/// builder methods for high-accuracy reference runs. Every entry point
+/// refuses an invalid policy (non-finite or non-positive radius, zero order)
+/// with a typed error.
 ///
 /// Orthogonally, [`KernelEval`](rough_core::KernelEval) selects how the
 /// Ewald-summed periodic kernel is evaluated: the default

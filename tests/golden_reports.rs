@@ -2,11 +2,11 @@
 //!
 //! Small, deterministic scenarios — a reduced Fig. 5 deterministic-protrusion
 //! sweep and a reduced Fig. 6-style Monte-Carlo ensemble — are run through the
-//! engine under *both* assembly schemes and their per-case CSV rows are
-//! diffed against snapshots under `tests/golden/`. The engine's plan-time
-//! seeding makes the runs bit-reproducible, so any drift in the numbers is a
-//! real behaviour change: either intentional (regenerate the snapshots by
-//! running with `REGEN_GOLDEN=1`) or a regression this suite exists to catch.
+//! engine and their per-case CSV rows are diffed against snapshots under
+//! `tests/golden/`. The engine's plan-time seeding makes the runs
+//! bit-reproducible, so any drift in the numbers is a real behaviour change:
+//! either intentional (regenerate the snapshots by running with
+//! `REGEN_GOLDEN=1`) or a regression this suite exists to catch.
 //!
 //! Numeric fields are compared with a relative tolerance (1e-6) so that
 //! last-ulp libm differences across platforms do not flake the suite.
@@ -22,7 +22,7 @@ fn paper_stack() -> Stackup {
 
 /// Reduced Fig. 5: the deterministic half-spheroid protrusion swept over
 /// three frequencies on a coarse 8-cell grid.
-fn fig5_reduced(assembly: AssemblyScheme) -> Scenario {
+fn fig5_reduced() -> Scenario {
     let tile = 12.0e-6;
     let (height, base_radius) = (5.8e-6, 4.7e-6);
     let cells = 8;
@@ -45,7 +45,6 @@ fn fig5_reduced(assembly: AssemblyScheme) -> Scenario {
             GigaHertz::new(10.0).into(),
         ])
         .cells_per_side(cells)
-        .assembly(assembly)
         .deterministic(surface)
         .build()
         .expect("valid reduced Fig. 5 scenario")
@@ -53,7 +52,7 @@ fn fig5_reduced(assembly: AssemblyScheme) -> Scenario {
 
 /// Reduced Fig. 6-style ensemble: a tiny Monte-Carlo campaign over two
 /// frequencies with plan-time-seeded realizations.
-fn fig6_reduced(assembly: AssemblyScheme) -> Scenario {
+fn fig6_reduced() -> Scenario {
     Scenario::builder(paper_stack())
         .name("fig6-golden-reduced")
         .roughness(RoughnessSpec::gaussian(
@@ -63,7 +62,6 @@ fn fig6_reduced(assembly: AssemblyScheme) -> Scenario {
         .frequencies([GigaHertz::new(2.0).into(), GigaHertz::new(8.0).into()])
         .cells_per_side(6)
         .max_kl_modes(3)
-        .assembly(assembly)
         .monte_carlo(3)
         .master_seed(0x2009)
         .build()
@@ -160,34 +158,12 @@ fn assert_fields_match(name: &str, row: usize, want: &str, got: &str) {
 
 #[test]
 fn fig5_reduced_matches_golden_corrected() {
-    check_against_golden(
-        &fig5_reduced(AssemblyScheme::default()),
-        "fig5_reduced_corrected.csv",
-    );
-}
-
-#[test]
-fn fig5_reduced_matches_golden_legacy() {
-    check_against_golden(
-        &fig5_reduced(AssemblyScheme::Legacy),
-        "fig5_reduced_legacy.csv",
-    );
+    check_against_golden(&fig5_reduced(), "fig5_reduced_corrected.csv");
 }
 
 #[test]
 fn fig6_reduced_matches_golden_corrected() {
-    check_against_golden(
-        &fig6_reduced(AssemblyScheme::default()),
-        "fig6_reduced_corrected.csv",
-    );
-}
-
-#[test]
-fn fig6_reduced_matches_golden_legacy() {
-    check_against_golden(
-        &fig6_reduced(AssemblyScheme::Legacy),
-        "fig6_reduced_legacy.csv",
-    );
+    check_against_golden(&fig6_reduced(), "fig6_reduced_corrected.csv");
 }
 
 #[test]
@@ -195,16 +171,10 @@ fn fig5_reduced_matches_golden_with_parallel_assembly() {
     // 4 assembly threads per solve (the ROUGHSIM_ASSEMBLY_THREADS=4
     // configuration) against the serial-run snapshot: campaign outputs are
     // unchanged by intra-solve parallelism.
-    check_against_golden_with_parallel_assembly(
-        &fig5_reduced(AssemblyScheme::default()),
-        "fig5_reduced_corrected.csv",
-    );
+    check_against_golden_with_parallel_assembly(&fig5_reduced(), "fig5_reduced_corrected.csv");
 }
 
 #[test]
 fn fig6_reduced_matches_golden_with_parallel_assembly() {
-    check_against_golden_with_parallel_assembly(
-        &fig6_reduced(AssemblyScheme::default()),
-        "fig6_reduced_corrected.csv",
-    );
+    check_against_golden_with_parallel_assembly(&fig6_reduced(), "fig6_reduced_corrected.csv");
 }
