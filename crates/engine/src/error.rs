@@ -27,16 +27,6 @@ pub enum EngineError {
     /// A socket transport failed: framing violation, connection loss that no
     /// surviving worker could absorb, or a daemon protocol error.
     Socket(String),
-    /// A work unit overran its per-unit deadline
-    /// ([`crate::policy::UNIT_DEADLINE_ENV`]).
-    DeadlineExceeded {
-        /// The offending unit id.
-        unit: usize,
-        /// Wall time the unit took, in milliseconds.
-        elapsed_ms: u64,
-        /// The configured deadline, in milliseconds.
-        deadline_ms: u64,
-    },
 }
 
 impl fmt::Display for EngineError {
@@ -52,14 +42,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::Checkpoint(reason) => write!(f, "checkpoint failed: {reason}"),
             EngineError::Socket(reason) => write!(f, "socket transport failed: {reason}"),
-            EngineError::DeadlineExceeded {
-                unit,
-                elapsed_ms,
-                deadline_ms,
-            } => write!(
-                f,
-                "unit {unit} exceeded its deadline ({elapsed_ms} ms > {deadline_ms} ms)"
-            ),
         }
     }
 }
@@ -72,8 +54,7 @@ impl std::error::Error for EngineError {
             EngineError::InvalidScenario(_)
             | EngineError::Interrupted { .. }
             | EngineError::Checkpoint(_)
-            | EngineError::Socket(_)
-            | EngineError::DeadlineExceeded { .. } => None,
+            | EngineError::Socket(_) => None,
         }
     }
 }

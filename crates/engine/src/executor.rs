@@ -301,11 +301,8 @@ impl UnitExecutor for ThreadPoolExecutor {
     }
 }
 
-/// Evaluates one work unit against its (cached) shared context, applying the
-/// environment retry policy ([`crate::policy::RetryPolicy::from_env`]) and
-/// the per-unit deadline ([`crate::policy::UNIT_DEADLINE_ENV`]). With the
-/// default policy (one attempt, no deadline) this is a plain call into
-/// [`evaluate_unit_once`].
+/// Evaluates one work unit against its (cached) shared context. The named
+/// fault point `unit.eval.fail` injects a failure before the solve.
 ///
 /// `assembly` is applied per call (cached contexts are shared between
 /// executors with different budgets, so the stored problem's parallelism is
@@ -316,37 +313,6 @@ pub(crate) fn evaluate_unit(
     cache: &KernelCache,
     assembly: AssemblyParallelism,
 ) -> Result<UnitRecord, EngineError> {
-    use std::sync::OnceLock;
-    static POLICY: OnceLock<(crate::policy::RetryPolicy, Option<std::time::Duration>)> =
-        OnceLock::new();
-    let (policy, deadline) = *POLICY.get_or_init(|| {
-        (
-            crate::policy::RetryPolicy::from_env(),
-            crate::policy::unit_deadline_from_env(),
-        )
-    });
-    policy.run(
-        || evaluate_unit_once(plan, unit, cache, assembly, deadline),
-        // Scenario errors are deterministic; everything else (solver
-        // failures the ladder could not absorb, I/O, deadline overruns,
-        // injected faults) may be transient under a fault plan or a loaded
-        // machine and is worth the configured attempts.
-        |e| !matches!(e, EngineError::InvalidScenario(_)),
-    )
-}
-
-/// One evaluation attempt of a work unit (no retry). The named fault point
-/// `unit.eval.fail` injects a failure before the solve; `deadline` turns an
-/// overlong solve into [`EngineError::DeadlineExceeded`] after the fact (the
-/// solve is not interrupted mid-flight — determinism would suffer — but the
-/// unit fails and the policy layer decides what to do with it).
-fn evaluate_unit_once(
-    plan: &Plan,
-    unit: &WorkUnit,
-    cache: &KernelCache,
-    assembly: AssemblyParallelism,
-    deadline: Option<std::time::Duration>,
-) -> Result<UnitRecord, EngineError> {
     if rough_faults::should_fire("unit.eval.fail") {
         return Err(EngineError::Solve(rough_core::SwmError::LinearSolver(
             format!(
@@ -355,7 +321,6 @@ fn evaluate_unit_once(
             ),
         )));
     }
-    let started = std::time::Instant::now();
     let scenario = plan.scenario();
     let case = &plan.cases()[unit.case_index];
     let context = cache.get_or_build(case.context_key, || {
@@ -372,16 +337,6 @@ fn evaluate_unit_once(
     let problem = context.problem.with_assembly_parallelism(assembly);
     let loss =
         problem.solve_with_reference_using(&surface, context.flat_reference, &context.operator)?;
-    if let Some(deadline) = deadline {
-        let elapsed = started.elapsed();
-        if elapsed > deadline {
-            return Err(EngineError::DeadlineExceeded {
-                unit: unit.id,
-                elapsed_ms: elapsed.as_millis() as u64,
-                deadline_ms: deadline.as_millis() as u64,
-            });
-        }
-    }
     Ok(UnitRecord {
         unit: unit.id,
         case_index: unit.case_index,

@@ -11,9 +11,11 @@
 //!   2 bytes     1 byte    1 byte      4 bytes         len bytes
 //! ```
 //!
-//! The magic rejects misdirected peers immediately, the version byte lets
-//! future protocol revisions coexist on one port, and the length prefix makes
-//! torn frames detectable: a connection dropped mid-frame surfaces as a clean
+//! The magic rejects misdirected peers immediately. The version byte names
+//! the one payload layout per frame kind this build speaks: [`read_frame`]
+//! refuses any other version, so a layout change bumps [`VERSION`] and peers
+//! of different revisions fail at the first header instead of misreading a
+//! payload. The length prefix makes torn frames detectable: a connection dropped mid-frame surfaces as a clean
 //! [`std::io::Error`] on the reader, never as a half-parsed message. Payloads
 //! are built from three primitives — `u64` little-endian, IEEE-754 `f64` bit
 //! patterns (bit-exact, matching [`crate::wire`]'s float discipline), and
@@ -25,8 +27,9 @@ use std::io::{Read, Write};
 /// Frame preamble: magic bytes plus the protocol version.
 pub const MAGIC: [u8; 2] = *b"RS";
 
-/// Protocol version spoken by this build.
-pub const VERSION: u8 = 1;
+/// Protocol version spoken by this build: one payload layout per frame kind,
+/// every field required.
+pub const VERSION: u8 = 2;
 
 /// Upper bound on one frame's payload (64 MiB) — a sanity guard against
 /// garbage length prefixes from misbehaving peers, far above any real
@@ -221,14 +224,6 @@ impl<'a> PayloadReader<'a> {
         Ok(slice)
     }
 
-    /// Bytes not yet consumed. Decoders of frames whose later protocol
-    /// revisions *append* fields use this to stay version-tolerant: a field
-    /// is read only when enough payload remains, and an older peer's shorter
-    /// frame decodes with the field's documented default instead of erroring.
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.cursor
-    }
-
     /// Reads a little-endian `u64`.
     ///
     /// # Errors
@@ -319,24 +314,6 @@ mod tests {
         write_frame(&mut buffer, &Frame::empty(kind::HELLO)).unwrap();
         buffer[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(read_frame(&mut buffer.as_slice()).is_err());
-    }
-
-    #[test]
-    fn remaining_tracks_the_cursor_for_appended_field_tolerance() {
-        let payload = PayloadWriter::new().u64(1).u64(2).frame(0).payload;
-        let mut reader = PayloadReader::new(&payload);
-        assert_eq!(reader.remaining(), 16);
-        reader.u64().unwrap();
-        assert_eq!(reader.remaining(), 8);
-        // The version-tolerance idiom: an optional trailing field is read
-        // only when present.
-        let trailing = if reader.remaining() >= 8 {
-            reader.u64().unwrap()
-        } else {
-            7 // documented default
-        };
-        assert_eq!(trailing, 2);
-        assert_eq!(reader.remaining(), 0);
     }
 
     #[test]

@@ -77,7 +77,6 @@ pub mod events;
 pub mod executor;
 pub mod frame;
 pub mod plan;
-pub mod policy;
 pub mod report;
 pub mod rng;
 pub mod run;
@@ -96,14 +95,10 @@ pub use executor::{
     Engine, EngineBuilder, SerialExecutor, ThreadPoolExecutor, UnitExecutor, EXECUTOR_ENV,
 };
 pub use plan::Plan;
-pub use policy::{RetryPolicy, UNIT_DEADLINE_ENV};
 pub use report::{CampaignReport, CaseOutcome, CaseReport, UnitRecord};
 pub use run::{report_from_records, CancelToken, Run, RunConfig, UnitSink};
 pub use scenario::{CaseId, EnsembleMode, Scenario, ScenarioBuilder};
 pub use schedule::{unit_class, CostOrdered, CostTable, PlanOrder, Scheduler};
-pub use socket::{
-    SocketExecutor, Transport, SOCKET_WORKER_ENV, WORKER_RECONNECT_ATTEMPTS_ENV,
-    WORKER_RECONNECT_CAP_MS_ENV, WORKER_RESPAWN_CAP_ENV,
-};
+pub use socket::{SocketExecutor, Transport, SOCKET_WORKER_ENV};
 pub use subprocess::maybe_serve_worker;
 pub use sweep::{SweepScenario, SweepScenarioBuilder};

@@ -63,60 +63,18 @@ const DEFAULT_HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(10);
 /// How long the dispatcher waits for freshly spawned workers to connect.
 const ACCEPT_DEADLINE: Duration = Duration::from_secs(20);
 
-/// Reconnect attempts a disconnected worker makes before giving up, when
-/// [`WORKER_RECONNECT_ATTEMPTS_ENV`] is unset.
+/// Reconnect attempts a disconnected worker makes before giving up.
 const MAX_RECONNECT_ATTEMPTS: u32 = 8;
 
-/// Backoff cap of the worker dial loop (milliseconds), when
-/// [`WORKER_RECONNECT_CAP_MS_ENV`] is unset.
-const DEFAULT_RECONNECT_CAP_MS: u64 = 1_600;
+/// Base pause of the worker dial loop's backoff (milliseconds).
+const RECONNECT_BASE_MS: u64 = 25;
+
+/// Backoff cap of the worker dial loop (milliseconds).
+const RECONNECT_CAP_MS: u64 = 1_600;
 
 /// Respawns the dispatcher grants beyond the initial fleet before the
-/// flapping-worker circuit breaker opens, when [`WORKER_RESPAWN_CAP_ENV`] is
-/// unset.
-const DEFAULT_RESPAWN_CAP: u32 = 4;
-
-/// Environment variable overriding how many reconnect attempts a
-/// disconnected worker makes before exiting (default 8). The dispatcher sets
-/// it for spawned workers when [`SocketExecutor::with_reconnect`] is used;
-/// hand-launched workers read it directly.
-pub const WORKER_RECONNECT_ATTEMPTS_ENV: &str = "ROUGHSIM_WORKER_RECONNECT_ATTEMPTS";
-
-/// Environment variable capping one reconnect backoff pause in milliseconds
-/// (default 1600).
-pub const WORKER_RECONNECT_CAP_MS_ENV: &str = "ROUGHSIM_WORKER_RECONNECT_CAP_MS";
-
-/// Environment variable bounding how many replacement workers the dispatcher
-/// spawns beyond its initial fleet before it stops respawning a flapping
-/// worker and degrades to the survivors (default 4).
-pub const WORKER_RESPAWN_CAP_ENV: &str = "ROUGHSIM_WORKER_RESPAWN_CAP";
-
-/// The worker dial loop's retry budget and pacing: `(reconnect attempts,
-/// policy)`. Pure so tests can pin inputs; [`reconnect_config`] feeds it from
-/// the environment.
-fn reconnect_config_from(
-    attempts: Option<u32>,
-    cap_ms: Option<u64>,
-) -> (u32, crate::policy::RetryPolicy) {
-    let attempts = attempts.unwrap_or(MAX_RECONNECT_ATTEMPTS).max(1);
-    let policy = crate::policy::RetryPolicy {
-        max_attempts: attempts.saturating_add(1),
-        base_ms: 25,
-        cap_ms: cap_ms.unwrap_or(DEFAULT_RECONNECT_CAP_MS),
-        seed: 0,
-    };
-    (attempts, policy)
-}
-
-fn reconnect_config() -> (u32, crate::policy::RetryPolicy) {
-    fn read<T: std::str::FromStr>(name: &str) -> Option<T> {
-        std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
-    }
-    reconnect_config_from(
-        read(WORKER_RECONNECT_ATTEMPTS_ENV),
-        read(WORKER_RECONNECT_CAP_MS_ENV),
-    )
-}
+/// flapping-worker circuit breaker opens.
+const RESPAWN_CAP: usize = 4;
 
 fn socket_error(reason: impl Into<String>) -> EngineError {
     EngineError::Socket(reason.into())
@@ -308,7 +266,7 @@ struct SocketState {
     children: Vec<Child>,
     next_index: usize,
     /// Worker processes ever spawned by this executor; the respawn circuit
-    /// breaker compares it against `workers + respawn_cap`.
+    /// breaker compares it against `workers + RESPAWN_CAP`.
     spawned_total: usize,
 }
 
@@ -322,8 +280,6 @@ pub struct SocketExecutor {
     args: Vec<String>,
     heartbeat_timeout: Duration,
     core_budget: Option<usize>,
-    reconnect: Option<(u32, u64)>,
-    respawn_cap: Option<u32>,
     state: Mutex<SocketState>,
     run_counter: AtomicU64,
 }
@@ -347,8 +303,6 @@ impl SocketExecutor {
             args: Vec::new(),
             heartbeat_timeout: DEFAULT_HEARTBEAT_TIMEOUT,
             core_budget: None,
-            reconnect: None,
-            respawn_cap: None,
             state: Mutex::new(SocketState::default()),
             run_counter: AtomicU64::new(1),
         }
@@ -381,37 +335,6 @@ impl SocketExecutor {
     pub fn with_heartbeat_timeout(mut self, timeout: Duration) -> Self {
         self.heartbeat_timeout = timeout;
         self
-    }
-
-    /// Configures the dial loop of *spawned* workers: how many reconnect
-    /// attempts a disconnected worker makes before exiting, and the backoff
-    /// cap in milliseconds. Exported to the children through
-    /// [`WORKER_RECONNECT_ATTEMPTS_ENV`] / [`WORKER_RECONNECT_CAP_MS_ENV`]
-    /// (which hand-launched workers may also set directly).
-    pub fn with_reconnect(mut self, attempts: u32, cap_ms: u64) -> Self {
-        self.reconnect = Some((attempts.max(1), cap_ms));
-        self
-    }
-
-    /// Bounds how many replacement workers this executor spawns beyond its
-    /// initial fleet. A worker that keeps dying (bad node, poisoned
-    /// environment) would otherwise be respawned at every run; past the cap
-    /// the circuit breaker opens, the executor degrades to the surviving
-    /// workers, and [`crate::RunEvent::FleetDegraded`] is streamed. Overrides
-    /// [`WORKER_RESPAWN_CAP_ENV`].
-    pub fn with_respawn_cap(mut self, cap: u32) -> Self {
-        self.respawn_cap = Some(cap);
-        self
-    }
-
-    fn respawn_cap(&self) -> u32 {
-        self.respawn_cap
-            .or_else(|| {
-                std::env::var(WORKER_RESPAWN_CAP_ENV)
-                    .ok()
-                    .and_then(|v| v.trim().parse().ok())
-            })
-            .unwrap_or(DEFAULT_RESPAWN_CAP)
     }
 
     /// Fault-injection hook: kills one live worker *process* (the first one
@@ -448,10 +371,6 @@ impl SocketExecutor {
             shared_budget_assembly(self.core_budget.unwrap_or_else(core_budget), self.workers);
         let mut command = Command::new(&program);
         command.env(ASSEMBLY_THREADS_ENV, assembly.worker_count().to_string());
-        if let Some((attempts, cap_ms)) = self.reconnect {
-            command.env(WORKER_RECONNECT_ATTEMPTS_ENV, attempts.to_string());
-            command.env(WORKER_RECONNECT_CAP_MS_ENV, cap_ms.to_string());
-        }
         command
             .args(&self.args)
             .env(SOCKET_WORKER_ENV, addr_spec)
@@ -494,10 +413,9 @@ impl SocketExecutor {
             state.idle.len(),
         ));
         // Flapping-worker circuit breaker: once this executor has spawned
-        // `workers + respawn_cap` processes in total, stop replacing dead
+        // `workers + RESPAWN_CAP` processes in total, stop replacing dead
         // ones and degrade to whatever fleet survives.
-        let spawn_budget =
-            (self.workers + self.respawn_cap() as usize).saturating_sub(state.spawned_total);
+        let spawn_budget = (self.workers + RESPAWN_CAP).saturating_sub(state.spawned_total);
         let breaker_tripped = to_spawn > spawn_budget;
         to_spawn = to_spawn.min(spawn_budget);
         for _ in 0..to_spawn {
@@ -875,11 +793,24 @@ impl WorkerState {
     }
 }
 
+/// The pause before the worker's reconnect attempt `attempt + 1` (0-based:
+/// `reconnect_backoff(0)` paces the first redial). Capped exponential —
+/// `min(cap, base · 2^attempt)` — scaled by a deterministic jitter factor in
+/// `[0.5, 1.0]` derived from `splitmix64(attempt + 1)`, so a dial schedule
+/// is a pure function of the attempt number and chaos runs replay
+/// identically.
+fn reconnect_backoff(attempt: u32) -> Duration {
+    let capped = (RECONNECT_BASE_MS << attempt.min(32)).min(RECONNECT_CAP_MS);
+    let jitter_bits = rough_faults::splitmix64(u64::from(attempt) + 1);
+    // Map the top 11 bits into [0.5, 1.0].
+    let jitter = 0.5 + (jitter_bits >> 53) as f64 / 4096.0;
+    Duration::from_millis((capped as f64 * jitter).round() as u64)
+}
+
 /// The worker process's main loop: dials `spec`, serves runs, and redials
 /// with backoff after a dropped connection. Returns the process exit code.
 pub(crate) fn worker_main(spec: &str) -> i32 {
     let mut state = WorkerState::new();
-    let (max_attempts, policy) = reconnect_config();
     let mut attempt: u32 = 0;
     loop {
         if let Ok(conn) = Conn::connect(spec) {
@@ -891,12 +822,10 @@ pub(crate) fn worker_main(spec: &str) -> i32 {
             }
         }
         attempt += 1;
-        if attempt > max_attempts {
+        if attempt > MAX_RECONNECT_ATTEMPTS {
             return 1;
         }
-        // Capped exponential backoff with deterministic jitter (the shared
-        // retry policy), ~25ms doubling to the configured cap.
-        std::thread::sleep(policy.backoff(attempt - 1));
+        std::thread::sleep(reconnect_backoff(attempt - 1));
     }
 }
 
@@ -1083,6 +1012,7 @@ fn send_err(writer: &Arc<Mutex<Conn>>, message: &str) {
 mod tests {
     use super::*;
     use crate::scenario::Scenario;
+    use proptest::prelude::*;
     use rough_core::RoughnessSpec;
     use rough_em::material::Stackup;
     use rough_em::units::{GigaHertz, Micrometers};
@@ -1168,37 +1098,31 @@ mod tests {
         assert!(Conn::connect("smoke-signal:hill-7").is_err());
     }
 
-    /// The reconnect satellite: the dial loop's budget and pacing come from
-    /// the builder/environment knobs, defaulting to the historical constants.
+    /// The worker dial schedule, pinned: the pauses a disconnected worker
+    /// sleeps between redials, and the fleet constants around them.
     #[test]
-    fn reconnect_config_honours_overrides_and_defaults() {
-        let (attempts, policy) = reconnect_config_from(None, None);
-        assert_eq!(attempts, MAX_RECONNECT_ATTEMPTS);
-        assert_eq!(policy.cap_ms, DEFAULT_RECONNECT_CAP_MS);
-        assert_eq!(policy.base_ms, 25);
-        // Every pause respects the cap, and the schedule is deterministic.
-        for attempt in 0..32 {
-            let pause = policy.backoff(attempt);
-            assert!(pause.as_millis() as u64 <= DEFAULT_RECONNECT_CAP_MS);
-            assert_eq!(pause, policy.backoff(attempt));
+    fn worker_dial_schedule_is_pinned() {
+        let schedule: Vec<u64> = (0..MAX_RECONNECT_ATTEMPTS)
+            .map(|a| reconnect_backoff(a).as_millis() as u64)
+            .collect();
+        assert_eq!(schedule, [20, 40, 56, 143, 277, 696, 1112, 1295]);
+        assert_eq!(
+            (MAX_RECONNECT_ATTEMPTS, RECONNECT_CAP_MS, RESPAWN_CAP),
+            (8, 1600, 4)
+        );
+    }
+
+    proptest! {
+        // Every pause is a pure function of the attempt and within
+        // [cap/2, cap] of the capped exponential envelope.
+        #[test]
+        fn reconnect_backoff_is_deterministic_and_bounded(attempt in 0u32..u32::MAX) {
+            let pause = reconnect_backoff(attempt);
+            prop_assert_eq!(pause, reconnect_backoff(attempt));
+            let envelope = (RECONNECT_BASE_MS << attempt.min(32)).min(RECONNECT_CAP_MS);
+            let ms = pause.as_millis() as u64;
+            prop_assert!(ms >= envelope / 2 && ms <= envelope, "{ms} ms vs {envelope}");
         }
-
-        let (attempts, policy) = reconnect_config_from(Some(3), Some(200));
-        assert_eq!(attempts, 3);
-        assert_eq!(policy.cap_ms, 200);
-        // Zero attempts is clamped: a worker always dials at least once more.
-        let (attempts, _) = reconnect_config_from(Some(0), None);
-        assert_eq!(attempts, 1);
-
-        // The env-reading wrapper picks the values up from the variables the
-        // dispatcher exports to spawned workers.
-        std::env::set_var(WORKER_RECONNECT_ATTEMPTS_ENV, "5");
-        std::env::set_var(WORKER_RECONNECT_CAP_MS_ENV, "750");
-        let (attempts, policy) = reconnect_config();
-        std::env::remove_var(WORKER_RECONNECT_ATTEMPTS_ENV);
-        std::env::remove_var(WORKER_RECONNECT_CAP_MS_ENV);
-        assert_eq!(attempts, 5);
-        assert_eq!(policy.cap_ms, 750);
     }
 
     #[test]
@@ -1354,8 +1278,6 @@ mod tests {
                 transport: Transport::default(),
                 args: Vec::new(),
                 core_budget: None,
-                reconnect: None,
-                respawn_cap: None,
                 heartbeat_timeout: DEFAULT_HEARTBEAT_TIMEOUT,
                 state: Mutex::new(SocketState {
                     listener: Some(listener),

@@ -318,6 +318,51 @@ fn socket_run_survives_a_worker_killed_mid_run_bit_identically() {
     assert_reports_bit_identical(&reference, &report, "serial vs socket (worker killed)");
 }
 
+/// The flapping-worker circuit breaker: kill a worker during every run on one
+/// executor. The respawn cap (4 beyond the initial fleet of 2) covers the
+/// first 5 runs; after that the executor stops respawning, streams
+/// `FleetDegraded` and finishes on the survivor, bit-identically.
+#[test]
+fn respawn_cap_trips_the_circuit_breaker_bit_identically() {
+    let reference = run_with(SerialExecutor);
+    let executor: Arc<SocketExecutor> = Arc::new(socket_executor(2));
+    for run in 1..=12 {
+        let killer = executor.clone();
+        let killed = AtomicBool::new(false);
+        let degraded = Arc::new(AtomicBool::new(false));
+        let degraded_flag = degraded.clone();
+        let config = RunConfig::new()
+            .executor_arc(executor.clone() as Arc<dyn UnitExecutor>)
+            .observer(FnObserver(move |event: &RunEvent| match event {
+                RunEvent::FleetDegraded { configured, .. } => {
+                    assert_eq!(*configured, 2);
+                    degraded_flag.store(true, Ordering::SeqCst);
+                }
+                // A degraded run keeps its last worker alive.
+                RunEvent::UnitCompleted { .. }
+                    if !degraded_flag.load(Ordering::SeqCst)
+                        && !killed.swap(true, Ordering::SeqCst) =>
+                {
+                    assert!(killer.kill_one_worker(), "a worker child is live");
+                }
+                _ => {}
+            }));
+        let report = Run::new(&scenario(), config)
+            .expect("plan")
+            .execute()
+            .expect("campaign survives worker loss");
+        assert_reports_bit_identical(&reference, &report, &format!("serial vs socket run {run}"));
+        if degraded.load(Ordering::SeqCst) {
+            assert!(
+                run > 5,
+                "breaker tripped at run {run}, within the respawn cap"
+            );
+            return;
+        }
+    }
+    panic!("FleetDegraded never arrived within 12 runs");
+}
+
 #[test]
 fn resume_rejects_corrupt_checkpoints() {
     let path = temp_checkpoint("corrupt.jsonl");

@@ -328,8 +328,8 @@ impl Drop for ScopedPlan {
 }
 
 /// SplitMix64 — the tiny, high-quality mixer used for deterministic jitter.
-/// Public so retry policies can derive per-attempt jitter from
-/// `(seed, attempt)` without any shared RNG state.
+/// Public so the socket worker's dial loop can derive per-attempt jitter
+/// from the attempt number without any shared RNG state.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;

@@ -10,6 +10,11 @@
 //! with the executor named by `ROUGHSIM_EXECUTOR` (`threads[:N]`, `serial`,
 //! `socket[:N]`; default: hardware-sized thread pool).
 //!
+//! `ROUGHSIMD_JOBS`, `ROUGHSIMD_JOB_RETRIES` and `ROUGHSIMD_CACHE_BUDGET`
+//! set the concurrent jobs, the job retry budget and the report-cache budget
+//! in bytes; a malformed value refuses start. Once started, the daemon
+//! prints one line with every setting it resolved.
+//!
 //! With `ROUGHSIM_EXECUTOR=socket:N` the daemon re-executes *itself* as its
 //! persistent workers — which is why `main` consults
 //! [`rough_engine::maybe_serve_worker`] before doing anything else.
@@ -31,7 +36,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!("usage: roughsimd [--addr HOST:PORT] [--state-dir DIR]");
-        eprintln!("  env: ROUGHSIMD_ADDR, ROUGHSIMD_STATE, ROUGHSIM_EXECUTOR");
+        eprintln!("  env: ROUGHSIMD_ADDR, ROUGHSIMD_STATE, ROUGHSIM_EXECUTOR,");
+        eprintln!("       ROUGHSIMD_JOBS, ROUGHSIMD_JOB_RETRIES, ROUGHSIMD_CACHE_BUDGET");
         return;
     }
     let addr = arg_value(&args, "--addr")
@@ -43,10 +49,7 @@ fn main() {
 
     match Daemon::start(DaemonConfig::new(&addr, &state_dir)) {
         Ok(daemon) => {
-            eprintln!(
-                "roughsimd listening on {} (state: {state_dir})",
-                daemon.addr()
-            );
+            eprintln!("roughsimd {}", daemon.describe());
             daemon.join();
             eprintln!("roughsimd stopped");
         }

@@ -220,15 +220,11 @@ impl Client {
     ///
     /// Returns [`EngineError::Socket`] on connection or protocol failure.
     pub fn status(&self) -> Result<QueueStatus, EngineError> {
-        let mut stream = self.dial()?;
-        write_frame(&mut stream, &Frame::empty(kind::STATUS))?;
-        let frame = Self::expect_reply(&mut stream, kind::STATUS_REPORT)?;
-        protocol::decode_status_report(&frame)
+        self.status_detail().map(|(status, _)| status)
     }
 
     /// Asks the daemon for its queue depths plus the per-job
-    /// `(id, priority, state)` table. A daemon predating the table answers
-    /// with an empty one.
+    /// `(id, priority, state)` table.
     ///
     /// # Errors
     ///

@@ -59,12 +59,31 @@ pub const JOBS_ENV: &str = "ROUGHSIMD_JOBS";
 /// and never blocks the runner pool.
 pub const JOB_RETRIES_ENV: &str = "ROUGHSIMD_JOB_RETRIES";
 
-/// Re-runs granted to a failing job, from [`JOB_RETRIES_ENV`].
-fn job_retries() -> u64 {
-    std::env::var(JOB_RETRIES_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
+/// Environment variable bounding the report cache, in bytes (unset =
+/// unbounded); see [`JobQueue::set_cache_budget`].
+pub const CACHE_BUDGET_ENV: &str = "ROUGHSIMD_CACHE_BUDGET";
+
+/// Parses one numeric daemon knob from the raw contents of variable `name`
+/// (`None` when unset). Unset yields `Ok(None)`, so the caller applies its
+/// default; a set value must parse after trimming whitespace.
+///
+/// # Errors
+///
+/// Returns [`EngineError::InvalidScenario`] naming the variable and its value
+/// when it does not parse.
+fn parse_knob<T: std::str::FromStr>(
+    name: &str,
+    value: Option<&str>,
+) -> Result<Option<T>, EngineError> {
+    value
+        .map(|raw| {
+            raw.trim().parse().map_err(|_| {
+                EngineError::InvalidScenario(format!(
+                    "{name}={raw:?} is not a non-negative integer"
+                ))
+            })
+        })
+        .transpose()
 }
 
 /// Configuration of a [`Daemon`].
@@ -135,6 +154,8 @@ struct Shared {
     /// Serializes the load → absorb → save cycle on the cost table:
     /// concurrent runners would otherwise lose each other's samples.
     cost_lock: Mutex<()>,
+    /// Re-runs granted to a failing job ([`JOB_RETRIES_ENV`]).
+    job_retries: u64,
 }
 
 impl Shared {
@@ -171,6 +192,8 @@ impl Shared {
 /// [`Daemon::join`].
 pub struct Daemon {
     addr: String,
+    /// The settings `start` resolved, rendered by [`Daemon::describe`].
+    settings: String,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
     runners: Vec<JoinHandle<()>>,
@@ -183,18 +206,21 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Socket`] when the address cannot be bound and
-    /// [`EngineError::Checkpoint`] when the state directory is unusable.
+    /// Returns [`EngineError::InvalidScenario`] when [`JOBS_ENV`],
+    /// [`JOB_RETRIES_ENV`] or [`CACHE_BUDGET_ENV`] is set but not a
+    /// non-negative integer, [`EngineError::Socket`] when the address cannot
+    /// be bound and [`EngineError::Checkpoint`] when the state directory is
+    /// unusable.
     pub fn start(config: DaemonConfig) -> Result<Self, EngineError> {
-        let jobs = config
-            .max_concurrent_jobs
-            .or_else(|| {
-                std::env::var(JOBS_ENV)
-                    .ok()
-                    .and_then(|v| v.trim().parse().ok())
-            })
-            .unwrap_or(1)
-            .max(1);
+        // The daemon's numeric knobs, read once: a malformed value refuses
+        // start instead of silently becoming the default.
+        let env = |name| std::env::var(name).ok();
+        let env_jobs: Option<usize> = parse_knob(JOBS_ENV, env(JOBS_ENV).as_deref())?;
+        let job_retries: u64 =
+            parse_knob(JOB_RETRIES_ENV, env(JOB_RETRIES_ENV).as_deref())?.unwrap_or(0);
+        let cache_budget: Option<u64> =
+            parse_knob(CACHE_BUDGET_ENV, env(CACHE_BUDGET_ENV).as_deref())?;
+        let jobs = config.max_concurrent_jobs.or(env_jobs).unwrap_or(1).max(1);
         // One executor per runner. A single configured executor is shared by
         // every runner; otherwise each runner builds its own from an even
         // split of the core budget, so J concurrent campaigns use no more
@@ -209,7 +235,11 @@ impl Daemon {
                     .collect::<Result<_, _>>()?
             }
         };
-        let queue = JobQueue::open(&config.state_dir)?;
+        let mut queue = JobQueue::open(&config.state_dir)?;
+        // A budget lowered between daemon lives applies on restart, not only
+        // at the next publish.
+        queue.set_cache_budget(cache_budget);
+        queue.enforce_cache_budget()?;
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| daemon_error(format!("cannot bind {}: {e}", config.addr)))?;
         let addr = listener
@@ -219,6 +249,15 @@ impl Daemon {
         listener
             .set_nonblocking(true)
             .map_err(|e| daemon_error(format!("cannot poll listener: {e}")))?;
+        let settings = format!(
+            "listening on {addr}, state {state}, executor {name}:{workers}, jobs {runners}, \
+             job retries {job_retries}, cache budget {budget}",
+            state = config.state_dir.display(),
+            name = executors[0].name(),
+            workers = executors[0].parallelism(),
+            runners = executors.len(),
+            budget = cache_budget.map_or("unbounded".to_owned(), |b| format!("{b} bytes")),
+        );
 
         let shared = Arc::new(Shared {
             queue: Mutex::new(queue),
@@ -227,6 +266,7 @@ impl Daemon {
             stop: AtomicBool::new(false),
             cost_table_path: config.state_dir.join("cost_table.json"),
             cost_lock: Mutex::new(()),
+            job_retries,
         });
 
         let accept_shared = Arc::clone(&shared);
@@ -240,6 +280,7 @@ impl Daemon {
             .collect();
 
         Ok(Self {
+            settings,
             addr,
             shared,
             accept: Some(accept),
@@ -250,6 +291,13 @@ impl Daemon {
     /// The bound address, `host:port` (useful with an ephemeral port).
     pub fn addr(&self) -> &str {
         &self.addr
+    }
+
+    /// One line naming what [`Daemon::start`] resolved: bound address, state
+    /// directory, executor (`name:workers` of a runner's executor), concurrent
+    /// jobs, job retries and report-cache budget.
+    pub fn describe(&self) -> &str {
+        &self.settings
     }
 
     /// Requests shutdown: every runner finishes (at most) its job in flight,
@@ -463,7 +511,7 @@ fn run_job(shared: &Arc<Shared>, executor: &Arc<dyn UnitExecutor>, job: u64) {
         }
         Err(e) => {
             let message = e.to_string();
-            let retries = job_retries();
+            let retries = shared.job_retries;
             let attempts = queue.record_attempt(job).unwrap_or(u64::MAX);
             if attempts <= retries {
                 // Budget left: re-queue. The job's checkpoint survives, so
@@ -545,4 +593,27 @@ fn execute_job(
     checkpoint::compact(checkpoint_path)?;
     let mut queue = shared.queue.lock().expect("queue poisoned");
     queue.publish_report(job, fingerprint)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn knobs_parse_or_refuse_naming_the_variable() {
+        assert_eq!(parse_knob::<u64>(JOB_RETRIES_ENV, None).unwrap(), None);
+        assert_eq!(parse_knob::<usize>(JOBS_ENV, Some("2")).unwrap(), Some(2));
+        assert_eq!(parse_knob::<usize>(JOBS_ENV, Some(" 2 ")).unwrap(), Some(2));
+        for (name, raw) in [
+            (CACHE_BUDGET_ENV, "10MB"),
+            (JOB_RETRIES_ENV, "two"),
+            (JOBS_ENV, "-1"),
+        ] {
+            let error = parse_knob::<u64>(name, Some(raw)).unwrap_err().to_string();
+            assert!(
+                error.contains(name) && error.contains(raw),
+                "{name}={raw}: {error}"
+            );
+        }
+    }
 }

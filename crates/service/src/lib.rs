@@ -14,8 +14,7 @@
 //! Module map:
 //!
 //! * [`protocol`] — service frame kinds (32+) and payload codecs over
-//!   [`rough_engine::frame`], evolving by appended fields so old and new
-//!   peers interoperate.
+//!   [`rough_engine::frame`], one layout per frame kind.
 //! * [`queue`] — the persistent JSONL job journal with open-time compaction,
 //!   priority/aging dispatch, per-job engine checkpoints and the published
 //!   report cache.
@@ -30,7 +29,9 @@
 //!   CI smoke tests.
 //!
 //! The report cache is bounded by the `ROUGHSIMD_CACHE_BUDGET` environment
-//! variable (bytes; unset = unbounded): least-recently-used reports are
+//! variable (bytes; unset = unbounded; [`Daemon::start`] reads it once with
+//! `ROUGHSIMD_JOBS` and `ROUGHSIMD_JOB_RETRIES` and refuses a malformed
+//! value): least-recently-used reports are
 //! evicted first, with recency journaled so the order survives restarts.
 //!
 //! Durability story: submissions are journaled before they are acknowledged;
@@ -51,7 +52,7 @@ pub mod queue;
 pub mod sweep;
 
 pub use client::{Client, Submission};
-pub use daemon::{Daemon, DaemonConfig, JOBS_ENV, JOB_RETRIES_ENV};
+pub use daemon::{Daemon, DaemonConfig, CACHE_BUDGET_ENV, JOBS_ENV, JOB_RETRIES_ENV};
 pub use protocol::{JobSummary, QueueStatus, ServiceEvent};
-pub use queue::{Job, JobQueue, JobState, Priority, CACHE_BUDGET_ENV};
+pub use queue::{Job, JobQueue, JobState, Priority};
 pub use sweep::DaemonEvaluator;

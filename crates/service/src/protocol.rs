@@ -20,15 +20,13 @@
 //! * **Shutdown**: [`kind::SHUTDOWN`] → [`kind::BYE`], then the daemon drains
 //!   and exits.
 //!
-//! # Version tolerance
+//! # Versioning
 //!
-//! Frames evolve by *appending* fields, never by reordering or changing
-//! existing ones. Decoders read sequentially and never reject trailing
-//! bytes, so an old peer simply ignores fields it predates; a new decoder
-//! checks [`rough_engine::frame::PayloadReader::remaining`] and substitutes
-//! the historical default when an optional tail is absent. Concretely: a
-//! [`kind::SUBMIT`] without the priority word decodes as `normal`, and a
-//! [`kind::STATUS_REPORT`] without the job table decodes with an empty one.
+//! Every frame kind has exactly one payload layout, and every field in it is
+//! required: a short payload is a protocol error, never a default. A layout
+//! change bumps [`rough_engine::frame::VERSION`], which `read_frame` checks
+//! on every frame, so peers of different revisions refuse each other at the
+//! first header instead of misreading a payload.
 
 use crate::queue::Priority;
 use rough_engine::frame::{Frame, PayloadWriter};
@@ -180,10 +178,9 @@ impl ServiceEvent {
         }
     }
 
-    /// Encodes the event as an [`kind::EVENT`] frame for `job`. The
-    /// `degraded` flag of [`ServiceEvent::UnitCompleted`] rides as an
-    /// appended trailing word, written only when set — clean-path frames are
-    /// byte-identical to the pre-degradation format.
+    /// Encodes the event as an [`kind::EVENT`] frame for `job`:
+    /// `(job, tag, a, b, value bits, degraded)`, where `degraded` is 1 only
+    /// for a [`ServiceEvent::UnitCompleted`] whose solve escalated.
     pub fn encode(&self, job: u64) -> Frame {
         let (tag, a, b, value) = match *self {
             ServiceEvent::UnitStarted { unit, case } => (1, unit, case, 0.0),
@@ -204,16 +201,15 @@ impl ServiceEvent {
             } => (7, solved, budget, frequency_hz),
             ServiceEvent::FleetDegraded { active, configured } => (8, active, configured, 0.0),
         };
-        let mut writer = PayloadWriter::new()
+        let degraded = matches!(self, ServiceEvent::UnitCompleted { degraded: true, .. });
+        PayloadWriter::new()
             .u64(job)
             .u64(tag)
             .u64(a)
             .u64(b)
-            .f64_bits(value);
-        if let ServiceEvent::UnitCompleted { degraded: true, .. } = self {
-            writer = writer.u64(1);
-        }
-        writer.frame(kind::EVENT)
+            .f64_bits(value)
+            .u64(u64::from(degraded))
+            .frame(kind::EVENT)
     }
 
     /// Decodes an [`kind::EVENT`] frame into `(job, event)`.
@@ -228,14 +224,14 @@ impl ServiceEvent {
         let a = reader.u64()?;
         let b = reader.u64()?;
         let value = reader.f64_bits()?;
+        let degraded = reader.u64()? != 0;
         let event = match tag {
             1 => ServiceEvent::UnitStarted { unit: a, case: b },
             2 => ServiceEvent::UnitCompleted {
                 unit: a,
                 case: b,
                 value,
-                // Appended word, absent from frames older peers send.
-                degraded: reader.remaining() >= 8 && reader.u64()? != 0,
+                degraded,
             },
             3 => ServiceEvent::CaseCompleted { case: a, units: b },
             4 => ServiceEvent::WorkerLost {
@@ -262,8 +258,8 @@ impl ServiceEvent {
     }
 }
 
-/// Encodes a [`kind::SUBMIT`] frame. The priority class rides as an appended
-/// trailing word so daemons that predate priorities ignore it.
+/// Encodes a [`kind::SUBMIT`] frame: `(scenario wire text, watch, priority
+/// class)`.
 pub fn encode_submit(scenario_wire: &str, watch: bool, priority: Priority) -> Frame {
     PayloadWriter::new()
         .str(scenario_wire)
@@ -272,26 +268,26 @@ pub fn encode_submit(scenario_wire: &str, watch: bool, priority: Priority) -> Fr
         .frame(kind::SUBMIT)
 }
 
+/// Decodes a priority class word.
+fn decode_priority(word: u64) -> Result<Priority, EngineError> {
+    u8::try_from(word)
+        .ok()
+        .and_then(Priority::from_class)
+        .ok_or_else(|| protocol_error(format!("unknown priority class {word}")))
+}
+
 /// Decodes a [`kind::SUBMIT`] frame into `(scenario wire text, watch,
-/// priority)`. Frames from clients that predate priorities lack the trailing
-/// class word and decode as [`Priority::Normal`]; an unknown class (from a
-/// newer peer) also degrades to `Normal` rather than failing the submit.
+/// priority)`.
 ///
 /// # Errors
 ///
-/// Returns [`EngineError::Socket`] on a truncated payload.
+/// Returns [`EngineError::Socket`] on a truncated payload or an unknown
+/// priority class.
 pub fn decode_submit(frame: &Frame) -> Result<(String, bool, Priority), EngineError> {
     let mut reader = frame.reader();
     let wire = reader.str()?;
     let watch = reader.u64()? != 0;
-    let priority = if reader.remaining() >= 8 {
-        u8::try_from(reader.u64()?)
-            .ok()
-            .and_then(Priority::from_class)
-            .unwrap_or_default()
-    } else {
-        Priority::Normal
-    };
+    let priority = decode_priority(reader.u64()?)?;
     Ok((wire, watch, priority))
 }
 
@@ -380,12 +376,11 @@ pub struct QueueStatus {
     /// Jobs that failed.
     pub failed: u64,
     /// Poison jobs: failed every retry [`crate::daemon::JOB_RETRIES_ENV`]
-    /// allows. Appended after the job table on the wire, so frames from
-    /// older daemons decode with 0.
+    /// allows.
     pub quarantined: u64,
 }
 
-/// One row of the per-job table appended to [`kind::STATUS_REPORT`].
+/// One row of the per-job table of [`kind::STATUS_REPORT`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobSummary {
     /// Job id.
@@ -413,17 +408,14 @@ fn state_label(tag: u64) -> &'static str {
         1 => "running",
         2 => "done",
         4 => "quarantined",
-        // Unknown future tags (and 3) render as failed — the conservative
-        // reading an old client gives a quarantined job too.
         _ => "failed",
     }
 }
 
-/// Encodes a [`kind::STATUS_REPORT`] frame: the four original counters, the
-/// appended per-job table (`count`, then `(id, priority class, state tag)`
-/// triples), then the appended `quarantined` counter. Clients that predate
-/// the table stop after the counters; clients that predate quarantine stop
-/// after the table.
+/// Encodes a [`kind::STATUS_REPORT`] frame: the `queued`, `running`,
+/// `done` and `failed` counters, the per-job table (`count`, then
+/// `(id, priority class, state tag)` triples), then the `quarantined`
+/// counter.
 pub fn encode_status_report(status: QueueStatus, jobs: &[JobSummary]) -> Frame {
     let mut writer = PayloadWriter::new()
         .u64(status.queued)
@@ -440,53 +432,33 @@ pub fn encode_status_report(status: QueueStatus, jobs: &[JobSummary]) -> Frame {
     writer.u64(status.quarantined).frame(kind::STATUS_REPORT)
 }
 
-/// Decodes the counters of a [`kind::STATUS_REPORT`] frame, ignoring the
-/// appended job table. Frames from daemons that predate quarantine decode
-/// with `quarantined == 0`.
+/// Decodes a [`kind::STATUS_REPORT`] frame into the counters and the per-job
+/// table.
 ///
 /// # Errors
 ///
-/// Returns [`EngineError::Socket`] on a truncated payload.
-pub fn decode_status_report(frame: &Frame) -> Result<QueueStatus, EngineError> {
-    decode_status_detail(frame).map(|(status, _)| status)
-}
-
-/// Decodes a [`kind::STATUS_REPORT`] frame including the per-job table. A
-/// frame from a daemon that predates the table yields an empty one; one that
-/// predates quarantine yields `quarantined == 0`.
-///
-/// # Errors
-///
-/// Returns [`EngineError::Socket`] on a truncated payload.
+/// Returns [`EngineError::Socket`] on a truncated payload or an unknown
+/// priority class.
 pub fn decode_status_detail(frame: &Frame) -> Result<(QueueStatus, Vec<JobSummary>), EngineError> {
     let mut reader = frame.reader();
-    let mut status = QueueStatus {
-        queued: reader.u64()?,
-        running: reader.u64()?,
-        done: reader.u64()?,
-        failed: reader.u64()?,
-        quarantined: 0,
-    };
+    let (queued, running, done, failed) =
+        (reader.u64()?, reader.u64()?, reader.u64()?, reader.u64()?);
+    let count = reader.u64()?;
     let mut jobs = Vec::new();
-    if reader.remaining() >= 8 {
-        let count = reader.u64()?;
-        for _ in 0..count {
-            let id = reader.u64()?;
-            let priority = u8::try_from(reader.u64()?)
-                .ok()
-                .and_then(Priority::from_class)
-                .unwrap_or_default();
-            let state = state_label(reader.u64()?);
-            jobs.push(JobSummary {
-                id,
-                priority,
-                state,
-            });
-        }
+    for _ in 0..count {
+        jobs.push(JobSummary {
+            id: reader.u64()?,
+            priority: decode_priority(reader.u64()?)?,
+            state: state_label(reader.u64()?),
+        });
     }
-    if reader.remaining() >= 8 {
-        status.quarantined = reader.u64()?;
-    }
+    let status = QueueStatus {
+        queued,
+        running,
+        done,
+        failed,
+        quarantined: reader.u64()?,
+    };
     Ok((status, jobs))
 }
 
@@ -508,23 +480,21 @@ mod tests {
     }
 
     #[test]
-    fn submit_frames_without_priority_decode_as_normal() {
-        // A client that predates priorities: scenario + watch word only.
-        let old_frame = PayloadWriter::new()
+    fn submit_frames_without_a_known_priority_are_refused() {
+        // Both a priority-less SUBMIT and one carrying an unknown class are
+        // refused; the daemon answers either with ERR.
+        let no_priority = PayloadWriter::new()
             .str("scenario wire")
             .u64(1)
             .frame(kind::SUBMIT);
-        let (wire, watch, priority) = decode_submit(&old_frame).unwrap();
-        assert_eq!(wire, "scenario wire");
-        assert!(watch);
-        assert_eq!(priority, Priority::Normal);
-        // And an unknown future class degrades to normal instead of failing.
-        let future = PayloadWriter::new()
+        assert!(decode_submit(&no_priority).is_err());
+        let unknown = PayloadWriter::new()
             .str("scenario wire")
             .u64(0)
             .u64(99)
             .frame(kind::SUBMIT);
-        assert_eq!(decode_submit(&future).unwrap().2, Priority::Normal);
+        let error = decode_submit(&unknown).unwrap_err().to_string();
+        assert!(error.contains("unknown priority class 99"), "{error}");
     }
 
     #[test]
@@ -582,37 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn clean_unit_completed_frames_keep_the_old_byte_layout() {
-        // The degraded word is appended only when set: clean-path frames are
-        // byte-identical to pre-degradation encoders, and a frame written by
-        // one of those (no trailing word) decodes as not degraded.
-        let clean = ServiceEvent::UnitCompleted {
-            unit: 1,
-            case: 2,
-            value: 1.5,
-            degraded: false,
-        }
-        .encode(9);
-        let old_style = PayloadWriter::new()
-            .u64(9)
-            .u64(2)
-            .u64(1)
-            .u64(2)
-            .f64_bits(1.5)
-            .frame(kind::EVENT);
-        assert_eq!(clean.payload, old_style.payload);
-        assert_eq!(
-            ServiceEvent::decode(&old_style).unwrap().1,
-            ServiceEvent::UnitCompleted {
-                unit: 1,
-                case: 2,
-                value: 1.5,
-                degraded: false,
-            }
-        );
-    }
-
-    #[test]
     fn job_done_carries_errors() {
         let (job, outcome) = decode_job_done(&encode_job_done(9, Ok(()))).unwrap();
         assert_eq!(job, 9);
@@ -653,48 +592,8 @@ mod tests {
             },
         ];
         let frame = encode_status_report(status, &jobs);
-        // Old client: counters only, appended job table ignored.
-        assert_eq!(decode_status_report(&frame).unwrap(), status);
-        // New client: counters plus the table.
         let (decoded, table) = decode_status_detail(&frame).unwrap();
         assert_eq!(decoded, status);
         assert_eq!(table, jobs);
-    }
-
-    #[test]
-    fn status_frames_without_job_table_decode_with_an_empty_one() {
-        // A daemon that predates the job table sends the four counters only.
-        let old_frame = PayloadWriter::new()
-            .u64(4)
-            .u64(1)
-            .u64(0)
-            .u64(0)
-            .frame(kind::STATUS_REPORT);
-        let (status, jobs) = decode_status_detail(&old_frame).unwrap();
-        assert_eq!(status.queued, 4);
-        assert_eq!(status.running, 1);
-        assert_eq!(status.quarantined, 0);
-        assert!(jobs.is_empty());
-    }
-
-    #[test]
-    fn status_frames_without_quarantine_counter_decode_as_zero() {
-        // A daemon that predates quarantine: counters plus a one-row job
-        // table, no trailing quarantined word.
-        let old_frame = PayloadWriter::new()
-            .u64(1)
-            .u64(0)
-            .u64(0)
-            .u64(0)
-            .u64(1)
-            .u64(7)
-            .u64(1)
-            .u64(0)
-            .frame(kind::STATUS_REPORT);
-        let (status, jobs) = decode_status_detail(&old_frame).unwrap();
-        assert_eq!(status.quarantined, 0);
-        assert_eq!(jobs.len(), 1);
-        assert_eq!(jobs[0].state, "queued");
-        assert_eq!(decode_status_report(&old_frame).unwrap(), status);
     }
 }

@@ -25,7 +25,8 @@
 //! tie. Journal lines without a `priority` field (written by older daemons)
 //! replay as `normal`, so existing `queue.jsonl` files keep working.
 //!
-//! The report cache is bounded: when `ROUGHSIMD_CACHE_BUDGET` (bytes) is set,
+//! The report cache is bounded: with a budget set
+//! ([`JobQueue::set_cache_budget`]; the daemon reads `ROUGHSIMD_CACHE_BUDGET`),
 //! publishing a report evicts the least-recently-used cached reports until
 //! the cache fits the budget. Recency is journaled as `touch` records — every
 //! publish and every served fetch refreshes its report — so the LRU order
@@ -48,8 +49,8 @@ use crate::protocol::QueueStatus;
 pub enum Priority {
     /// Dispatched before everything else (interactive submissions).
     High,
-    /// The default class; also what priority-less journal lines and wire
-    /// frames from older peers decode to.
+    /// The default class; also what priority-less journal lines (written
+    /// before priorities existed) replay as.
     #[default]
     Normal,
     /// Background work: yields to high/normal until aging promotes it.
@@ -244,9 +245,6 @@ fn touch_in(recency: &mut Vec<u64>, fingerprint: u64) {
     recency.push(fingerprint);
 }
 
-/// Environment variable bounding the report cache, in bytes.
-pub const CACHE_BUDGET_ENV: &str = "ROUGHSIMD_CACHE_BUDGET";
-
 /// The daemon's durable job table.
 #[derive(Debug)]
 pub struct JobQueue {
@@ -403,20 +401,14 @@ impl JobQueue {
             .append(true)
             .open(&journal_path)
             .map_err(|e| queue_error(format!("cannot append to journal: {e}")))?;
-        let mut queue = Self {
+        Ok(Self {
             root,
             journal: BufWriter::new(journal),
             jobs,
             next_id,
             recency,
-            cache_budget: std::env::var(CACHE_BUDGET_ENV)
-                .ok()
-                .and_then(|v| v.trim().parse().ok()),
-        };
-        // Trim immediately: a budget lowered between daemon lives applies on
-        // restart, not only at the next publish.
-        queue.enforce_cache_budget()?;
-        Ok(queue)
+            cache_budget: None,
+        })
     }
 
     fn write_line(&mut self, line: &str) -> Result<(), EngineError> {
@@ -620,8 +612,10 @@ impl JobQueue {
         self.write_line(&touch_line(fingerprint))
     }
 
-    /// Overrides the report-cache size budget (bytes; `None` = unbounded).
-    /// The default comes from [`CACHE_BUDGET_ENV`] at open.
+    /// Sets the report-cache size budget (bytes; `None`, the default at open,
+    /// is unbounded). The daemon applies [`crate::daemon::CACHE_BUDGET_ENV`]
+    /// here; the next publish, or an explicit
+    /// [`JobQueue::enforce_cache_budget`], trims the cache to it.
     pub fn set_cache_budget(&mut self, budget: Option<u64>) {
         self.cache_budget = budget;
     }

@@ -751,67 +751,6 @@ fn batch_jobs_complete_under_sustained_high_priority_load() {
     std::fs::remove_dir_all(&state).ok();
 }
 
-/// A client that predates priorities speaks the old SUBMIT layout (scenario +
-/// watch word, no priority) and reads only the four STATUS counters. Both
-/// conversations must still work against the new daemon, with the submission
-/// defaulting to `normal` priority.
-#[test]
-fn old_wire_clients_interoperate_with_the_new_daemon() {
-    use rough_engine::frame::{read_frame, write_frame, PayloadWriter};
-    use rough_service::protocol;
-
-    let state = temp_state("oldwire");
-    let daemon = start_daemon(&state);
-    let scenario = scenario("old-wire", 0xB1);
-    let scenario_wire = wire::encode_scenario(&scenario);
-
-    // Old-layout SUBMIT, watch = 1: exactly the bytes an old client sends.
-    let mut stream = std::net::TcpStream::connect(daemon.addr()).expect("connect");
-    let submit = PayloadWriter::new()
-        .str(&scenario_wire)
-        .u64(1)
-        .frame(protocol::kind::SUBMIT);
-    write_frame(&mut stream, &submit).expect("submit frame");
-    let reply = read_frame(&mut stream).expect("accepted frame");
-    assert_eq!(reply.kind, protocol::kind::ACCEPTED);
-    let mut reader = reply.reader();
-    let job = reader.u64().expect("job id");
-    // Stream events until the terminal JOB_DONE, like an old watcher would.
-    loop {
-        let frame = read_frame(&mut stream).expect("event stream");
-        if frame.kind == protocol::kind::JOB_DONE {
-            let (done_job, outcome) = protocol::decode_job_done(&frame).expect("job done");
-            assert_eq!(done_job, job);
-            assert!(outcome.is_ok(), "old-wire job failed: {outcome:?}");
-            break;
-        }
-        assert_eq!(frame.kind, protocol::kind::EVENT);
-    }
-
-    // The priority-less submission landed as `normal`.
-    let client = Client::new(daemon.addr());
-    let (_, jobs) = client.status_detail().expect("status detail");
-    let row = jobs.iter().find(|j| j.id == job).expect("job listed");
-    assert_eq!(row.priority, Priority::Normal);
-    assert_eq!(row.state, "done");
-
-    // Old-layout STATUS read: counters decode, the job table is ignored.
-    let mut stream = std::net::TcpStream::connect(daemon.addr()).expect("connect");
-    write_frame(
-        &mut stream,
-        &rough_engine::frame::Frame::empty(protocol::kind::STATUS),
-    )
-    .expect("status frame");
-    let reply = read_frame(&mut stream).expect("status report");
-    let counters = protocol::decode_status_report(&reply).expect("old-layout decode");
-    assert_eq!(counters.done, 1);
-    assert_eq!(counters.failed, 0);
-
-    client.shutdown().expect("shutdown");
-    daemon.join();
-    std::fs::remove_dir_all(&state).ok();
-}
-
 /// Worker-mode hook for the distributed fault-injection test below: the
 /// socket executors re-launch this test binary with
 /// `service_worker_entry --exact` as persistent worker processes.
