@@ -3,9 +3,9 @@
 //! Experiment harness reproducing every table and figure of Chen & Wong
 //! (DATE 2009). Each `src/bin/*` binary regenerates one experiment and prints
 //! the same series/rows the paper reports (aligned table on stdout plus a CSV
-//! file under `results/`); the Criterion benches under `benches/` measure the
-//! performance claims (Ewald cost, assembly scaling, 2N-vs-6N solve cost,
-//! sparse-grid vs Monte-Carlo sampling).
+//! file under `results/`). Performance is measured by the separate
+//! `perfbench/` package, and the performance gates run as tests
+//! (`tests/perf_gates.rs`).
 //!
 //! Every binary accepts `--full` to run at the paper's fidelity (η/8 grid,
 //! 2nd-order SSCM, 5000-sample Monte-Carlo). The default is a reduced *fast*

@@ -951,11 +951,21 @@ pub(crate) mod tests {
         // The blocked row-panel path may differ from the per-entry oracle only
         // at the summation-reassociation level of the batched kernel — also
         // where the flat-offset table fires (the spheroid's flat corners).
-        // Conductor-like and dielectric-like kernels.
+        // Conductor-like and dielectric-like kernels, then the paper
+        // stackup's own k₁ and k₂ at 16 GHz on the full-size Fig. 5 tile:
+        // |k|L ≈ 33, where the conductor-side spectral series is widest.
         let scheme = AssemblyScheme::default();
-        for mesh in [small_mesh(), fig5_spheroid_mesh(6, 5e-6)] {
-            for k in [c64::new(1.0e6, 1.0e6), c64::new(2.0e5, 0.0)] {
-                let g = PeriodicGreen3d::new(k, 5e-6);
+        let model = [c64::new(1.0e6, 1.0e6), c64::new(2.0e5, 0.0)];
+        let stack = rough_em::material::Stackup::paper_baseline();
+        let f16 = rough_em::units::GigaHertz::new(16.0).into();
+        let paper = [stack.k1(f16), stack.k2(f16)];
+        for (mesh, ks) in [
+            (small_mesh(), model),
+            (fig5_spheroid_mesh(6, 5e-6), model),
+            (fig5_spheroid_mesh(8, 12e-6), paper),
+        ] {
+            for k in ks {
+                let g = PeriodicGreen3d::new(k, mesh.patch_length());
                 let scalar = assemble_medium_with(
                     &mesh,
                     &g,

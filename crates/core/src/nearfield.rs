@@ -130,6 +130,13 @@ impl NearFieldPolicy {
     pub(crate) const REMAINDER_TOLERANCE: f64 = 1e-7;
     /// Depth cap of the adaptive subdivision.
     pub(crate) const MAX_DEPTH: usize = 6;
+    /// Largest accepted radius, in cell sizes. Every figure runs at ≤ 32
+    /// cells per side, so a larger radius corrects no more cells; it would
+    /// only grow the `(2⌈r⌉+1)²` offset stencil.
+    pub(crate) const MAX_RADIUS: f64 = 64.0;
+    /// Largest accepted base order, the largest Gauss–Legendre order the
+    /// quadrature rules are tested at.
+    pub(crate) const MAX_ORDER: usize = 64;
 
     /// Creates a policy.
     ///
@@ -158,8 +165,22 @@ impl NearFieldPolicy {
                 self.radius
             ));
         }
+        if self.radius > Self::MAX_RADIUS {
+            return Err(format!(
+                "near-field radius must be at most {} cell sizes, got {}",
+                Self::MAX_RADIUS,
+                self.radius
+            ));
+        }
         if self.order == 0 {
             return Err("near-field quadrature order must be positive, got 0".into());
+        }
+        if self.order > Self::MAX_ORDER {
+            return Err(format!(
+                "near-field quadrature order must be at most {}, got {}",
+                Self::MAX_ORDER,
+                self.order
+            ));
         }
         Ok(())
     }
@@ -220,6 +241,19 @@ mod tests {
         .validate()
         .unwrap_err();
         assert!(error.contains("order must be positive"), "{error}");
+        // Huge values would size the offset stencil or the quadrature rule.
+        for radius in [64.5, 1e300] {
+            let error = NearFieldPolicy { radius, order: 4 }.validate().unwrap_err();
+            assert!(error.contains("radius must be at most 64"), "{error}");
+        }
+        let error = NearFieldPolicy {
+            radius: 2.5,
+            order: 65,
+        }
+        .validate()
+        .unwrap_err();
+        assert!(error.contains("order must be at most 64"), "{error}");
+        assert_eq!(NearFieldPolicy::new(64.0, 64).validate(), Ok(()));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Graceful solver degradation on the reduced Fig. 5 matrix-free scenario.
 //!
-//! Pins the resilience acceptance criterion: with the fault plan injecting a
+//! Pins the resilience acceptance bar: with the fault plan injecting a
 //! Krylov breakdown, a matrix-free solve completes through the escalation
 //! ladder instead of erroring, the final dense fallback is bit-identical to a
 //! clean dense `DirectLu` solve, and the whole chain is recorded in

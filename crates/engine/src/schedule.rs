@@ -294,9 +294,11 @@ impl CostOrdered {
 }
 
 /// Grid size at which a matrix-free solve costs about the same as a dense
-/// solve — the measured crossover of the `BENCH_assembly.json` scaling sweep
-/// (cells ≈ 14). It pins the two static cost curves to one shared scale:
-/// `dense(cells) = mf(cells)` exactly at the crossover.
+/// solve. It pins the two static cost curves to one shared scale:
+/// `dense(cells) = mf(cells)` exactly at the crossover. The timing test
+/// `tests/perf_gates.rs` prints the measured crossover: on 2 cores it now
+/// falls between 12 and 16 cells (≈ 13). The constant stays at 14: moving
+/// it would reorder scheduled units.
 const MF_CROSSOVER_CELLS: f64 = 14.0;
 
 /// Estimated relative cost of one work unit, aware of the operator

@@ -209,6 +209,14 @@ fn invalid_near_field_policies_are_typed_errors_on_every_path() {
             radius: 2.5,
             order: 0,
         },
+        NearFieldPolicy {
+            radius: 1e300,
+            order: 4,
+        },
+        NearFieldPolicy {
+            radius: 2.5,
+            order: 1 << 20,
+        },
     ] {
         let assembly = AssemblyScheme::LocallyCorrected(policy);
         let wire = valid_wire.replace(

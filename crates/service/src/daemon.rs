@@ -36,7 +36,7 @@ use rough_engine::frame::{self, read_frame, write_frame, Frame, PayloadWriter};
 use rough_engine::{
     checkpoint, wire, CostOrdered, CostTable, EngineError, FnObserver, Run, RunConfig, UnitExecutor,
 };
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -156,9 +156,21 @@ struct Shared {
     cost_lock: Mutex<()>,
     /// Re-runs granted to a failing job ([`JOB_RETRIES_ENV`]).
     job_retries: u64,
+    /// Where [`Shared::shutdown`] connects to wake the blocking `accept`:
+    /// the bound address, with an unspecified IP replaced by loopback.
+    wake_addr: SocketAddr,
 }
 
 impl Shared {
+    /// Requests shutdown: sets the stop flag, wakes the idle runners, then
+    /// connects once to the daemon's own listener so the accept loop,
+    /// blocked in `accept`, returns and sees the flag.
+    fn shutdown(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.work.notify_all();
+        TcpStream::connect(self.wake_addr).ok();
+    }
+
     /// Sends `frame` to every watcher of `job`, dropping watchers whose
     /// connection has gone away.
     fn broadcast(&self, job: u64, frame: &Frame) {
@@ -242,13 +254,16 @@ impl Daemon {
         queue.enforce_cache_budget()?;
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| daemon_error(format!("cannot bind {}: {e}", config.addr)))?;
-        let addr = listener
+        let mut wake_addr = listener
             .local_addr()
-            .map_err(|e| daemon_error(format!("no local addr: {e}")))?
-            .to_string();
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| daemon_error(format!("cannot poll listener: {e}")))?;
+            .map_err(|e| daemon_error(format!("no local addr: {e}")))?;
+        let addr = wake_addr.to_string();
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let settings = format!(
             "listening on {addr}, state {state}, executor {name}:{workers}, jobs {runners}, \
              job retries {job_retries}, cache budget {budget}",
@@ -267,6 +282,7 @@ impl Daemon {
             cost_table_path: config.state_dir.join("cost_table.json"),
             cost_lock: Mutex::new(()),
             job_retries,
+            wake_addr,
         });
 
         let accept_shared = Arc::clone(&shared);
@@ -303,8 +319,7 @@ impl Daemon {
     /// Requests shutdown: every runner finishes (at most) its job in flight,
     /// the accept loop stops taking connections.
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.work.notify_all();
+        self.shared.shutdown();
     }
 
     /// Blocks until the accept and runner threads exit (after [`Daemon::stop`]
@@ -320,19 +335,15 @@ impl Daemon {
 }
 
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nodelay(true).ok();
-                stream.set_nonblocking(false).ok();
-                let conn_shared = Arc::clone(shared);
-                std::thread::spawn(move || handle_connection(&conn_shared, stream));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(_) => break,
+    for stream in listener.incoming() {
+        // Shutdown sets the flag before its wake-up connection arrives.
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
         }
+        let Ok(stream) = stream else { break };
+        stream.set_nodelay(true).ok();
+        let conn_shared = Arc::clone(shared);
+        std::thread::spawn(move || handle_connection(&conn_shared, stream));
     }
 }
 
@@ -396,8 +407,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
             }
             kind::SHUTDOWN => {
                 write_frame(&mut stream, &Frame::empty(kind::BYE)).ok();
-                shared.stop.store(true, Ordering::SeqCst);
-                shared.work.notify_all();
+                shared.shutdown();
                 return;
             }
             other => send_err(&mut stream, &format!("unexpected frame kind {other}")),

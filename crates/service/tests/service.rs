@@ -5,8 +5,8 @@
 //! two jobs observably running at once, concurrent reports bit-identical to
 //! serial ones, every interrupted concurrent job resuming across a restart,
 //! distributed-worker death during concurrent jobs, batch-priority progress
-//! under sustained high-priority load, and wire compatibility with clients
-//! that predate priorities.
+//! under sustained high-priority load, wire compatibility with clients
+//! that predate priorities, and an idle daemon stopping promptly.
 
 use rough_core::RoughnessSpec;
 use rough_em::material::Stackup;
@@ -76,6 +76,36 @@ fn temp_state(name: &str) -> PathBuf {
 fn start_daemon(state: &PathBuf) -> Daemon {
     Daemon::start(DaemonConfig::new("127.0.0.1:0", state).executor(Arc::new(SerialExecutor)))
         .expect("daemon starts")
+}
+
+/// Runs `join` on a watchdog thread and fails if it has not returned after
+/// 10 s: the accept loop blocks in `accept`, so a shutdown that does not wake
+/// it hangs here.
+fn join_within_10s(daemon: Daemon, label: &str) {
+    let (done, joined) = std::sync::mpsc::channel();
+    let watchdog = std::thread::spawn(move || {
+        daemon.join();
+        done.send(()).ok();
+    });
+    joined
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .unwrap_or_else(|_| panic!("{label}: join() did not return within 10 s"));
+    watchdog.join().expect("join thread panicked");
+}
+
+#[test]
+fn idle_daemon_stops_on_stop_and_on_client_shutdown() {
+    let state = temp_state("idle-stop");
+    let daemon = start_daemon(&state);
+    daemon.stop();
+    join_within_10s(daemon, "Daemon::stop");
+
+    let daemon = start_daemon(&state);
+    Client::new(daemon.addr())
+        .shutdown()
+        .expect("SHUTDOWN answered");
+    join_within_10s(daemon, "client SHUTDOWN");
+    std::fs::remove_dir_all(&state).ok();
 }
 
 #[test]

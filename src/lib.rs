@@ -123,14 +123,14 @@ pub use rough_sweep as sweep;
 /// `radius` cell sizes (minimum-image distance). It is the only near-field
 /// scheme; raise `radius`/`order` through the respective `assembly(..)`
 /// builder methods for high-accuracy reference runs. Every entry point
-/// refuses an invalid policy (non-finite or non-positive radius, zero order)
-/// with a typed error.
+/// refuses an invalid policy (a radius that is not positive and finite or
+/// exceeds 64 cell sizes, an order of 0 or above 64) with a typed error.
 ///
 /// Orthogonally, [`KernelEval`](rough_core::KernelEval) selects how the
 /// Ewald-summed periodic kernel is evaluated: the default
 /// `KernelEval::Batched` assembles the MOM matrix in blocked row panels
 /// through the batched kernel API (several times faster; see
-/// `docs/ARCHITECTURE.md` and `BENCH_assembly.json`), while
+/// `docs/ARCHITECTURE.md`), while
 /// `KernelEval::Scalar` is the per-entry oracle the batched path is pinned
 /// against (≤ 1e-12 relative agreement).
 pub mod prelude {
