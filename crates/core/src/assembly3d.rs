@@ -949,7 +949,7 @@ pub(crate) mod tests {
     #[test]
     fn batched_and_scalar_assembly_agree() {
         // The blocked row-panel path may differ from the per-entry oracle only
-        // at the summation-reassociation level of the batched kernel — also
+        // at the rounding level of the batched kernel — also
         // where the flat-offset table fires (the spheroid's flat corners).
         // Conductor-like and dielectric-like kernels, then the paper
         // stackup's own k₁ and k₂ at 16 GHz on the full-size Fig. 5 tile:
@@ -983,7 +983,7 @@ pub(crate) mod tests {
                 // Entries that nearly cancel (e.g. far double-layer entries on
                 // almost-coplanar pairs) carry rounding noise proportional to
                 // the *largest* entry of their block, so that is the scale the
-                // reassociation-level agreement is measured against.
+                // rounding-level agreement is measured against.
                 let scale_s = max_abs(&scalar.single_layer);
                 let scale_d = max_abs(&scalar.double_layer).max(scale_s);
                 for i in 0..mesh.len() {

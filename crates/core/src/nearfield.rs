@@ -91,8 +91,8 @@ impl AssemblyStats {
 ///
 /// Orthogonal to [`AssemblyScheme`] (which decides *what* is integrated where,
 /// i.e. the numerics), this knob decides *how* the Ewald-summed kernel is
-/// evaluated — it changes floating-point results only at the summation-
-/// reassociation level (≤ 1e-12 relative, pinned by the equivalence tests):
+/// evaluated — it changes floating-point results only at the rounding level
+/// (≤ 1e-12 relative, pinned by the equivalence tests):
 ///
 /// * [`KernelEval::Scalar`] — one kernel evaluation per matrix entry, exactly
 ///   the historical code path. Kept as the oracle for equivalence tests and

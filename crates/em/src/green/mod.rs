@@ -21,14 +21,15 @@
 //!   one separation per call, every per-`k` and per-mode constant recomputed
 //!   inside the call. This is the reference ("oracle") path that the batched
 //!   path is pinned against.
-//! * **batched** — [`PeriodicGreen3d::eval_batch`],
-//!   [`PeriodicGreen3d::eval_batch_samples`] (values + gradients),
-//!   [`PeriodicGreen3d::eval_batch_regularized`], and the 2D counterparts
-//!   [`PeriodicGreen2d::eval_batch`] /
+//! * **batched** — [`PeriodicGreen3d::eval_batch_samples`] (values +
+//!   gradients), [`PeriodicGreen3d::eval_batch_regularized`], and the 2D
+//!   counterparts [`PeriodicGreen2d::eval_batch`] /
 //!   [`PeriodicGreen2d::eval_batch_samples`]: many separations per call, with
 //!   the Ewald splitting setup, lattice-sum loop bounds, Floquet-mode
 //!   constants and `erfc`/`exp` class factors hoisted out of the inner loop
-//!   and shared across the batch. The MOM assembly gathers all far-field
+//!   and shared across the batch. The 3D sums also fold each term's
+//!   exponentials into the Faddeeva function and evaluate all of a sum's
+//!   terms in one lane-parallel call. The MOM assembly gathers all far-field
 //!   observation–source separations of a row panel into one batched call
 //!   (see `rough_core`), which is where the assembly speedup comes from.
 

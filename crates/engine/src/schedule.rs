@@ -297,8 +297,9 @@ impl CostOrdered {
 /// solve. It pins the two static cost curves to one shared scale:
 /// `dense(cells) = mf(cells)` exactly at the crossover. The timing test
 /// `tests/perf_gates.rs` prints the measured crossover: on 2 cores it now
-/// falls between 12 and 16 cells (≈ 13). The constant stays at 14: moving
-/// it would reorder scheduled units.
+/// sits at 16 cells (dense and matrix-free both 0.84 s), since the folded
+/// Faddeeva evaluation made dense far entries cheaper. The constant stays
+/// at 14: moving it would reorder scheduled units.
 const MF_CROSSOVER_CELLS: f64 = 14.0;
 
 /// Estimated relative cost of one work unit, aware of the operator

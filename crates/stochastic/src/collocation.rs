@@ -22,6 +22,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use rough_numerics::stats::EmpiricalCdf;
+use std::sync::OnceLock;
 
 /// Configuration of an SSCM run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,12 +47,19 @@ impl Default for SscmConfig {
 }
 
 /// Result of an SSCM run.
+///
+/// The CDF is built from `surrogate_samples` draws of the surrogate on the
+/// first [`SscmResult::cdf`] call, not with the result: a report that never
+/// reads it does not hold the sorted samples.
 #[derive(Debug, Clone)]
 pub struct SscmResult {
     surrogate: PceSurrogate,
     evaluations: usize,
     order: usize,
-    cdf: EmpiricalCdf,
+    dimension: usize,
+    surrogate_samples: usize,
+    seed: u64,
+    cdf: OnceLock<EmpiricalCdf>,
 }
 
 impl SscmResult {
@@ -86,9 +94,23 @@ impl SscmResult {
         &self.surrogate
     }
 
-    /// CDF of the quantity of interest obtained by sampling the surrogate.
+    /// CDF of the quantity of interest obtained by sampling the surrogate
+    /// (built on the first call).
     pub fn cdf(&self) -> &EmpiricalCdf {
-        &self.cdf
+        self.cdf.get_or_init(|| {
+            let mut rng = StdRng::seed_from_u64(self.seed);
+            let mut samples = Vec::with_capacity(self.surrogate_samples);
+            let mut xi = vec![0.0; self.dimension];
+            for _ in 0..self.surrogate_samples {
+                for x in xi.iter_mut() {
+                    let u1: f64 = rng.gen::<f64>().max(1e-300);
+                    let u2: f64 = rng.gen();
+                    *x = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+                }
+                samples.push(self.surrogate.evaluate(&xi));
+            }
+            EmpiricalCdf::from_samples(&samples)
+        })
     }
 }
 
@@ -156,26 +178,14 @@ pub fn run_sscm_on_grid(grid: &SparseGrid, config: &SscmConfig, node_values: &[f
         }
         coefficients.push(projection / alpha.norm_squared());
     }
-    let surrogate = PceSurrogate::new(basis, coefficients);
-
-    // Sample the (cheap) surrogate to obtain the output CDF.
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut samples = Vec::with_capacity(config.surrogate_samples);
-    let mut xi = vec![0.0; dimension];
-    for _ in 0..config.surrogate_samples {
-        for x in xi.iter_mut() {
-            let u1: f64 = rng.gen::<f64>().max(1e-300);
-            let u2: f64 = rng.gen();
-            *x = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        }
-        samples.push(surrogate.evaluate(&xi));
-    }
-
     SscmResult {
-        surrogate,
+        surrogate: PceSurrogate::new(basis, coefficients),
         evaluations: grid.len(),
         order: config.order,
-        cdf: EmpiricalCdf::from_samples(&samples),
+        dimension,
+        surrogate_samples: config.surrogate_samples,
+        seed: config.seed,
+        cdf: OnceLock::new(),
     }
 }
 
@@ -285,6 +295,38 @@ mod tests {
         let hi = result.mean() + result.std_dev();
         let mass = result.cdf().evaluate(hi) - result.cdf().evaluate(lo);
         assert!((mass - 0.683).abs() < 0.02, "mass = {mass}");
+    }
+
+    #[test]
+    fn lazily_built_cdf_matches_the_eager_sampling_loop() {
+        let config = SscmConfig {
+            order: 2,
+            surrogate_samples: 3000,
+            seed: 17,
+        };
+        let result = run_sscm(3, &config, quadratic_model);
+        // The eager loop every SSCM result used to run before returning.
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut samples = Vec::new();
+        let mut xi = vec![0.0; 3];
+        for _ in 0..config.surrogate_samples {
+            for x in xi.iter_mut() {
+                let u1: f64 = rng.gen::<f64>().max(1e-300);
+                let u2: f64 = rng.gen();
+                *x = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            }
+            samples.push(result.surrogate().evaluate(&xi));
+        }
+        let eager = EmpiricalCdf::from_samples(&samples);
+        let bits = |cdf: &EmpiricalCdf| -> Vec<u64> {
+            cdf.sorted_samples().iter().map(|x| x.to_bits()).collect()
+        };
+
+        let before = result.clone();
+        assert_eq!(bits(result.cdf()), bits(&eager));
+        let after = result.clone();
+        assert_eq!(bits(before.cdf()), bits(&eager));
+        assert_eq!(bits(after.cdf()), bits(&eager));
     }
 
     #[test]
