@@ -30,10 +30,24 @@
 //! smallest 2/3/5-smooth such length (any `M ≥ 2m−1` embeds the linear
 //! convolution exactly; smooth lengths keep the FFT on its fast path). One
 //! matvec is then: spread the four source sets `{Ψ, −f_x Ψ, −f_y Ψ, U}` onto
-//! the `M × n × n` cube with the Lagrange weights, four forward 3-D FFTs
-//! ([`rough_numerics::fft::fft3_in_place`]), eight pointwise transfer
-//! products (value + three gradient components × two media), four inverse
-//! FFTs, and a weighted gather.
+//! the `M × n × n` cube with the Lagrange weights, four forward 3-D FFTs,
+//! eight pointwise transfer products (value + three gradient components × two
+//! media) summed into the two rows of paper eq. (9), `G₁ + β·S₁` and
+//! `−(G₂ + S₂)`, two inverse FFTs, and a weighted gather.
+//!
+//! **Pruned transforms.** The spread writes only the `m` slab levels and
+//! the gather reads only those back, so the transforms
+//! ([`rough_numerics::fft::fft3_in_place_live`]) run x and y on those `m`
+//! of the `M ≥ 2m−1` planes: before z on the way in, after it on the way
+//! out.
+//!
+//! **Workers.** The operator keeps the worker count of the
+//! [`AssemblyParallelism`] it was assembled under. The table FFTs of the
+//! setup and, in every matvec, the four forward FFTs, the chunked products
+//! and the two inverse FFTs run on that many scoped threads. Every cube and
+//! every product index is computed by exactly one thread, so the matvec is
+//! bit-identical at any worker count. A flat operator (one plane) stays on
+//! the calling thread.
 //!
 //! **Precorrection.** Every pair within the corrected scheme's near radius
 //! (2-D minimum-image, a superset of the dense scheme's 3-D near set) gets a
@@ -60,10 +74,10 @@ use crate::assembly3d::{
 };
 use crate::mesh::PatchMesh;
 use crate::nearfield::{AssemblyStats, KernelEval, NearFieldPolicy};
-use crate::parallel::{map_rows, AssemblyParallelism};
+use crate::parallel::{for_each_split, map_rows, AssemblyParallelism};
 use rough_em::green::{GreenSample, PeriodicGreen3d, SeparationVector};
 use rough_numerics::complex::c64;
-use rough_numerics::fft::{fft3_in_place, next_smooth_len, Direction};
+use rough_numerics::fft::{fft3_in_place, fft3_in_place_live, next_smooth_len, Direction};
 use rough_numerics::iterative::LinearOperator;
 use rough_numerics::quadrature2d::QuadScratch;
 use std::collections::HashMap;
@@ -433,6 +447,10 @@ pub struct MatrixFreeOperator {
     fy: Vec<f64>,
     rhs: Vec<c64>,
     stats: AssemblyStats,
+    /// Threads of the setup's table FFTs and of every [`LinearOperator::apply`]:
+    /// the assembly's worker count, or 1 for a flat (one-plane) operator,
+    /// whose transforms cost less than spawning a thread.
+    workers: usize,
 }
 
 impl MatrixFreeOperator {
@@ -442,7 +460,8 @@ impl MatrixFreeOperator {
     /// precorrections (reusing the locally corrected integrator and the
     /// flat-offset table of the dense path, row-parallel under
     /// `parallelism`), and the incident-field
-    /// right-hand side. The operator is bit-identical at any worker count.
+    /// right-hand side. The matvec runs on the same number of workers. The
+    /// operator and its matvec are bit-identical at any worker count.
     ///
     /// Mirrors [`crate::assembly3d::assemble_system_with`]: `g1`/`g2` are the
     /// periodic kernels of the two media, `beta` the boundary contrast, `k1`
@@ -661,17 +680,22 @@ impl MatrixFreeOperator {
         }
 
         // The near corrections are settled; switch the generator tables to
-        // the spectral domain for the matvec. The cached copies stay spatial,
-        // so the FFT acts on this operator's private clones.
-        let mut tables = [
-            MediumTables::clone(&tables[0]),
-            MediumTables::clone(&tables[1]),
-        ];
-        for table in &mut tables {
-            for cube in [&mut table.val, &mut table.gx, &mut table.gy, &mut table.gz] {
-                let Ok(()) = fft3_in_place(cube, slab.planes, side, side, Direction::Forward);
-            }
-        }
+        // the spectral domain for the matvec, the eight cubes split over the
+        // workers. Tables built
+        // for this operator alone are moved; a cached entry stays spatial, so
+        // the FFT acts on a private clone of it.
+        let workers = match slab.planes {
+            1 => 1,
+            _ => parallelism.worker_count(),
+        };
+        let mut tables = tables.map(Arc::unwrap_or_clone);
+        let mut cubes: Vec<&mut Vec<c64>> = tables
+            .iter_mut()
+            .flat_map(|t| [&mut t.val, &mut t.gx, &mut t.gy, &mut t.gz])
+            .collect();
+        for_each_split(&mut cubes, workers, |cube| {
+            let Ok(()) = fft3_in_place(cube, slab.planes, side, side, Direction::Forward);
+        });
 
         let mut rhs = vec![c64::zero(); 2 * ncells];
         for (i, cell) in cells.iter().enumerate() {
@@ -691,6 +715,7 @@ impl MatrixFreeOperator {
             fy: cells.iter().map(|c| c.fy).collect(),
             rhs,
             stats,
+            workers,
         }
     }
 
@@ -754,25 +779,27 @@ impl MatrixFreeOperator {
         }
     }
 
-    /// Spreads per-cell source values onto the FFT cube with the slab
+    /// Spreads per-cell source values onto the empty `cube` with the slab
     /// weights: `cube[v][iy][ix] += ℓ_v(z_j) · value_j` (each cell owns one
-    /// lateral position, so there are no write conflicts).
-    fn spread(&self, values: &[c64]) -> Vec<c64> {
+    /// lateral position, so there are no write conflicts). The cube is
+    /// zero-filled first; only the slab's `levels` leading planes get values.
+    fn spread(&self, values: &[c64], cube: &mut Vec<c64>) {
         let nn = self.ncells;
         let p = self.slab.order;
-        let mut cube = vec![c64::zero(); self.slab.planes * nn];
+        debug_assert!(cube.is_empty(), "spread needs an empty cube");
+        cube.resize(self.slab.planes * nn, c64::zero());
         for (j, &v) in values.iter().enumerate() {
             let s = self.slab.starts[j];
             for l in 0..p {
                 cube[(s + l) * nn + j] += v.scale(self.slab.weights[j * p + l]);
             }
         }
-        cube
     }
 
     /// Gathers the convolution output back to the cells with the same slab
     /// weights, scaled by the cell area (the quadrature measure of the
-    /// midpoint far-field rule).
+    /// midpoint far-field rule). Reads only the slab's `levels` leading
+    /// planes.
     fn gather(&self, cube: &[c64], out: &mut [c64]) {
         let nn = self.ncells;
         let p = self.slab.order;
@@ -794,67 +821,80 @@ impl LinearOperator for MatrixFreeOperator {
 
     fn apply(&self, x: &[c64]) -> Vec<c64> {
         let n = self.ncells;
-        let side = self.side;
-        let planes = self.slab.planes;
+        let (side, planes, live) = (self.side, self.slab.planes, self.slab.levels);
         let (x1, x2) = x.split_at(n);
 
-        // Spread the four shared source sets and transform them.
-        let mut cube_u = self.spread(x2);
-        let psi = x1;
-        let mut cube_psi = self.spread(psi);
-        let scaled_fx: Vec<c64> = psi
-            .iter()
-            .zip(&self.fx)
-            .map(|(v, &f)| v.scale(-f))
-            .collect();
-        let scaled_fy: Vec<c64> = psi
-            .iter()
-            .zip(&self.fy)
-            .map(|(v, &f)| v.scale(-f))
-            .collect();
-        let mut cube_fx = self.spread(&scaled_fx);
-        let mut cube_fy = self.spread(&scaled_fy);
-        for cube in [&mut cube_u, &mut cube_psi, &mut cube_fx, &mut cube_fy] {
-            let Ok(()) = fft3_in_place(cube, planes, side, side, Direction::Forward);
-        }
+        // The four shared source sets `{U, Ψ, −f_x Ψ, −f_y Ψ}`, each spread
+        // onto its cube and transformed on a worker. Every cube is allocated
+        // on this thread, so the freed memory returns to one heap; the
+        // workers fill it. Only the `live` slab levels are non-zero.
+        let sloped =
+            |f: &[f64]| -> Vec<c64> { x1.iter().zip(f).map(|(v, &f)| v.scale(-f)).collect() };
+        let (src_fx, src_fy) = (sloped(&self.fx), sloped(&self.fy));
+        let mut cubes = [x2, x1, &src_fx, &src_fy].map(|v| (v, Vec::with_capacity(planes * n)));
+        for_each_split(&mut cubes, self.workers, |(values, cube)| {
+            self.spread(values, cube);
+            let Ok(()) = fft3_in_place_live(cube, planes, side, side, live, Direction::Forward);
+        });
+        let [(_, mut top), (_, mut bottom), (_, cube_fx), (_, cube_fy)] = cubes;
 
-        // Pointwise transfer products per medium, then back to real space.
-        // The double-layer spread sets already carry `(−f_x, −f_y, 1)`, i.e.
-        // the source normal times its Jacobian, so the gathered result is
-        // `Σ_j (∇G · n̂_j J_j) Ψ_j` and `D·Ψ` is its negative.
-        let mut single = [vec![c64::zero(); n], vec![c64::zero(); n]];
-        let mut double = [vec![c64::zero(); n], vec![c64::zero(); n]];
-        for m in 0..2 {
-            let t = &self.tables[m];
-            let mut out_s = vec![c64::zero(); planes * n];
-            let mut out_d = vec![c64::zero(); planes * n];
-            for idx in 0..planes * n {
-                out_s[idx] = t.val[idx] * cube_u[idx];
-                out_d[idx] =
-                    t.gx[idx] * cube_fx[idx] + t.gy[idx] * cube_fy[idx] + t.gz[idx] * cube_psi[idx];
+        // Pointwise transfer products, the two media combined per paper
+        // eq. (9) and written over the `U` and `Ψ` cubes:
+        //
+        //   top ← G₁ + β·S₁,   bottom ← −(G₂ + S₂),
+        //
+        // with `S_m = val_m·U` and `G_m = gx_m·F_x + gy_m·F_y + gz_m·Ψ`. The
+        // double-layer spread sets carry `(−f_x, −f_y, 1)`, the source normal
+        // times its Jacobian, so `G_m` gathers to `Σ_j (∇G·n̂_j J_j) Ψ_j`, the
+        // negative of `D_m·Ψ`. Each index is independent, so the chunks run
+        // on the workers.
+        let [t1, t2] = &self.tables;
+        let beta = self.beta;
+        let chunk = (planes * n).div_ceil(self.workers);
+        let mut ranges: Vec<_> = top
+            .chunks_mut(chunk)
+            .zip(bottom.chunks_mut(chunk))
+            .enumerate()
+            .map(|(c, (u, psi))| (c * chunk, u, psi))
+            .collect();
+        for_each_split(&mut ranges, self.workers, |(start, u, psi)| {
+            let r = *start..*start + u.len();
+            let (fx, fy) = (&cube_fx[r.clone()], &cube_fy[r.clone()]);
+            let [v1, gx1, gy1, gz1] = [&t1.val, &t1.gx, &t1.gy, &t1.gz].map(|c| &c[r.clone()]);
+            let [v2, gx2, gy2, gz2] = [&t2.val, &t2.gx, &t2.gy, &t2.gz].map(|c| &c[r.clone()]);
+            for k in 0..u.len() {
+                let (uk, pk) = (u[k], psi[k]);
+                let g1 = gx1[k] * fx[k] + gy1[k] * fy[k] + gz1[k] * pk;
+                let g2 = gx2[k] * fx[k] + gy2[k] * fy[k] + gz2[k] * pk;
+                u[k] = g1 + beta * (v1[k] * uk);
+                psi[k] = -(g2 + v2[k] * uk);
             }
-            let Ok(()) = fft3_in_place(&mut out_s, planes, side, side, Direction::Inverse);
-            let Ok(()) = fft3_in_place(&mut out_d, planes, side, side, Direction::Inverse);
-            self.gather(&out_s, &mut single[m]);
-            self.gather(&out_d, &mut double[m]);
-            for v in &mut double[m] {
-                *v = -*v;
-            }
-            // Sparse near-field precorrections.
-            for (i, row) in self.near[m].iter().enumerate() {
-                for &(j, ds, dd) in row {
-                    single[m][i] += ds * x2[j];
-                    double[m][i] += dd * x1[j];
-                }
-            }
-        }
+        });
 
-        // Combine per paper eq. (9).
+        // Two inverse transforms, needed on the live levels only.
+        let mut rows = [top, bottom];
+        for_each_split(&mut rows, self.workers, |cube| {
+            let Ok(()) = fft3_in_place_live(cube, planes, side, side, live, Direction::Inverse);
+        });
+
+        // Gather, then the `½ I` free terms and the sparse near-field
+        // precorrections of the same two rows.
         let half = c64::from_real(0.5);
         let mut y = vec![c64::zero(); 2 * n];
-        for i in 0..n {
-            y[i] = half * x1[i] - double[0][i] + self.beta * single[0][i];
-            y[n + i] = half * x1[i] + double[1][i] - single[1][i];
+        let (y_top, y_bottom) = y.split_at_mut(n);
+        self.gather(&rows[0], y_top);
+        self.gather(&rows[1], y_bottom);
+        for (i, (near1, near2)) in self.near[0].iter().zip(&self.near[1]).enumerate() {
+            let mut acc = y_top[i] + half * x1[i];
+            for &(j, ds, dd) in near1 {
+                acc += beta * (ds * x2[j]) - dd * x1[j];
+            }
+            y_top[i] = acc;
+            let mut acc = y_bottom[i] + half * x1[i];
+            for &(j, ds, dd) in near2 {
+                acc += dd * x1[j] - ds * x2[j];
+            }
+            y_bottom[i] = acc;
         }
         y
     }
@@ -1315,6 +1355,50 @@ mod tests {
                 assert_eq!(serial.stats(), threaded.stats());
                 for (u, v) in serial.rhs().iter().zip(threaded.rhs()) {
                     assert_eq!(bits(u), bits(v));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_matvec_is_bit_identical() {
+        // The Fig. 5 spheroid in the paper stack-up (its pruned transforms
+        // run on the workers), and a flat operator (one plane, which stays
+        // on the calling thread).
+        let (tile, [k1, k2]) = flat_table_regimes()[0];
+        let g1 = PeriodicGreen3d::new(k1, tile);
+        let g2 = PeriodicGreen3d::new(k2, tile);
+        for (mesh, planes_above_one) in [
+            (fig5_spheroid_mesh(8, tile), true),
+            (PatchMesh::from_surface(&RoughSurface::flat(6, tile)), false),
+        ] {
+            let build = |parallelism| {
+                MatrixFreeOperator::assemble(
+                    &mesh,
+                    &g1,
+                    &g2,
+                    c64::new(0.0, -1e-7),
+                    k1,
+                    NearFieldPolicy::default(),
+                    MatrixFreePolicy::default(),
+                    KernelEval::default(),
+                    parallelism,
+                )
+            };
+            let bits = |y: &[c64]| -> Vec<(u64, u64)> {
+                y.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+            };
+            let serial = build(AssemblyParallelism::Serial);
+            // A rough slab has dead planes for the pruned transforms to skip.
+            assert_eq!(serial.slab_levels() < serial.fft_planes(), planes_above_one);
+            let x = random_vector(serial.dim(), 11);
+            let reference = bits(&serial.apply(&x));
+            assert_eq!(bits(&serial.apply(&x)), reference, "repeated serial apply");
+            for workers in [2, 4] {
+                let threaded = build(AssemblyParallelism::Threads(workers));
+                assert_eq!(threaded.workers, if planes_above_one { workers } else { 1 });
+                for _ in 0..2 {
+                    assert_eq!(bits(&threaded.apply(&x)), reference, "{workers} workers");
                 }
             }
         }

@@ -27,7 +27,8 @@ use std::sync::Mutex;
 pub const ASSEMBLY_THREADS_ENV: &str = "ROUGHSIM_ASSEMBLY_THREADS";
 
 /// How many threads one assembly call spreads its row panels — and, for the
-/// matrix-free operator, its generator planes and near precorrections — over.
+/// matrix-free operator, its generator planes, near precorrections, table
+/// FFTs and every matvec's FFTs and products — over.
 ///
 /// Orthogonal to [`crate::AssemblyScheme`] and [`crate::KernelEval`]: the
 /// knob changes wall-clock time only — parallel and serial assemblies are
@@ -155,6 +156,32 @@ where
     pairs.into_iter().map(|(_, value)| value).collect()
 }
 
+/// Runs `task` on every item, the items split into at most `threads`
+/// contiguous runs of near-equal length, one scoped worker thread per run
+/// (the first run on the calling thread).
+///
+/// Each item is handled by exactly one thread, so independent tasks give the
+/// same bits at any thread count. The matrix-free operator uses it for its
+/// FFT cubes and its pointwise product chunks.
+pub(crate) fn for_each_split<T: Send>(
+    items: &mut [T],
+    threads: usize,
+    task: impl Fn(&mut T) + Sync,
+) {
+    let per_run = items.len().div_ceil(threads.max(1)).max(1);
+    let mut runs = items.chunks_mut(per_run);
+    let Some(first) = runs.next() else {
+        return;
+    };
+    let task = &task;
+    std::thread::scope(|scope| {
+        for run in runs {
+            scope.spawn(move || run.iter_mut().for_each(task));
+        }
+        first.iter_mut().for_each(task);
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,6 +222,20 @@ mod tests {
             },
         );
         assert_eq!(parallel.iter().sum::<usize>(), 50);
+    }
+
+    #[test]
+    fn for_each_split_touches_every_item_once_at_any_thread_count() {
+        for threads in [1, 2, 3, 4, 8] {
+            for len in [0, 1, 2, 4, 7] {
+                let mut items: Vec<(usize, usize)> = (0..len).map(|i| (i, 0)).collect();
+                for_each_split(&mut items, threads, |(i, hits)| *hits += *i + 1);
+                assert!(
+                    items.iter().all(|&(i, hits)| hits == i + 1),
+                    "{threads} threads, {len} items"
+                );
+            }
+        }
     }
 
     #[test]

@@ -296,10 +296,12 @@ impl CostOrdered {
 /// Grid size at which a matrix-free solve costs about the same as a dense
 /// solve. It pins the two static cost curves to one shared scale:
 /// `dense(cells) = mf(cells)` exactly at the crossover. The timing test
-/// `tests/perf_gates.rs` prints the measured crossover: on 2 cores it now
-/// sits at 16 cells (dense and matrix-free both 0.84 s), since the folded
-/// Faddeeva evaluation made dense far entries cheaper. The constant stays
-/// at 14: moving it would reorder scheduled units.
+/// `tests/perf_gates.rs` prints the measured crossover of its serial
+/// solves: on 2 cores it now sits between 12 and 16 cells, since the
+/// pruned, spectrally combined matvec made matrix-free solves cheaper
+/// (three runs: dense 0.47–0.52 s against matrix-free 0.48–0.57 s at 12
+/// cells, 1.18–1.23 s against 0.94–1.04 s at 16). The constant stays at 14:
+/// moving it would reorder scheduled units.
 const MF_CROSSOVER_CELLS: f64 = 14.0;
 
 /// Estimated relative cost of one work unit, aware of the operator

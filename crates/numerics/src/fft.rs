@@ -17,7 +17,10 @@
 //! stationary Gaussian surface with a prescribed power spectral density, paper
 //! §II / Fig. 2) and by the matrix-free block-Toeplitz matvec of
 //! `rough-core`, whose lateral axes have the mesh side (often 12, 20 or 24
-//! cells) and whose z axis is sized by [`next_smooth_len`].
+//! cells) and whose z axis is sized by [`next_smooth_len`]. The matvec's
+//! cubes hold data in only their leading planes, so it calls
+//! [`fft3_in_place_live`], which skips the x and y transforms of the other
+//! planes.
 
 use crate::complex::c64;
 use std::f64::consts::PI;
@@ -325,10 +328,11 @@ fn transform_axis(data: &mut [c64], len: usize, inner: usize, direction: Directi
     }
 }
 
-/// Applies the `1/N` of the inverse transform.
-fn normalize(data: &mut [c64], direction: Direction) {
+/// Applies the `1/len` scale of an inverse transform of `len` points to
+/// `data`, which may be only the kept part of the transformed buffer.
+fn normalize(data: &mut [c64], len: usize, direction: Direction) {
     if direction == Direction::Inverse {
-        let scale = 1.0 / data.len() as f64;
+        let scale = 1.0 / len as f64;
         for z in data.iter_mut() {
             *z = z.scale(scale);
         }
@@ -344,7 +348,7 @@ fn normalize(data: &mut [c64], direction: Direction) {
 /// Never fails: [`FftError`] has no values.
 pub fn fft_in_place(data: &mut [c64], direction: Direction) -> Result<(), FftError> {
     transform_axis(data, data.len(), 1, direction);
-    normalize(data, direction);
+    normalize(data, data.len(), direction);
     Ok(())
 }
 
@@ -416,7 +420,57 @@ pub fn fft3_in_place(
     transform_axis(data, cols, 1, direction);
     transform_axis(data, rows, cols, direction);
     transform_axis(data, planes, rows * cols, direction);
-    normalize(data, direction);
+    normalize(data, data.len(), direction);
+    Ok(())
+}
+
+/// [`fft3_in_place`] for a cube whose planes from `live` on are zero on the
+/// way in (forward) or not wanted on the way out (inverse): the x and y
+/// transforms run on the first `live` planes only.
+///
+/// * **Forward** transforms x and y on the `live` planes, then z over all
+///   planes. The x and y transforms of a zero plane are zero, so the output
+///   has the bits of [`fft3_in_place`] (up to the sign of exact zeros).
+/// * **Inverse** transforms z over all planes first, then y and x on the
+///   `live` planes, and normalizes only those. The other planes are left
+///   holding partial transforms. The axis order differs from
+///   [`fft3_in_place`], so the live planes agree with it to rounding.
+///
+/// Used by the matrix-free operator of `rough-core`, whose spread cubes fill
+/// only the slab's levels and whose gather reads only those back.
+///
+/// # Errors
+///
+/// See [`fft_in_place`].
+///
+/// # Panics
+///
+/// Panics if `data.len() != planes * rows * cols` or `live > planes`.
+pub fn fft3_in_place_live(
+    data: &mut [c64],
+    planes: usize,
+    rows: usize,
+    cols: usize,
+    live: usize,
+    direction: Direction,
+) -> Result<(), FftError> {
+    assert_eq!(data.len(), planes * rows * cols, "buffer size mismatch");
+    assert!(live <= planes, "{live} live planes of {planes}");
+    if data.is_empty() {
+        return Ok(());
+    }
+    let plane = rows * cols;
+    if direction == Direction::Forward {
+        transform_axis(&mut data[..live * plane], cols, 1, direction);
+        transform_axis(&mut data[..live * plane], rows, cols, direction);
+        transform_axis(data, planes, plane, direction);
+    } else {
+        transform_axis(data, planes, plane, direction);
+        let head = &mut data[..live * plane];
+        transform_axis(head, rows, cols, direction);
+        transform_axis(head, cols, 1, direction);
+        normalize(head, planes * plane, direction);
+    }
     Ok(())
 }
 
@@ -637,6 +691,88 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Cube shapes `(planes, rows, cols, live)` of the live-plane tests: the
+    /// matrix-free shape (smooth plane count, 20 × 20 planes wider than one
+    /// line batch), Bluestein lateral axes, `live == planes`, `live == 1`,
+    /// and a single plane (a pure 2-D transform).
+    const LIVE_SHAPES: [(usize, usize, usize, usize); 5] = [
+        (30, 20, 20, 14),
+        (9, 7, 6, 4),
+        (8, 6, 5, 8),
+        (8, 6, 5, 1),
+        (1, 12, 24, 1),
+    ];
+
+    /// A pseudo-random cube whose planes from `live` on are zero.
+    fn live_cube(planes: usize, rows: usize, cols: usize, live: usize) -> Vec<c64> {
+        (0..planes * rows * cols)
+            .map(|i| match i < live * rows * cols {
+                true => c64::new((i as f64 * 0.29).sin(), (i as f64 * 0.17).cos()),
+                false => c64::zero(),
+            })
+            .collect()
+    }
+
+    fn bits(z: &c64) -> (u64, u64) {
+        (z.re.to_bits(), z.im.to_bits())
+    }
+
+    #[test]
+    fn live_forward_has_the_bits_of_the_full_transform() {
+        for (planes, rows, cols, live) in LIVE_SHAPES {
+            let mut full = live_cube(planes, rows, cols, live);
+            let mut pruned = full.clone();
+            fft3_in_place(&mut full, planes, rows, cols, Direction::Forward).unwrap();
+            fft3_in_place_live(&mut pruned, planes, rows, cols, live, Direction::Forward).unwrap();
+            for (i, (a, b)) in full.iter().zip(&pruned).enumerate() {
+                assert_eq!(
+                    bits(a),
+                    bits(b),
+                    "{planes}x{rows}x{cols} live {live}, bin {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn live_inverse_matches_the_full_transform_on_the_live_planes() {
+        for (planes, rows, cols, live) in LIVE_SHAPES {
+            // A spectrum with every plane occupied, as the matvec's products.
+            let spectrum = live_cube(planes, rows, cols, planes);
+            let mut full = spectrum.clone();
+            let mut pruned = spectrum;
+            fft3_in_place(&mut full, planes, rows, cols, Direction::Inverse).unwrap();
+            fft3_in_place_live(&mut pruned, planes, rows, cols, live, Direction::Inverse).unwrap();
+            let head = live * rows * cols;
+            let scale = full[..head].iter().map(|z| z.abs()).fold(0.0, f64::max);
+            let worst = full[..head]
+                .iter()
+                .zip(&pruned)
+                .map(|(a, b)| (*a - *b).abs())
+                .fold(0.0, f64::max);
+            assert!(
+                worst <= 1e-14 * scale,
+                "{planes}x{rows}x{cols} live {live}: {worst:e} of {scale:e}"
+            );
+
+            // Forward then inverse returns the live planes.
+            let orig = live_cube(planes, rows, cols, live);
+            let mut work = orig.clone();
+            fft3_in_place_live(&mut work, planes, rows, cols, live, Direction::Forward).unwrap();
+            fft3_in_place_live(&mut work, planes, rows, cols, live, Direction::Inverse).unwrap();
+            for (a, b) in orig[..head].iter().zip(&work) {
+                assert!(close(*a, *b, 1e-12), "{planes}x{rows}x{cols} live {live}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer size mismatch")]
+    fn live_transform_rejects_a_mismatched_buffer() {
+        let mut data = vec![c64::zero(); 4 * 3 * 3 - 1];
+        let _ = fft3_in_place_live(&mut data, 4, 3, 3, 2, Direction::Forward);
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //!   end, even on one core. At every size where dense runs, its matvec must
 //!   match the dense matrix to ≤ 1e-10.
 //!
+//! * **Matrix-free matvec scaling** — on ≥ 2 cores, 20 matvecs of the
+//!   20-cell matrix-free operator built with one worker per core must beat
+//!   the same matvecs built serially by ≥ 1.3× (best of five alternating
+//!   rounds), with bit-equal outputs.
+//!
 //! The deterministic equivalence gates (batched vs scalar assembly ≤ 1e-12,
 //! bit-identical parallel assembly, bit-identical executors) are ordinary
 //! unit and integration tests of `rough-core` and `rough-engine`.
@@ -222,4 +227,68 @@ fn matrix_free_beats_dense_at_24_cells() {
         }
     }
     println!("matrix-free first beats dense at cells={crossover:?}");
+}
+
+#[test]
+#[ignore = "timing tier: seconds of matrix-free setup and matvecs; run with --release -- --ignored --test-threads=1"]
+fn matrix_free_matvec_scales_on_two_cores() {
+    let cores = available_cores();
+    if cores < 2 {
+        println!("single available core: matvec speedups are ~1x by construction; gate skipped");
+        return;
+    }
+    let mesh = fig5_mesh(20);
+    let media = Media::new(&mesh);
+    let AssemblyScheme::LocallyCorrected(near) = AssemblyScheme::default();
+    let build = |parallelism| {
+        MatrixFreeOperator::assemble(
+            &mesh,
+            &media.g1,
+            &media.g2,
+            media.beta,
+            media.k1,
+            near,
+            MatrixFreePolicy::default(),
+            KernelEval::Batched,
+            parallelism,
+        )
+    };
+    let operators = [
+        build(AssemblyParallelism::Serial),
+        build(AssemblyParallelism::workers(0)),
+    ];
+    let x = random_vector(2 * mesh.len(), 0x5eed_0020);
+    // Alternating rounds, the best of five for each operator, so a slow
+    // spell on a shared host does not decide the gate.
+    let mut outputs = [Vec::new(), Vec::new()];
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..5 {
+        for ((mf, y), best) in operators.iter().zip(&mut outputs).zip(&mut best) {
+            let start = Instant::now();
+            for _ in 0..20 {
+                *y = mf.apply(&x);
+            }
+            *best = best.min(start.elapsed().as_secs_f64());
+        }
+    }
+    let [serial_s, parallel_s] = best;
+    let speedup = serial_s / parallel_s;
+    println!(
+        "cells=20 on {cores} cores: 20 matvecs serial {:.1} ms, parallel {:.1} ms ({speedup:.2}x)",
+        serial_s * 1e3,
+        parallel_s * 1e3
+    );
+    let bits = |y: &[c64]| -> Vec<(u64, u64)> {
+        y.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    };
+    assert_eq!(
+        bits(&outputs[0]),
+        bits(&outputs[1]),
+        "parallel matvec is not bit-identical to the serial one"
+    );
+    assert!(
+        speedup >= 1.3,
+        "parallel matvec is {speedup:.2}x the serial one at cells=20 on {cores} cores \
+         (expected ≥ 1.3x): the matvec's worker split regressed"
+    );
 }
