@@ -111,7 +111,9 @@ pub fn available_cores() -> usize {
 /// of once per row. Rows are handed out through an atomic cursor
 /// (load-balancing uneven rows) and results are reassembled by row index, so
 /// the output is independent of scheduling — the keystone of the
-/// parallel-assembly determinism guarantee.
+/// parallel-assembly determinism guarantee. The engine's thread-pool executor
+/// runs its context builds and work units through it too (one unit per row).
+/// One worker runs every row serially on the calling thread.
 pub fn map_rows<R, S>(
     rows: usize,
     threads: usize,
@@ -143,14 +145,12 @@ where
                 }
                 collected
                     .lock()
-                    .expect("assembly worker panicked while holding the results lock")
+                    .expect("a worker panicked while holding the results lock")
                     .extend(local);
             });
         }
     });
-    let mut pairs = collected
-        .into_inner()
-        .expect("assembly results lock poisoned");
+    let mut pairs = collected.into_inner().expect("results lock poisoned");
     pairs.sort_by_key(|&(row, _)| row);
     debug_assert_eq!(pairs.len(), rows);
     pairs.into_iter().map(|(_, value)| value).collect()

@@ -26,7 +26,7 @@ use crate::error::EngineError;
 use crate::plan::{Plan, PlannedCase, UnitTask, WorkUnit};
 use crate::report::{CampaignReport, UnitRecord};
 use crate::run::{Run, RunConfig, UnitSink};
-use rayon::prelude::*;
+use rough_core::parallel::map_rows;
 use rough_core::AssemblyParallelism;
 use rough_surface::RoughSurface;
 use std::sync::Arc;
@@ -188,12 +188,15 @@ impl UnitExecutor for SerialExecutor {
     }
 }
 
-/// Evaluates units on a sized thread pool, prebuilding the distinct shared
-/// contexts in parallel first so concurrent units never race to build the
-/// same context.
+/// Evaluates units on `threads` scoped workers, prebuilding the distinct
+/// shared contexts in parallel first so concurrent units never race to build
+/// the same context.
+///
+/// Both stages run on [`rough_core::parallel::map_rows`]: work is handed out
+/// through an atomic cursor (uneven units load-balance), results come back in
+/// index order, and a single worker runs serially on the calling thread.
 #[derive(Debug)]
 pub struct ThreadPoolExecutor {
-    pool: rayon::ThreadPool,
     threads: usize,
     assembly: AssemblyParallelism,
 }
@@ -215,15 +218,7 @@ impl ThreadPoolExecutor {
     /// callers that manage their own budget).
     pub fn with_assembly(threads: usize, assembly: AssemblyParallelism) -> Self {
         let threads = if threads == 0 { core_budget() } else { threads };
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool construction cannot fail");
-        Self {
-            pool,
-            threads,
-            assembly,
-        }
+        Self { threads, assembly }
     }
 
     /// The intra-solve assembly parallelism each of this executor's solves
@@ -269,12 +264,12 @@ impl UnitExecutor for ThreadPoolExecutor {
                 pending.push(case);
             }
         }
-        let built: Vec<Result<CaseContext, EngineError>> = self.pool.install(|| {
-            pending
-                .par_iter()
-                .map(|case| build_context(plan, case, self.assembly, cache.mf_tables()))
-                .collect()
-        });
+        let built: Vec<Result<CaseContext, EngineError>> = map_rows(
+            pending.len(),
+            self.threads,
+            || (),
+            |i, _| build_context(plan, pending[i], self.assembly, cache.mf_tables()),
+        );
         for (case, result) in pending.iter().zip(built) {
             let context = result?;
             cache.get_or_build(case.context_key, || Ok(context))?;
@@ -283,20 +278,20 @@ impl UnitExecutor for ThreadPoolExecutor {
         // Stage 1: evaluate the scheduled units in parallel. Records are
         // committed through the sink as they complete; the run layer
         // reassembles plan order by unit id.
-        let results: Vec<Result<(), EngineError>> = self.pool.install(|| {
-            order
-                .par_iter()
-                .map(|&unit_id| {
-                    if sink.is_cancelled() {
-                        return Ok(());
-                    }
-                    let unit = &plan.units()[unit_id];
-                    sink.unit_started(unit);
-                    let record = evaluate_unit(plan, unit, cache, self.assembly)?;
-                    sink.complete(record)
-                })
-                .collect()
-        });
+        let results: Vec<Result<(), EngineError>> = map_rows(
+            order.len(),
+            self.threads,
+            || (),
+            |i, _| {
+                if sink.is_cancelled() {
+                    return Ok(());
+                }
+                let unit = &plan.units()[order[i]];
+                sink.unit_started(unit);
+                let record = evaluate_unit(plan, unit, cache, self.assembly)?;
+                sink.complete(record)
+            },
+        );
         results.into_iter().collect()
     }
 }
@@ -469,15 +464,6 @@ impl Engine {
     /// Propagates planning failures and solver errors.
     pub fn run(&self, scenario: &crate::scenario::Scenario) -> Result<CampaignReport, EngineError> {
         Run::new(scenario, self.run_config())?.execute()
-    }
-
-    /// Executes an already expanded plan.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver errors from any work unit.
-    pub fn run_plan(&self, plan: &Plan) -> Result<CampaignReport, EngineError> {
-        Run::with_plan(plan.clone(), self.run_config()).execute()
     }
 }
 

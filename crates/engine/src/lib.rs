@@ -99,6 +99,6 @@ pub use report::{CampaignReport, CaseOutcome, CaseReport, UnitRecord};
 pub use run::{report_from_records, CancelToken, Run, RunConfig, UnitSink};
 pub use scenario::{CaseId, EnsembleMode, Scenario, ScenarioBuilder};
 pub use schedule::{unit_class, CostOrdered, CostTable, PlanOrder, Scheduler};
-pub use socket::{SocketExecutor, Transport, SOCKET_WORKER_ENV};
+pub use socket::{SocketExecutor, SOCKET_WORKER_ENV};
 pub use subprocess::maybe_serve_worker;
 pub use sweep::{SweepScenario, SweepScenarioBuilder};

@@ -350,20 +350,6 @@ impl Run {
         })
     }
 
-    /// Wraps an already expanded plan.
-    pub fn with_plan(plan: Plan, config: RunConfig) -> Self {
-        let stats_before = config.cache.stats();
-        let cancel = config.cancel.clone().unwrap_or_default();
-        Self {
-            plan,
-            config,
-            resumed: Vec::new(),
-            resume_source: None,
-            cancel,
-            stats_before,
-        }
-    }
-
     /// Resumes an interrupted campaign from its checkpoint file.
     ///
     /// The scenario is rebuilt from the checkpoint header (bit-exact wire

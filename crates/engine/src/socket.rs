@@ -1,9 +1,8 @@
 //! Distributed execution over sockets: persistent warm workers.
 //!
 //! [`SocketExecutor`] keeps a fleet of **long-lived worker processes**
-//! connected over TCP or Unix-domain sockets, speaking the length-prefixed
-//! framing of [`crate::frame`] around the bit-exact [`crate::wire`] scenario
-//! encoding. The design goals, in order:
+//! connected over loopback TCP, speaking the length-prefixed framing of
+//! [`crate::frame`] around the bit-exact [`crate::wire`] scenario encoding. The design goals, in order:
 //!
 //! 1. **Warm caches where the work is.** Each worker owns a process-local
 //!    [`KernelCache`] that survives across runs: re-running a campaign (or
@@ -39,26 +38,23 @@ use crate::wire;
 use rough_core::{AssemblyParallelism, ASSEMBLY_THREADS_ENV};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
-use std::net::{TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Environment variable that switches a spawned process into socket-worker
-/// mode; its value is the dispatcher's address spec (`tcp:host:port` or
-/// `unix:/path`).
+/// mode; its value is the dispatcher's listening [`SocketAddr`] (e.g.
+/// `127.0.0.1:40123`). A worker refuses a value that does not parse as one.
 pub const SOCKET_WORKER_ENV: &str = "ROUGH_ENGINE_SOCKET_WORKER";
 
 /// Interval between worker heartbeats while a batch is being computed.
 const HEARTBEAT_PERIOD: Duration = Duration::from_millis(200);
 
-/// Default dispatcher-side silence tolerance before a worker is declared
-/// lost. Generous relative to [`HEARTBEAT_PERIOD`]; tests shrink it.
-const DEFAULT_HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(10);
+/// Dispatcher-side silence tolerance before a computing worker is declared
+/// lost and its units re-queued. Generous relative to [`HEARTBEAT_PERIOD`].
+const HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How long the dispatcher waits for freshly spawned workers to connect.
 const ACCEPT_DEADLINE: Duration = Duration::from_secs(20);
@@ -80,175 +76,40 @@ fn socket_error(reason: impl Into<String>) -> EngineError {
     EngineError::Socket(reason.into())
 }
 
-/// The transport a [`SocketExecutor`] binds and its workers dial.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Transport {
-    /// TCP on the given bind address (e.g. `127.0.0.1:0` for an ephemeral
-    /// loopback port — the default).
-    Tcp(String),
-    /// A Unix-domain socket at the given path (removed on bind and on drop).
-    #[cfg(unix)]
-    Unix(PathBuf),
+/// Binds the dispatcher's listener on an ephemeral loopback port, polled
+/// non-blockingly by the accept loop.
+fn bind_listener() -> Result<TcpListener, EngineError> {
+    let listener = TcpListener::bind("127.0.0.1:0")
+        .map_err(|e| socket_error(format!("cannot bind tcp 127.0.0.1:0: {e}")))?;
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| socket_error(format!("cannot configure listener: {e}")))?;
+    Ok(listener)
 }
 
-impl Default for Transport {
-    fn default() -> Self {
-        Transport::Tcp("127.0.0.1:0".to_string())
-    }
+/// Accepts one pending worker connection as a blocking, no-delay stream.
+fn accept_worker(listener: &TcpListener) -> io::Result<TcpStream> {
+    listener.accept().map(|(stream, _)| {
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_nonblocking(false);
+        stream
+    })
 }
 
-/// Either flavour of bound listener, polled non-blockingly.
-#[derive(Debug)]
-enum Listener {
-    Tcp(TcpListener),
-    #[cfg(unix)]
-    Unix(UnixListener, PathBuf),
+/// Dials the dispatcher as a no-delay stream.
+fn dial(addr: SocketAddr) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
 }
 
-impl Listener {
-    fn bind(transport: &Transport) -> Result<Self, EngineError> {
-        match transport {
-            Transport::Tcp(addr) => {
-                let listener = TcpListener::bind(addr)
-                    .map_err(|e| socket_error(format!("cannot bind tcp {addr}: {e}")))?;
-                listener
-                    .set_nonblocking(true)
-                    .map_err(|e| socket_error(format!("cannot configure listener: {e}")))?;
-                Ok(Listener::Tcp(listener))
-            }
-            #[cfg(unix)]
-            Transport::Unix(path) => {
-                // A stale socket file from a previous process blocks bind.
-                let _ = std::fs::remove_file(path);
-                let listener = UnixListener::bind(path).map_err(|e| {
-                    socket_error(format!("cannot bind unix {}: {e}", path.display()))
-                })?;
-                listener
-                    .set_nonblocking(true)
-                    .map_err(|e| socket_error(format!("cannot configure listener: {e}")))?;
-                Ok(Listener::Unix(listener, path.clone()))
-            }
-        }
-    }
-
-    /// The spec workers dial to reach this listener.
-    fn addr_spec(&self) -> Result<String, EngineError> {
-        match self {
-            Listener::Tcp(listener) => listener
-                .local_addr()
-                .map(|addr| format!("tcp:{addr}"))
-                .map_err(|e| socket_error(format!("cannot read listener address: {e}"))),
-            #[cfg(unix)]
-            Listener::Unix(_, path) => Ok(format!("unix:{}", path.display())),
-        }
-    }
-
-    fn accept(&self) -> io::Result<Conn> {
-        match self {
-            Listener::Tcp(listener) => listener.accept().map(|(stream, _)| {
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_nonblocking(false);
-                Conn::Tcp(stream)
-            }),
-            #[cfg(unix)]
-            Listener::Unix(listener, _) => listener.accept().map(|(stream, _)| {
-                let _ = stream.set_nonblocking(false);
-                Conn::Unix(stream)
-            }),
-        }
-    }
-}
-
-impl Drop for Listener {
-    fn drop(&mut self) {
-        #[cfg(unix)]
-        if let Listener::Unix(_, path) = self {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-/// Either flavour of connected stream.
-#[derive(Debug)]
-enum Conn {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Conn {
-    /// Dials an address spec (`tcp:host:port` / `unix:/path`).
-    fn connect(spec: &str) -> io::Result<Conn> {
-        if let Some(addr) = spec.strip_prefix("tcp:") {
-            let stream = TcpStream::connect(addr)?;
-            let _ = stream.set_nodelay(true);
-            return Ok(Conn::Tcp(stream));
-        }
-        #[cfg(unix)]
-        if let Some(path) = spec.strip_prefix("unix:") {
-            return UnixStream::connect(path).map(Conn::Unix);
-        }
-        Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("unsupported address spec `{spec}`"),
+/// Parses the [`SOCKET_WORKER_ENV`] value a worker was spawned with.
+fn worker_addr(spec: &str) -> Result<SocketAddr, EngineError> {
+    spec.parse().map_err(|_| {
+        socket_error(format!(
+            "{SOCKET_WORKER_ENV} `{spec}` is not a socket address"
         ))
-    }
-
-    fn try_clone(&self) -> io::Result<Conn> {
-        match self {
-            Conn::Tcp(stream) => stream.try_clone().map(Conn::Tcp),
-            #[cfg(unix)]
-            Conn::Unix(stream) => stream.try_clone().map(Conn::Unix),
-        }
-    }
-
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        match self {
-            Conn::Tcp(stream) => stream.set_read_timeout(timeout),
-            #[cfg(unix)]
-            Conn::Unix(stream) => stream.set_read_timeout(timeout),
-        }
-    }
-
-    fn shutdown(&self) {
-        match self {
-            Conn::Tcp(stream) => {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
-            #[cfg(unix)]
-            Conn::Unix(stream) => {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
-}
-
-impl io::Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(stream) => stream.read(buf),
-            #[cfg(unix)]
-            Conn::Unix(stream) => stream.read(buf),
-        }
-    }
-}
-
-impl io::Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(stream) => stream.write(buf),
-            #[cfg(unix)]
-            Conn::Unix(stream) => stream.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(stream) => stream.flush(),
-            #[cfg(unix)]
-            Conn::Unix(stream) => stream.flush(),
-        }
-    }
+    })
 }
 
 /// One connected, ready worker as the dispatcher sees it.
@@ -256,12 +117,12 @@ impl io::Write for Conn {
 struct WorkerConn {
     /// Stable worker index (assigned at accept, reported in events).
     index: usize,
-    conn: Conn,
+    conn: TcpStream,
 }
 
 #[derive(Debug, Default)]
 struct SocketState {
-    listener: Option<Listener>,
+    listener: Option<TcpListener>,
     idle: Vec<WorkerConn>,
     children: Vec<Child>,
     next_index: usize,
@@ -276,9 +137,7 @@ struct SocketState {
 #[derive(Debug)]
 pub struct SocketExecutor {
     workers: usize,
-    transport: Transport,
     args: Vec<String>,
-    heartbeat_timeout: Duration,
     core_budget: Option<usize>,
     state: Mutex<SocketState>,
     run_counter: AtomicU64,
@@ -299,9 +158,7 @@ impl SocketExecutor {
         };
         Self {
             workers,
-            transport: Transport::default(),
             args: Vec::new(),
-            heartbeat_timeout: DEFAULT_HEARTBEAT_TIMEOUT,
             core_budget: None,
             state: Mutex::new(SocketState::default()),
             run_counter: AtomicU64::new(1),
@@ -317,23 +174,10 @@ impl SocketExecutor {
         self
     }
 
-    /// Selects the transport (default: loopback TCP, ephemeral port).
-    pub fn with_transport(mut self, transport: Transport) -> Self {
-        self.transport = transport;
-        self
-    }
-
     /// Sets extra arguments for the spawned program (e.g. a libtest filter
     /// pointing at a worker-entry `#[test]`).
     pub fn with_args(mut self, args: impl IntoIterator<Item = impl Into<String>>) -> Self {
         self.args = args.into_iter().map(Into::into).collect();
-        self
-    }
-
-    /// Sets how long the dispatcher tolerates silence from a computing
-    /// worker before declaring it lost and re-queuing its units.
-    pub fn with_heartbeat_timeout(mut self, timeout: Duration) -> Self {
-        self.heartbeat_timeout = timeout;
         self
     }
 
@@ -353,13 +197,7 @@ impl SocketExecutor {
         false
     }
 
-    /// Workers currently connected and idle (primarily for tests and
-    /// diagnostics; workers mid-run are not counted).
-    pub fn connected_workers(&self) -> usize {
-        self.state.lock().expect("socket state poisoned").idle.len()
-    }
-
-    fn spawn_worker(&self, addr_spec: &str, ordinal: usize) -> Result<Child, EngineError> {
+    fn spawn_worker(&self, addr: SocketAddr, ordinal: usize) -> Result<Child, EngineError> {
         // Workers are this very build, so dispatcher and worker always speak
         // the same frame revision.
         let program = std::env::current_exe()
@@ -373,7 +211,7 @@ impl SocketExecutor {
         command.env(ASSEMBLY_THREADS_ENV, assembly.worker_count().to_string());
         command
             .args(&self.args)
-            .env(SOCKET_WORKER_ENV, addr_spec)
+            .env(SOCKET_WORKER_ENV, addr.to_string())
             // Scope the inherited fault plan to this worker: `name#w<N>`
             // entries fire only in the N-th spawned worker process.
             .env(rough_faults::SCOPE_ENV, format!("w{ordinal}"))
@@ -391,13 +229,14 @@ impl SocketExecutor {
     fn checkout_workers(&self) -> Result<(Vec<WorkerConn>, bool), EngineError> {
         let mut state = self.state.lock().expect("socket state poisoned");
         if state.listener.is_none() {
-            state.listener = Some(Listener::bind(&self.transport)?);
+            state.listener = Some(bind_listener()?);
         }
-        let addr_spec = state
+        let addr = state
             .listener
             .as_ref()
             .expect("listener just bound")
-            .addr_spec()?;
+            .local_addr()
+            .map_err(|e| socket_error(format!("cannot read listener address: {e}")))?;
 
         // Reap exited children so the fleet top-up below is sized right.
         state
@@ -419,7 +258,7 @@ impl SocketExecutor {
         let breaker_tripped = to_spawn > spawn_budget;
         to_spawn = to_spawn.min(spawn_budget);
         for _ in 0..to_spawn {
-            let child = self.spawn_worker(&addr_spec, state.spawned_total)?;
+            let child = self.spawn_worker(addr, state.spawned_total)?;
             state.spawned_total += 1;
             state.children.push(child);
         }
@@ -436,7 +275,7 @@ impl SocketExecutor {
             if state.idle.len() >= self.workers.min(reachable) {
                 break;
             }
-            let accepted = state.listener.as_ref().expect("listener bound").accept();
+            let accepted = accept_worker(state.listener.as_ref().expect("listener bound"));
             match accepted {
                 Ok(mut conn) => {
                     // The worker leads with HELLO; consume and validate it.
@@ -481,7 +320,7 @@ impl Drop for SocketExecutor {
         let mut state = self.state.lock().expect("socket state poisoned");
         for worker in &mut state.idle {
             let _ = write_frame(&mut worker.conn, &Frame::empty(kind::SHUTDOWN));
-            worker.conn.shutdown();
+            let _ = worker.conn.shutdown(Shutdown::Both);
         }
         for child in &mut state.children {
             let _ = child.kill();
@@ -562,15 +401,7 @@ impl UnitExecutor for SocketExecutor {
                     let wire_text = wire_text.as_str();
                     scope.spawn(move || {
                         drive_worker(
-                            worker,
-                            run_id,
-                            wire_text,
-                            plan,
-                            sink,
-                            queue,
-                            remaining,
-                            failed,
-                            self.heartbeat_timeout,
+                            worker, run_id, wire_text, plan, sink, queue, remaining, failed,
                         )
                     })
                 })
@@ -619,7 +450,6 @@ fn drive_worker(
     queue: &Mutex<VecDeque<Vec<usize>>>,
     remaining: &AtomicUsize,
     failed: &AtomicBool,
-    heartbeat_timeout: Duration,
 ) -> Result<WorkerOutcome, EngineError> {
     let lost = |worker: &WorkerConn, pending: Vec<usize>, sink: &UnitSink<'_>| {
         let requeued = pending.len();
@@ -635,7 +465,7 @@ fn drive_worker(
 
     if worker
         .conn
-        .set_read_timeout(Some(heartbeat_timeout))
+        .set_read_timeout(Some(HEARTBEAT_TIMEOUT))
         .is_err()
     {
         return Ok(lost(&worker, Vec::new(), sink));
@@ -807,13 +637,22 @@ fn reconnect_backoff(attempt: u32) -> Duration {
     Duration::from_millis((capped as f64 * jitter).round() as u64)
 }
 
-/// The worker process's main loop: dials `spec`, serves runs, and redials
-/// with backoff after a dropped connection. Returns the process exit code.
+/// The worker process's main loop: dials the dispatcher at `spec` (a
+/// [`SocketAddr`]), serves runs, and redials with backoff after a dropped
+/// connection. Returns the process exit code; a `spec` that does not parse
+/// fails at once.
 pub(crate) fn worker_main(spec: &str) -> i32 {
+    let addr = match worker_addr(spec) {
+        Ok(addr) => addr,
+        Err(e) => {
+            eprintln!("roughsim worker: {e}");
+            return 1;
+        }
+    };
     let mut state = WorkerState::new();
     let mut attempt: u32 = 0;
     loop {
-        if let Ok(conn) = Conn::connect(spec) {
+        if let Ok(conn) = dial(addr) {
             attempt = 0;
             // Ok(true) is an orderly SHUTDOWN; Ok(false) / Err mean the
             // connection dropped and we should reconnect with backoff.
@@ -832,7 +671,7 @@ pub(crate) fn worker_main(spec: &str) -> i32 {
 /// Serves one connection until SHUTDOWN (`Ok(true)`), peer disconnect
 /// (`Ok(false)`), or a transport error. Solve errors are reported in-band
 /// (ERR frame) and do not tear down the connection.
-fn serve_connection(conn: Conn, state: &mut WorkerState) -> Result<bool, EngineError> {
+fn serve_connection(conn: TcpStream, state: &mut WorkerState) -> Result<bool, EngineError> {
     let writer =
         Arc::new(Mutex::new(conn.try_clone().map_err(|e| {
             socket_error(format!("cannot clone connection: {e}"))
@@ -859,10 +698,10 @@ fn serve_connection(conn: Conn, state: &mut WorkerState) -> Result<bool, EngineE
         std::thread::spawn(move || {
             while !stop.load(Ordering::SeqCst) {
                 if active.load(Ordering::SeqCst) {
-                    // Fault point: go silent for ten beacon periods — long
-                    // enough to trip a tightened dispatcher timeout.
+                    // Fault point: go silent past the dispatcher's timeout,
+                    // so it declares this worker lost and re-queues.
                     if rough_faults::should_fire("worker.heartbeat.delay") {
-                        std::thread::sleep(HEARTBEAT_PERIOD * 10);
+                        std::thread::sleep(HEARTBEAT_TIMEOUT + HEARTBEAT_PERIOD * 2);
                     }
                     let frame = Frame::empty(kind::HEARTBEAT);
                     let mut writer = writer.lock().expect("writer lock poisoned");
@@ -883,8 +722,8 @@ fn serve_connection(conn: Conn, state: &mut WorkerState) -> Result<bool, EngineE
 }
 
 fn serve_frames(
-    reader: &mut Conn,
-    writer: &Arc<Mutex<Conn>>,
+    reader: &mut TcpStream,
+    writer: &Arc<Mutex<TcpStream>>,
     active: &AtomicBool,
     state: &mut WorkerState,
 ) -> Result<bool, EngineError> {
@@ -967,7 +806,7 @@ fn evaluate_batch(
     assembly: AssemblyParallelism,
     cache: &KernelCache,
     run_id: u64,
-    writer: &Arc<Mutex<Conn>>,
+    writer: &Arc<Mutex<TcpStream>>,
 ) -> Result<(), EngineError> {
     for &unit_id in units {
         let unit = plan
@@ -1002,7 +841,7 @@ fn evaluate_batch(
     Ok(())
 }
 
-fn send_err(writer: &Arc<Mutex<Conn>>, message: &str) {
+fn send_err(writer: &Arc<Mutex<TcpStream>>, message: &str) {
     let frame = PayloadWriter::new().str(message).frame(kind::ERR);
     let mut writer = writer.lock().expect("writer lock poisoned");
     let _ = write_frame(&mut *writer, &frame);
@@ -1054,48 +893,31 @@ mod tests {
         assert_eq!(seen, order, "batches must cover the order exactly");
     }
 
+    /// A listener's address, written to the worker env and parsed back, is
+    /// dialable and carries a frame exchange.
     #[test]
     fn transport_specs_roundtrip() {
-        let listener = Listener::bind(&Transport::default()).unwrap();
-        let spec = listener.addr_spec().unwrap();
-        assert!(spec.starts_with("tcp:127.0.0.1:"));
-        // Dial it and complete a frame exchange.
-        let mut client = Conn::connect(&spec).unwrap();
-        let accepted = loop {
-            match listener.accept() {
-                Ok(conn) => break conn,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) => panic!("accept failed: {e}"),
-            }
-        };
-        let mut accepted = accepted;
+        let listener = bind_listener().unwrap();
+        let spec = listener.local_addr().unwrap().to_string();
+        assert!(spec.starts_with("127.0.0.1:"));
+        let mut client = dial(worker_addr(&spec).unwrap()).unwrap();
+        let mut accepted = accept_blocking(&listener);
         write_frame(&mut client, &Frame::empty(kind::HEARTBEAT)).unwrap();
         let frame = read_frame(&mut accepted).unwrap();
         assert_eq!(frame.kind, kind::HEARTBEAT);
     }
 
-    #[cfg(unix)]
-    #[test]
-    fn unix_transport_binds_and_cleans_up() {
-        let path = std::env::temp_dir().join(format!("roughsim-uds-{}.sock", std::process::id()));
-        {
-            let listener = Listener::bind(&Transport::Unix(path.clone())).unwrap();
-            assert_eq!(
-                listener.addr_spec().unwrap(),
-                format!("unix:{}", path.display())
-            );
-            assert!(path.exists());
-            let mut client = Conn::connect(&format!("unix:{}", path.display())).unwrap();
-            write_frame(&mut client, &Frame::empty(kind::HEARTBEAT)).unwrap();
-        }
-        assert!(!path.exists(), "socket file must be removed on drop");
-    }
-
     #[test]
     fn connect_rejects_unknown_specs() {
-        assert!(Conn::connect("smoke-signal:hill-7").is_err());
+        for spec in [
+            "smoke-signal:hill-7",
+            "tcp:127.0.0.1:9",
+            "unix:/tmp/x.sock",
+            "",
+        ] {
+            assert!(worker_addr(spec).is_err(), "`{spec}` must be refused");
+        }
+        assert_eq!(worker_main("smoke-signal:hill-7"), 1);
     }
 
     /// The worker dial schedule, pinned: the pauses a disconnected worker
@@ -1133,18 +955,16 @@ mod tests {
         let probe = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = probe.local_addr().unwrap();
         drop(probe);
-        let spec = format!("tcp:{addr}");
         let binder = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(150));
             let listener = TcpListener::bind(addr).unwrap();
-            let (conn, _) = listener.accept().unwrap();
-            read_frame(&mut Conn::Tcp(conn.try_clone().unwrap())).unwrap();
-            let _ = conn;
+            let (mut conn, _) = listener.accept().unwrap();
+            read_frame(&mut conn).unwrap();
         });
         // Mirror worker_main's dial-with-backoff loop.
         let mut attempt = 0u32;
         let conn = loop {
-            match Conn::connect(&spec) {
+            match dial(addr) {
                 Ok(conn) => break conn,
                 Err(_) => {
                     attempt += 1;
@@ -1159,9 +979,9 @@ mod tests {
         binder.join().unwrap();
     }
 
-    fn accept_blocking(listener: &Listener) -> Conn {
+    fn accept_blocking(listener: &TcpListener) -> TcpStream {
         loop {
-            match listener.accept() {
+            match accept_worker(listener) {
                 Ok(conn) => return conn,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(1));
@@ -1182,13 +1002,16 @@ mod tests {
         OverflowingWall,
         /// A complete RESULT naming a case the plan does not give the unit.
         WrongCaseIndex,
+        /// No frame at all after the DISPATCH, connection left open: the
+        /// dispatcher's read times out after [`HEARTBEAT_TIMEOUT`].
+        Silent,
     }
 
     /// Fault injection at the *frame* level: a worker that tears a RESULT
-    /// frame, or sends a complete one whose wall or case index cannot be
-    /// true. The dispatcher must treat each like a lost worker (never
-    /// committing the record), re-queue the batch to the survivor, and finish
-    /// bit-identically.
+    /// frame, sends a complete one whose wall or case index cannot be true,
+    /// or goes silent mid-batch. The dispatcher must treat each like a lost
+    /// worker (never committing a record), re-queue the batch to the
+    /// survivor, and finish bit-identically.
     #[test]
     fn a_torn_or_inconsistent_result_frame_requeues_to_survivors_bit_identically() {
         use crate::events::{FnObserver, RunEvent};
@@ -1210,23 +1033,22 @@ mod tests {
             Rogue::InfiniteWall,
             Rogue::OverflowingWall,
             Rogue::WrongCaseIndex,
+            Rogue::Silent,
         ] {
-            let listener = Listener::bind(&Transport::default()).unwrap();
-            let spec = listener.addr_spec().unwrap();
+            let listener = bind_listener().unwrap();
+            let addr = listener.local_addr().unwrap();
 
             // Worker 1: honest, served in-process by the real worker loop.
-            let honest_spec = spec.clone();
             let honest = std::thread::spawn(move || {
-                let conn = Conn::connect(&honest_spec).unwrap();
+                let conn = dial(addr).unwrap();
                 let mut state = WorkerState::new();
                 let _ = serve_connection(conn, &mut state);
             });
             // Worker 2: rogue — handshakes, accepts a dispatch, answers its
-            // first unit with a bad RESULT frame, then hangs up.
-            let rogue_spec = spec.clone();
+            // first unit with a bad RESULT frame (or nothing), then hangs up.
             let case_of = case_of.clone();
             let rogue = std::thread::spawn(move || {
-                let mut conn = Conn::connect(&rogue_spec).unwrap();
+                let mut conn = dial(addr).unwrap();
                 let hello = PayloadWriter::new()
                     .u64(u64::from(crate::frame::VERSION))
                     .u64(u64::from(std::process::id()))
@@ -1244,6 +1066,13 @@ mod tests {
                     Rogue::InfiniteWall => (case_of[unit], f64::INFINITY),
                     Rogue::OverflowingWall => (case_of[unit], 1e30),
                     Rogue::WrongCaseIndex => ((case_of[unit] + 1) % cases, 0.5),
+                    Rogue::Silent => {
+                        // Stay connected and mute until the dispatcher gives
+                        // up on us and closes its end. Never hang up first:
+                        // only the dispatcher's read timeout may end this.
+                        assert!(read_frame(&mut conn).is_err(), "expected a hang-up");
+                        return;
+                    }
                 };
                 let result = PayloadWriter::new()
                     .u64(run_id)
@@ -1262,7 +1091,7 @@ mod tests {
                 }
                 io::Write::write_all(&mut conn, &bytes).unwrap();
                 io::Write::flush(&mut conn).unwrap();
-                conn.shutdown();
+                let _ = conn.shutdown(Shutdown::Both);
             });
 
             // Hand the executor the two pre-connected workers directly (its
@@ -1275,10 +1104,8 @@ mod tests {
             }
             let executor = Arc::new(SocketExecutor {
                 workers: 2,
-                transport: Transport::default(),
                 args: Vec::new(),
                 core_budget: None,
-                heartbeat_timeout: DEFAULT_HEARTBEAT_TIMEOUT,
                 state: Mutex::new(SocketState {
                     listener: Some(listener),
                     idle,

@@ -5,8 +5,8 @@
 //! A plan is a declarative spec of which points fire, how many times, and
 //! after how many passes — parsed from the `ROUGHSIM_FAULTS` environment
 //! variable at first use, or installed programmatically by tests. Because the
-//! plan is counter-based (no clocks, no randomness beyond an explicit seed),
-//! the same plan against the same workload reproduces the same failures —
+//! plan is counter-based (no clocks, no randomness), the same plan against
+//! the same workload reproduces the same failures —
 //! chaos runs are debuggable, and CI chaos smoke is stable.
 //!
 //! # Plan grammar
@@ -14,7 +14,7 @@
 //! Entries are separated by `;` or `,`:
 //!
 //! ```text
-//! ROUGHSIM_FAULTS="worker.exit#w0:1;solver.krylov.breakdown:*;checkpoint.append.torn:2@1;seed=42"
+//! ROUGHSIM_FAULTS="worker.exit#w0:1;solver.krylov.breakdown:*;checkpoint.append.torn:2@1"
 //! ```
 //!
 //! Each entry is `name[#scope][:count][@skip]`:
@@ -27,8 +27,8 @@
 //! * `:count` — fire this many times then pass (default 1; `*` = always);
 //! * `@skip` — pass this many hits before the first firing (default 0).
 //!
-//! `seed=N` keys the deterministic jitter helpers ([`fault_seed`]); it does
-//! not affect which points fire.
+//! An entry containing `=`, such as `seed=42`, is refused like any other
+//! malformed entry, rather than arming a fault point that never fires.
 //!
 //! # Process model
 //!
@@ -66,7 +66,6 @@ pub struct FaultEntry {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     entries: Vec<FaultEntry>,
-    seed: u64,
 }
 
 impl FaultPlan {
@@ -89,11 +88,8 @@ impl FaultPlan {
             if raw.is_empty() {
                 continue;
             }
-            if let Some(seed) = raw.strip_prefix("seed=") {
-                plan.seed = seed
-                    .parse()
-                    .map_err(|_| format!("fault plan: bad seed `{seed}`"))?;
-                continue;
+            if raw.contains('=') {
+                return Err(format!("fault plan: `{raw}` is not a fault point"));
             }
             let (head, skip) = match raw.split_once('@') {
                 Some((head, skip)) => (
@@ -135,11 +131,6 @@ impl FaultPlan {
     /// The armed entries.
     pub fn entries(&self) -> &[FaultEntry] {
         &self.entries
-    }
-
-    /// The plan's jitter seed (`seed=N`; 0 when unset).
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Whether the plan arms `name` for the given process scope.
@@ -264,14 +255,6 @@ pub fn should_fire(point: &str) -> bool {
     armed().should_fire(point)
 }
 
-/// The armed plan's jitter seed (0 without a plan or `seed=`).
-pub fn fault_seed() -> u64 {
-    if ARMED.get().is_none() {
-        init_from_env();
-    }
-    armed().plan.seed()
-}
-
 /// How many times fault point `point` has fired in this process.
 pub fn fired_count(point: &str) -> u64 {
     if ARMED.get().is_none() {
@@ -345,10 +328,9 @@ mod tests {
     #[test]
     fn parsing_covers_the_grammar() {
         let plan = FaultPlan::parse(
-            "worker.exit#w0:1; solver.krylov.breakdown:* , checkpoint.append.torn:2@1;seed=42",
+            "worker.exit#w0:1; solver.krylov.breakdown:* , checkpoint.append.torn:2@1",
         )
         .unwrap();
-        assert_eq!(plan.seed(), 42);
         assert_eq!(plan.entries().len(), 3);
         assert_eq!(
             plan.entries()[0],
@@ -374,6 +356,8 @@ mod tests {
         assert!(FaultPlan::parse("x@zz").is_err());
         assert!(FaultPlan::parse(":3").is_err());
         assert!(FaultPlan::parse("seed=notanumber").is_err());
+        assert!(FaultPlan::parse("seed=42").is_err());
+        assert!(FaultPlan::parse("worker.exit:1;seed=42").is_err());
         assert_eq!(FaultPlan::parse("  ;; , ").unwrap(), FaultPlan::none());
     }
 

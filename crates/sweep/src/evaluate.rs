@@ -102,12 +102,6 @@ impl EngineEvaluator {
         }
     }
 
-    /// Shares an existing kernel cache (e.g. the daemon's engine-wide one).
-    pub fn with_cache(mut self, cache: Arc<KernelCache>) -> Self {
-        self.cache = cache;
-        self
-    }
-
     /// Executes rounds through an explicit executor instead of the default.
     pub fn executor(mut self, executor: Arc<dyn UnitExecutor>) -> Self {
         self.executor = Some(executor);
