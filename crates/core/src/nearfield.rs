@@ -16,6 +16,10 @@
 //! to every source cell within [`NearFieldPolicy::radius`] cell sizes of the
 //! observation point — with periodic wrap-around, so cells adjacent across the
 //! patch seam are corrected too.
+//!
+//! The policy is the only near-field knob in 2D. The 3D assembly also takes a
+//! [`KernelEval`] (how the Ewald-summed kernel is evaluated); the 2D contour
+//! assembly has one kernel evaluation and no such knob.
 
 use rough_numerics::quadrature2d::AdaptiveOutcome;
 
@@ -87,7 +91,7 @@ impl AssemblyStats {
     }
 }
 
-/// How the periodic-kernel evaluations of an assembly are executed.
+/// How the Ewald-summed kernel evaluations of a 3D assembly are executed.
 ///
 /// Orthogonal to [`AssemblyScheme`] (which decides *what* is integrated where,
 /// i.e. the numerics), this knob decides *how* the Ewald-summed kernel is

@@ -12,12 +12,11 @@
 //! each row's values are computed by exactly one worker with row-local
 //! scratch, and the scatter happens serially in a fixed order.
 //!
-//! [`AssemblyParallelism`] is the user-facing knob, threaded through
-//! [`crate::SwmProblemBuilder::assembly_parallelism`] and
-//! [`crate::swm2d::Swm2dProblem::with_assembly_parallelism`]. The
-//! `ROUGHSIM_ASSEMBLY_THREADS` environment variable (mirroring the engine's
-//! `ROUGHSIM_EXECUTOR`) overrides whatever a driver configured — see
-//! [`AssemblyParallelism::from_env`].
+//! [`AssemblyParallelism`] is the user-facing knob of the 3D solver, threaded
+//! through [`crate::SwmProblemBuilder::assembly_parallelism`]; the 2D contour
+//! assembly is one serial loop. The `ROUGHSIM_ASSEMBLY_THREADS` environment
+//! variable (mirroring the engine's `ROUGHSIM_EXECUTOR`) overrides whatever a
+//! driver configured — see [`AssemblyParallelism::from_env`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -34,7 +33,7 @@ pub const ASSEMBLY_THREADS_ENV: &str = "ROUGHSIM_ASSEMBLY_THREADS";
 /// knob changes wall-clock time only — parallel and serial assemblies are
 /// bit-identical, because every row (or plane) is computed independently and
 /// scattered in a fixed order (pinned by tests at 1/2/4/8 threads for the
-/// dense 3D and 2D assemblies and at 1/2/3/4 for the matrix-free setup).
+/// dense 3D assembly and at 1/2/3/4 for the matrix-free setup).
 ///
 /// The default is [`AssemblyParallelism::Serial`] so standalone solves keep
 /// their historical behaviour; the batch engine picks a worker count from its

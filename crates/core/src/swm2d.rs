@@ -5,12 +5,11 @@
 //! uses it to demonstrate that genuinely 3D roughness produces a markedly
 //! larger loss enhancement than a 2D (ridged) roughness of the same σ and η.
 
-use crate::assembly2d::assemble_system_2d_with;
+use crate::assembly2d::assemble_system_2d;
 use crate::error::SwmError;
 use crate::loss::LossResult;
 use crate::mesh::ContourMesh;
-use crate::nearfield::{AssemblyScheme, KernelEval};
-use crate::parallel::AssemblyParallelism;
+use crate::nearfield::AssemblyScheme;
 use crate::power::absorbed_power_2d;
 use crate::solver::{solve_system, SolverKind};
 use rough_em::fresnel::flat_interface;
@@ -41,10 +40,7 @@ use rough_surface::Profile1d;
 pub struct Swm2dProblem {
     stack: Stackup,
     frequency: Frequency,
-    solver: SolverKind,
     assembly: AssemblyScheme,
-    kernel_eval: KernelEval,
-    assembly_parallelism: AssemblyParallelism,
 }
 
 impl Swm2dProblem {
@@ -62,39 +58,14 @@ impl Swm2dProblem {
         Ok(Self {
             stack,
             frequency,
-            solver: SolverKind::DirectLu,
             assembly: AssemblyScheme::default(),
-            kernel_eval: KernelEval::default(),
-            assembly_parallelism: AssemblyParallelism::default(),
         })
-    }
-
-    /// Selects the linear solver.
-    pub fn with_solver(mut self, solver: SolverKind) -> Self {
-        self.solver = solver;
-        self
     }
 
     /// Selects the near-field assembly scheme (defaults to the locally
     /// corrected scheme).
     pub fn with_assembly(mut self, assembly: AssemblyScheme) -> Self {
         self.assembly = assembly;
-        self
-    }
-
-    /// Selects the kernel evaluation strategy (defaults to
-    /// [`KernelEval::Batched`]; [`KernelEval::Scalar`] is the per-entry
-    /// oracle used by equivalence tests and benchmarks).
-    pub fn with_kernel_eval(mut self, kernel_eval: KernelEval) -> Self {
-        self.kernel_eval = kernel_eval;
-        self
-    }
-
-    /// Selects the intra-solve assembly parallelism (defaults to
-    /// [`AssemblyParallelism::Serial`]); any worker count produces
-    /// bit-identical matrices.
-    pub fn with_assembly_parallelism(mut self, parallelism: AssemblyParallelism) -> Self {
-        self.assembly_parallelism = parallelism;
         self
     }
 
@@ -115,17 +86,15 @@ impl Swm2dProblem {
         let mesh = ContourMesh::from_profile(profile);
         let g1 = PeriodicGreen2d::new(self.stack.k1(self.frequency), mesh.period());
         let g2 = PeriodicGreen2d::new(self.stack.k2(self.frequency), mesh.period());
-        let system = assemble_system_2d_with(
+        let system = assemble_system_2d(
             &mesh,
             &g1,
             &g2,
             self.stack.beta(self.frequency),
             self.stack.k1(self.frequency),
             self.assembly,
-            self.kernel_eval,
-            self.assembly_parallelism,
         );
-        let (solution, _) = solve_system(&system.matrix, &system.rhs, self.solver)?;
+        let (solution, _) = solve_system(&system.matrix, &system.rhs, SolverKind::DirectLu)?;
         let n = system.surface_unknowns;
         Ok(absorbed_power_2d(&mesh, &solution[..n], &solution[n..]))
     }
@@ -159,7 +128,8 @@ impl Swm2dProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rough_em::units::GigaHertz;
+    use crate::{RoughnessSpec, SwmProblem};
+    use rough_em::units::{GigaHertz, Micrometers};
 
     fn sine_profile(n: usize, l: f64, amp: f64) -> Profile1d {
         Profile1d::new(
@@ -199,6 +169,30 @@ mod tests {
         assert!(small.enhancement_factor() > 1.0);
         assert!(large.enhancement_factor() > small.enhancement_factor());
         assert!(large.enhancement_factor() < 3.0);
+    }
+
+    #[test]
+    fn ridged_profile_enhancement_is_pinned() {
+        // A 16-segment ridged Fig. 6 profile (σ = η = 1 µm) at 5 GHz; the
+        // pinned value is Pr/Ps of the same solve before the 2D kernel was
+        // folded onto one mode table.
+        let stack = Stackup::paper_baseline();
+        let frequency = GigaHertz::new(5.0).into();
+        let spec = RoughnessSpec::gaussian(Micrometers::new(1.0), Micrometers::new(1.0));
+        let profile = SwmProblem::builder(stack, spec)
+            .frequency(frequency)
+            .cells_per_side(16)
+            .build()
+            .unwrap()
+            .sample_ridged_surface(1)
+            .profile_along_x(0);
+        let problem = Swm2dProblem::new(stack, frequency).unwrap();
+        let pr_ps = problem.solve(&profile).unwrap().enhancement_factor();
+        let pinned = 1.272_176_934_574_309_2;
+        assert!(
+            (pr_ps - pinned).abs() <= 1e-10 * pinned,
+            "Pr/Ps {pr_ps:.17} vs pinned {pinned:.17}"
+        );
     }
 
     #[test]

@@ -15,23 +15,24 @@
 //!
 //! # Scalar vs batched evaluation
 //!
-//! Both periodic kernels expose two evaluation styles:
+//! The 3D kernel exposes two evaluation styles:
 //!
-//! * **scalar** — [`PeriodicGreen3d::sample`] / [`PeriodicGreen2d::sample`]:
-//!   one separation per call, every per-`k` and per-mode constant recomputed
-//!   inside the call. This is the reference ("oracle") path that the batched
-//!   path is pinned against.
+//! * **scalar** — [`PeriodicGreen3d::sample`]: one separation per call, every
+//!   per-`k` and per-mode constant recomputed inside the call. This is the
+//!   reference ("oracle") path that the batched path is pinned against.
 //! * **batched** — [`PeriodicGreen3d::eval_batch_samples`] (values +
-//!   gradients), [`PeriodicGreen3d::eval_batch_regularized`], and the 2D
-//!   counterparts [`PeriodicGreen2d::eval_batch`] /
-//!   [`PeriodicGreen2d::eval_batch_samples`]: many separations per call, with
-//!   the Ewald splitting setup, lattice-sum loop bounds, Floquet-mode
-//!   constants and `erfc`/`exp` class factors hoisted out of the inner loop
-//!   and shared across the batch. The 3D sums also fold each term's
-//!   exponentials into the Faddeeva function and evaluate all of a sum's
-//!   terms in one lane-parallel call. The MOM assembly gathers all far-field
+//!   gradients) and [`PeriodicGreen3d::eval_batch_regularized`]: many
+//!   separations per call, with the Ewald splitting setup, lattice-sum loop
+//!   bounds and `erfc`/`exp` class factors hoisted out of the inner loop and
+//!   shared across the batch. The sums also fold each term's exponentials
+//!   into the Faddeeva function and evaluate all of a sum's terms in one
+//!   lane-parallel call. The 3D MOM assembly gathers all far-field
 //!   observation–source separations of a row panel into one batched call
 //!   (see `rough_core`), which is where the assembly speedup comes from.
+//!
+//! The 2D kernel has one evaluation, [`PeriodicGreen2d::sample`]: its
+//! Floquet-mode constants are built once in [`PeriodicGreen2d::new`], so a
+//! per-separation call already shares them.
 
 pub mod ewald;
 pub mod free_space;
@@ -43,4 +44,4 @@ pub use free_space::{
     ln_r_integral_over_segment, scalar_green_3d, scalar_green_3d_gradient, smooth_kernel_3d,
     smooth_kernel_3d_radial_derivative, solid_angle_of_planar_polygon, subtended_angle_of_segment,
 };
-pub use periodic2d::{Green2dSample, PeriodicGreen2d, Separation2d};
+pub use periodic2d::{Green2dSample, PeriodicGreen2d};

@@ -13,10 +13,19 @@
 //! converging large-`m` tail `e^{jk_xm Δx − |k_xm||Δz|}/(2L|k_xm|)` is summed in
 //! closed form as `−ln(1 − w)/(4π) − ln(1 − w̄)/(4π)` with
 //! `w = e^{2π(jΔx − |Δz|)/L}`, and only the rapidly (∝ 1/m³) decaying remainder
-//! is summed numerically.
+//! is summed numerically. The per-mode constants of that remainder are
+//! built once per kernel, and the `±m` modes are folded into one real cosine
+//! (sine) factor each, so one evaluation costs one complex `exp` per mode.
 
 use rough_numerics::complex::c64;
 use std::f64::consts::PI;
+use std::fmt;
+use std::sync::Arc;
+
+/// Highest Floquet mode the remainder series sums before it stops.
+const MAX_MODES: usize = 20_000;
+/// Relative convergence tolerance of the remainder series.
+const TOLERANCE: f64 = 1e-12;
 
 /// Value and in-plane gradient of the 2D periodic kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,38 +36,10 @@ pub struct Green2dSample {
     pub gradient: [c64; 2],
 }
 
-impl Default for Green2dSample {
-    /// The zero sample — what batch output buffers are sized with.
-    fn default() -> Self {
-        Self {
-            value: c64::zero(),
-            gradient: [c64::zero(); 2],
-        }
-    }
-}
-
-/// One observation−source separation `(Δx, Δz)` of a batched 2D kernel
-/// evaluation ([`PeriodicGreen2d::eval_batch`] and friends).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Separation2d {
-    /// `Δx` component (the periodic direction).
-    pub dx: f64,
-    /// `Δz` component.
-    pub dz: f64,
-}
-
-impl Separation2d {
-    /// Creates a separation from its components.
-    pub fn new(dx: f64, dz: f64) -> Self {
-        Self { dx, dz }
-    }
-}
-
-/// Per-mode constants of the Kummer-accelerated Floquet series that are
-/// independent of the separation: the transverse wavenumber, its complex
-/// vertical wavenumber (one complex square root per mode), and `|k_xm|`.
-/// Built lazily inside a batch call and shared by every separation of the
-/// batch.
+/// Separation-independent constants of Floquet mode `m`: the transverse
+/// wavenumber `k_xm = 2πm/L`, the complex vertical wavenumber
+/// `k_z = √(k² − k_xm²)` and `|k_xm|`.
+#[derive(Debug, Clone, Copy)]
 struct Mode2d {
     kxm: f64,
     kz: c64,
@@ -80,12 +61,21 @@ struct Mode2d {
 /// let b = g.value(1.0 + 5.0, 0.4);
 /// assert!((a - b).abs() < 1e-9 * a.abs());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct PeriodicGreen2d {
     k: c64,
     period: f64,
-    max_modes: usize,
-    tolerance: f64,
+    /// Constants of the modes `0..=MAX_MODES`, shared by clones.
+    modes: Arc<[Mode2d]>,
+}
+
+impl fmt::Debug for PeriodicGreen2d {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PeriodicGreen2d")
+            .field("k", &self.k)
+            .field("period", &self.period)
+            .finish_non_exhaustive()
+    }
 }
 
 impl PeriodicGreen2d {
@@ -97,12 +87,17 @@ impl PeriodicGreen2d {
     pub fn new(k: c64, period: f64) -> Self {
         assert!(period > 0.0, "period must be positive");
         assert!(k.im >= 0.0, "gain media (Im k < 0) are not supported");
-        Self {
-            k,
-            period,
-            max_modes: 20_000,
-            tolerance: 1e-12,
-        }
+        let modes = (0..=MAX_MODES)
+            .map(|m| {
+                let kxm = 2.0 * PI * m as f64 / period;
+                Mode2d {
+                    kxm,
+                    kz: (k * k - c64::from_real(kxm * kxm)).sqrt(),
+                    abs_kxm: kxm.abs(),
+                }
+            })
+            .collect();
+        Self { k, period, modes }
     }
 
     /// Wavenumber of the medium.
@@ -138,125 +133,11 @@ impl PeriodicGreen2d {
             !near_lattice,
             "periodic 2D Green's function evaluated at a lattice point; use regularized()"
         );
-        let (value, grad) = self.kummer_sum(dx, dz, false);
-        Green2dSample {
-            value,
-            gradient: grad,
-        }
-    }
-
-    /// Batched kernel values: `out[i] = G_p(pairs[i])`.
-    ///
-    /// Equivalent to calling [`PeriodicGreen2d::value`] per pair but with the
-    /// per-mode constants of the Kummer-accelerated Floquet series — one
-    /// complex square root `k_z(m)` and `|k_xm|` per mode — computed once and
-    /// shared across the whole batch, the `±m` mode pairs folded into real
-    /// cosine factors (halving the `exp` count), and the `e^{jk_xm Δx}`
-    /// phases generated by one sine/cosine recurrence per separation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ or a separation coincides with a
-    /// lattice point.
-    pub fn eval_batch(&self, pairs: &[Separation2d], out: &mut [c64]) {
-        assert_eq!(
-            pairs.len(),
-            out.len(),
-            "eval_batch output slice must match the number of separations"
-        );
-        let mut modes = Vec::new();
-        for (pair, slot) in pairs.iter().zip(out.iter_mut()) {
-            *slot = self.batch_pair(&mut modes, pair.dx, pair.dz).value;
-        }
-    }
-
-    /// Batched kernel values **and gradients** — the gradient variant of
-    /// [`PeriodicGreen2d::eval_batch`], used for the double-layer entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ or a separation coincides with a
-    /// lattice point.
-    pub fn eval_batch_samples(&self, pairs: &[Separation2d], out: &mut [Green2dSample]) {
-        assert_eq!(
-            pairs.len(),
-            out.len(),
-            "eval_batch_samples output slice must match the number of separations"
-        );
-        let mut modes = Vec::new();
-        for (pair, slot) in pairs.iter().zip(out.iter_mut()) {
-            *slot = self.batch_pair(&mut modes, pair.dx, pair.dz);
-        }
-    }
-
-    /// Extends the shared mode table so index `m` is valid.
-    fn ensure_modes(&self, modes: &mut Vec<Mode2d>, m: usize) {
-        while modes.len() <= m {
-            let kxm = 2.0 * PI * modes.len() as f64 / self.period;
-            let kz = (self.k * self.k - c64::from_real(kxm * kxm)).sqrt();
-            modes.push(Mode2d {
-                kxm,
-                kz,
-                abs_kxm: kxm.abs(),
-            });
-        }
-    }
-
-    /// One batched sample: the scalar Kummer sum restructured around the
-    /// shared mode table, with the `±m` phase pair folded into
-    /// `2·cos(m·k_x1·Δx)` (values) and `−2·k_xm·sin(m·k_x1·Δx)` (x-gradient).
-    fn batch_pair(&self, modes: &mut Vec<Mode2d>, dx: f64, dz: f64) -> Green2dSample {
-        let on_axis = dz.abs() < 1e-12 * self.period;
-        let near_lattice =
-            on_axis && ((dx / self.period) - (dx / self.period).round()).abs() < 1e-12;
-        assert!(
-            !near_lattice,
-            "periodic 2D Green's function evaluated at a lattice point; use regularized()"
-        );
         let s = dz.abs();
         let sign_z = if dz >= 0.0 { 1.0 } else { -1.0 };
-        let l = self.period;
-
-        // m = 0 Floquet term (phase is exactly 1).
-        self.ensure_modes(modes, 1);
-        let kz0 = modes[0].kz;
-        let vert0 = (c64::i() * kz0 * s).exp();
-        let m0 = vert0 / (c64::new(0.0, -2.0 * l) * kz0);
-        let m0s = c64::i() * kz0 * m0;
-
+        let (m0, m0s) = self.zeroth_mode(s);
         let (closed, closed_x, closed_s) = self.tail_closed_form(dx, s);
-
-        // Folded ±m remainder with incremental phases.
-        let (sin1, cos1) = (modes[1].kxm * dx).sin_cos();
-        let (mut cos_ma, mut sin_ma) = (cos1, sin1);
-        let mut rem = c64::zero();
-        let mut rem_x = c64::zero();
-        let mut rem_s = c64::zero();
-        let mut m = 1usize;
-        loop {
-            self.ensure_modes(modes, m);
-            let mode = &modes[m];
-            let vert = (c64::i() * mode.kz * s).exp();
-            let v = vert / (c64::new(0.0, -2.0 * l) * mode.kz);
-            let t = (-mode.abs_kxm * s).exp() / (2.0 * l * mode.abs_kxm);
-            let diff = v - c64::from_real(t);
-            rem += diff.scale(2.0 * cos_ma);
-            rem_x += diff.scale(-2.0 * mode.kxm * sin_ma);
-            rem_s +=
-                (c64::i() * mode.kz * v + c64::from_real(mode.abs_kxm * t)).scale(2.0 * cos_ma);
-            let chunk = 2.0 * diff.abs();
-            if chunk < self.tolerance * (1.0 + rem.abs()) && m > 4 {
-                break;
-            }
-            m += 1;
-            if m > self.max_modes {
-                break;
-            }
-            let next_cos = cos_ma * cos1 - sin_ma * sin1;
-            sin_ma = sin_ma * cos1 + cos_ma * sin1;
-            cos_ma = next_cos;
-        }
-
+        let (rem, rem_x, rem_s) = self.remainder(dx, s);
         Green2dSample {
             value: m0 + closed + rem,
             gradient: [closed_x + rem_x, (m0s + closed_s + rem_s).scale(sign_z)],
@@ -269,33 +150,48 @@ impl PeriodicGreen2d {
     pub fn regularized_at_origin(&self) -> c64 {
         // Closed-form Kummer term behaves like −ln(2πR/L)/(2π); removing the
         // −ln(R)/(2π) singular part leaves −ln(2π/L)/(2π).
-        let (remainder, _) = self.kummer_sum_remainder_only(0.0, 0.0);
-        let m0 = self.mode_term(0, 0.0, 0.0).0;
+        let (remainder, _, _) = self.remainder(0.0, 0.0);
+        let (m0, _) = self.zeroth_mode(0.0);
         remainder + m0 - c64::from_real((2.0 * PI / self.period).ln() / (2.0 * PI))
     }
 
-    /// Exact Floquet mode term `m` and its (value, d/dΔx, d/d|Δz|) derivatives.
-    fn mode_term(&self, m: i64, dx: f64, s: f64) -> (c64, c64, c64) {
-        let kxm = 2.0 * PI * m as f64 / self.period;
-        let kz = (self.k * self.k - c64::from_real(kxm * kxm)).sqrt();
-        let phase = c64::from_polar(1.0, kxm * dx);
-        let vert = (c64::i() * kz * s).exp();
-        let denom = c64::new(0.0, -2.0 * self.period) * kz;
-        let value = phase * vert / denom;
-        let ddx = c64::i() * value * kxm;
-        let dds = c64::i() * kz * value;
-        (value, ddx, dds)
+    /// The `m = 0` Floquet term at `|Δz| = s` (its phase is exactly 1) and
+    /// its `d/d|Δz|` derivative.
+    fn zeroth_mode(&self, s: f64) -> (c64, c64) {
+        let kz0 = self.modes[0].kz;
+        let value = (c64::i() * kz0 * s).exp() / (c64::new(0.0, -2.0 * self.period) * kz0);
+        (value, c64::i() * kz0 * value)
     }
 
-    /// Asymptotic (Kummer) tail term for mode `m ≠ 0` and its derivatives.
-    fn tail_term(&self, m: i64, dx: f64, s: f64) -> (c64, c64, c64) {
-        let kxm = 2.0 * PI * m as f64 / self.period;
-        let abs_kxm = kxm.abs();
-        let phase = c64::from_polar(1.0, kxm * dx);
-        let value = phase * (-abs_kxm * s).exp() / (2.0 * self.period * abs_kxm);
-        let ddx = c64::i() * value * kxm;
-        let dds = value.scale(-abs_kxm);
-        (value, ddx, dds)
+    /// The Kummer remainder `Σ_{m≠0} (mode − tail)` and its `(d/dΔx, d/d|Δz|)`
+    /// derivatives, with each `±m` phase pair folded into `2·cos(k_xm·Δx)`
+    /// (values) and `−2·k_xm·sin(k_xm·Δx)` (x-derivative). The phases come
+    /// from one sine/cosine recurrence; the series stops once a folded term
+    /// drops below the tolerance or at `MAX_MODES`.
+    fn remainder(&self, dx: f64, s: f64) -> (c64, c64, c64) {
+        let l = self.period;
+        let (sin1, cos1) = (self.modes[1].kxm * dx).sin_cos();
+        let (mut cos_ma, mut sin_ma) = (cos1, sin1);
+        let mut rem = c64::zero();
+        let mut rem_x = c64::zero();
+        let mut rem_s = c64::zero();
+        for (m, mode) in self.modes.iter().enumerate().skip(1) {
+            let vert = (c64::i() * mode.kz * s).exp();
+            let v = vert / (c64::new(0.0, -2.0 * l) * mode.kz);
+            let t = (-mode.abs_kxm * s).exp() / (2.0 * l * mode.abs_kxm);
+            let diff = v - c64::from_real(t);
+            rem += diff.scale(2.0 * cos_ma);
+            rem_x += diff.scale(-2.0 * mode.kxm * sin_ma);
+            rem_s +=
+                (c64::i() * mode.kz * v + c64::from_real(mode.abs_kxm * t)).scale(2.0 * cos_ma);
+            if 2.0 * diff.abs() < TOLERANCE * (1.0 + rem.abs()) && m > 4 {
+                break;
+            }
+            let next_cos = cos_ma * cos1 - sin_ma * sin1;
+            sin_ma = sin_ma * cos1 + cos_ma * sin1;
+            cos_ma = next_cos;
+        }
+        (rem, rem_x, rem_s)
     }
 
     /// Closed form of the summed Kummer tail and its derivatives.
@@ -311,51 +207,89 @@ impl PeriodicGreen2d {
         let dds = -(w / (one - w) + wbar / (one - wbar)) / (2.0 * l);
         (value, ddx, dds)
     }
-
-    /// Sum of `(mode − tail)` remainders only (no m = 0 term, no closed form).
-    fn kummer_sum_remainder_only(&self, dx: f64, s: f64) -> (c64, [c64; 2]) {
-        let mut value = c64::zero();
-        let mut ddx = c64::zero();
-        let mut dds = c64::zero();
-        let mut m = 1i64;
-        loop {
-            let mut chunk = 0.0;
-            for sign in [1i64, -1] {
-                let mm = sign * m;
-                let (ev, ex, es) = self.mode_term(mm, dx, s);
-                let (tv, tx, ts) = self.tail_term(mm, dx, s);
-                value += ev - tv;
-                ddx += ex - tx;
-                dds += es - ts;
-                chunk += (ev - tv).abs();
-            }
-            if chunk < self.tolerance * (1.0 + value.abs()) && m > 4 {
-                break;
-            }
-            m += 1;
-            if m as usize > self.max_modes {
-                break;
-            }
-        }
-        (value, [ddx, dds])
-    }
-
-    fn kummer_sum(&self, dx: f64, dz: f64, _skip_m0: bool) -> (c64, [c64; 2]) {
-        let s = dz.abs();
-        let sign_z = if dz >= 0.0 { 1.0 } else { -1.0 };
-        let (m0, m0x, m0s) = self.mode_term(0, dx, s);
-        let (closed, closed_x, closed_s) = self.tail_closed_form(dx, s);
-        let (rem, rem_grad) = self.kummer_sum_remainder_only(dx, s);
-        let value = m0 + closed + rem;
-        let grad_x = m0x + closed_x + rem_grad[0];
-        let grad_z = (m0s + closed_s + rem_grad[1]) * sign_z;
-        (value, [grad_x, grad_z])
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The unfolded Kummer series: one exact mode term and one asymptotic
+    /// tail term per signed mode index, every per-mode constant recomputed.
+    /// It is the oracle the folded, table-driven [`PeriodicGreen2d::sample`]
+    /// is pinned against.
+    impl PeriodicGreen2d {
+        /// Exact Floquet mode term `m` and its (value, d/dΔx, d/d|Δz|)
+        /// derivatives.
+        fn mode_term(&self, m: i64, dx: f64, s: f64) -> (c64, c64, c64) {
+            let kxm = 2.0 * PI * m as f64 / self.period;
+            let kz = (self.k * self.k - c64::from_real(kxm * kxm)).sqrt();
+            let phase = c64::from_polar(1.0, kxm * dx);
+            let vert = (c64::i() * kz * s).exp();
+            let denom = c64::new(0.0, -2.0 * self.period) * kz;
+            let value = phase * vert / denom;
+            let ddx = c64::i() * value * kxm;
+            let dds = c64::i() * kz * value;
+            (value, ddx, dds)
+        }
+
+        /// Asymptotic (Kummer) tail term for mode `m ≠ 0` and its
+        /// derivatives.
+        fn tail_term(&self, m: i64, dx: f64, s: f64) -> (c64, c64, c64) {
+            let kxm = 2.0 * PI * m as f64 / self.period;
+            let abs_kxm = kxm.abs();
+            let phase = c64::from_polar(1.0, kxm * dx);
+            let value = phase * (-abs_kxm * s).exp() / (2.0 * self.period * abs_kxm);
+            let ddx = c64::i() * value * kxm;
+            let dds = value.scale(-abs_kxm);
+            (value, ddx, dds)
+        }
+
+        /// Sum of `(mode − tail)` remainders only (no m = 0 term, no closed
+        /// form).
+        fn kummer_sum_remainder_only(&self, dx: f64, s: f64) -> (c64, [c64; 2]) {
+            let mut value = c64::zero();
+            let mut ddx = c64::zero();
+            let mut dds = c64::zero();
+            let mut m = 1i64;
+            loop {
+                let mut chunk = 0.0;
+                for sign in [1i64, -1] {
+                    let mm = sign * m;
+                    let (ev, ex, es) = self.mode_term(mm, dx, s);
+                    let (tv, tx, ts) = self.tail_term(mm, dx, s);
+                    value += ev - tv;
+                    ddx += ex - tx;
+                    dds += es - ts;
+                    chunk += (ev - tv).abs();
+                }
+                if chunk < TOLERANCE * (1.0 + value.abs()) && m > 4 {
+                    break;
+                }
+                m += 1;
+                if m as usize > MAX_MODES {
+                    break;
+                }
+            }
+            (value, [ddx, dds])
+        }
+
+        fn kummer_sum(&self, dx: f64, dz: f64) -> Green2dSample {
+            let s = dz.abs();
+            let sign_z = if dz >= 0.0 { 1.0 } else { -1.0 };
+            let (m0, m0x, m0s) = self.mode_term(0, dx, s);
+            let (closed, closed_x, closed_s) = self.tail_closed_form(dx, s);
+            let (rem, rem_grad) = self.kummer_sum_remainder_only(dx, s);
+            Green2dSample {
+                value: m0 + closed + rem,
+                gradient: [
+                    m0x + closed_x + rem_grad[0],
+                    (m0s + closed_s + rem_grad[1]) * sign_z,
+                ],
+            }
+        }
+    }
 
     #[test]
     fn matches_plain_floquet_series_away_from_axis() {
@@ -437,68 +371,83 @@ mod tests {
         }
     }
 
+    /// Asserts the folded series reproduces the unfolded oracle: values to
+    /// 1e-12 and gradients to 1e-11 relative.
+    fn assert_matches_oracle(g: &PeriodicGreen2d, dx: f64, dz: f64) {
+        let got = g.sample(dx, dz);
+        let want = g.kummer_sum(dx, dz);
+        let k = g.wavenumber();
+        assert!(
+            (got.value - want.value).abs() <= 1e-12 * (1.0 + want.value.abs()),
+            "k={k} Δ=({dx},{dz}): folded {} vs oracle {}",
+            got.value,
+            want.value
+        );
+        for axis in 0..2 {
+            assert!(
+                (got.gradient[axis] - want.gradient[axis]).abs()
+                    <= 1e-11 * (1.0 + want.gradient[axis].abs()),
+                "k={k} Δ=({dx},{dz}) gradient[{axis}]: folded {} vs oracle {}",
+                got.gradient[axis],
+                want.gradient[axis]
+            );
+        }
+    }
+
     #[test]
-    fn batched_evaluation_matches_scalar() {
+    fn folded_series_matches_unfolded_oracle() {
+        // Fixed points across the three wavenumber regimes.
         for &k in &[
             c64::new(2.0e-4, 0.0),
             c64::new(0.5, 0.2),
             c64::new(1.2, 1.2),
         ] {
             let g = PeriodicGreen2d::new(k, 5.0);
-            let pairs: Vec<Separation2d> = [
+            for &(dx, dz) in &[
                 (0.07, 0.015),
                 (0.8, 0.15),
                 (1.3, 3.5),
                 (-1.9, -0.6),
                 (2.4, 0.02),
-            ]
-            .iter()
-            .map(|&(dx, dz)| Separation2d::new(dx, dz))
-            .collect();
-            let mut values = vec![c64::zero(); pairs.len()];
-            let mut samples = vec![Green2dSample::default(); pairs.len()];
-            g.eval_batch(&pairs, &mut values);
-            g.eval_batch_samples(&pairs, &mut samples);
-            for (pair, (value, sample)) in pairs.iter().zip(values.iter().zip(&samples)) {
-                let scalar = g.sample(pair.dx, pair.dz);
-                let scale = 1.0 + scalar.value.abs();
-                assert!(
-                    (*value - scalar.value).abs() < 1e-12 * scale,
-                    "k={k} Δ=({},{}): batch {value} vs scalar {}",
-                    pair.dx,
-                    pair.dz,
-                    scalar.value
-                );
-                assert_eq!(sample.value, *value);
-                for axis in 0..2 {
-                    let gscale = 1.0 + scalar.gradient[axis].abs();
-                    assert!(
-                        (sample.gradient[axis] - scalar.gradient[axis]).abs() < 1e-11 * gscale,
-                        "k={k} gradient[{axis}]: {} vs {}",
-                        sample.gradient[axis],
-                        scalar.gradient[axis]
-                    );
-                }
+            ] {
+                assert_matches_oracle(&g, dx, dz);
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "output slice must match")]
-    fn batch_length_mismatch_panics() {
-        let g = PeriodicGreen2d::new(c64::new(0.3, 0.1), 5.0);
-        let pairs = [Separation2d::new(0.5, 0.2)];
-        let mut out = vec![c64::zero(); 3];
-        g.eval_batch(&pairs, &mut out);
-    }
-
-    #[test]
-    #[should_panic(expected = "lattice point")]
-    fn batched_lattice_point_evaluation_panics() {
-        let g = PeriodicGreen2d::new(c64::new(0.3, 0.1), 5.0);
-        let pairs = [Separation2d::new(10.0, 0.0)];
-        let mut out = vec![c64::zero(); 1];
-        g.eval_batch(&pairs, &mut out);
+        // Random separations over several periods and both signs of Δz.
+        let mut rng = StdRng::seed_from_u64(0x0206);
+        for &(k, period) in &[
+            (c64::new(2.0e-4, 0.0), 5.0),
+            (c64::new(1.2, 1.2), 5.0),
+            (c64::new(0.5, 0.2), 4.0),
+        ] {
+            let g = PeriodicGreen2d::new(k, period);
+            for _ in 0..40 {
+                let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+                let dx = rng.gen_range(-1.45..1.45) * period;
+                let dz = rng.gen_range(0.02..0.8) * period * sign;
+                assert_matches_oracle(&g, dx, dz);
+            }
+            // Near-axis points, |Δz| ≤ 1e-3·L, where the remainder needs the
+            // most modes.
+            for &(fx, fz) in &[
+                (0.013, 1e-3),
+                (0.25, -1e-3),
+                (0.5, 1e-4),
+                (-0.37, -1e-5),
+                (0.91, 1e-6),
+                (0.002, 0.0),
+            ] {
+                assert_matches_oracle(&g, fx * period, fz * period);
+            }
+            // The self-term value runs the same folded loop at Δ = 0.
+            let want = g.kummer_sum_remainder_only(0.0, 0.0).0 + g.mode_term(0, 0.0, 0.0).0
+                - c64::from_real((2.0 * PI / period).ln() / (2.0 * PI));
+            let got = g.regularized_at_origin();
+            assert!(
+                (got - want).abs() <= 1e-12 * (1.0 + want.abs()),
+                "k={k}: regularized {got} vs oracle {want}"
+            );
+        }
     }
 
     #[test]

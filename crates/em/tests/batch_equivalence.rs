@@ -13,9 +13,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rough_em::green::{
-    GreenSample, PeriodicGreen2d, PeriodicGreen3d, Separation2d, SeparationVector,
-};
+use rough_em::green::{GreenSample, PeriodicGreen3d, SeparationVector};
 use rough_numerics::complex::c64;
 
 const RELATIVE_BOUND: f64 = 1e-12;
@@ -116,39 +114,6 @@ fn batched_3d_regularized_matches_scalar_on_random_near_separations() {
                     "k={k} regularized gradient[{axis}]"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn batched_2d_values_and_gradients_match_scalar_on_random_separations() {
-    let mut rng = StdRng::seed_from_u64(0x0206);
-    for &(k, period) in &[
-        (c64::new(2.0e-4, 0.0), 5.0),
-        (c64::new(1.2, 1.2), 5.0),
-        (c64::new(0.5, 0.2), 4.0),
-    ] {
-        let g = PeriodicGreen2d::new(k, period);
-        let pairs: Vec<Separation2d> = (0..40)
-            .map(|_| {
-                let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
-                Separation2d::new(
-                    rng.gen_range(-1.45..1.45) * period,
-                    rng.gen_range(0.02..0.8) * period * sign,
-                )
-            })
-            .collect();
-        let mut values = vec![c64::zero(); pairs.len()];
-        g.eval_batch(&pairs, &mut values);
-        for (pair, value) in pairs.iter().zip(&values) {
-            let scalar = g.sample(pair.dx, pair.dz);
-            assert!(
-                (*value - scalar.value).abs() <= RELATIVE_BOUND * (1.0 + scalar.value.abs()),
-                "k={k} Δ=({}, {}): batch {value} vs scalar {}",
-                pair.dx,
-                pair.dz,
-                scalar.value
-            );
         }
     }
 }

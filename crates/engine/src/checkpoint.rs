@@ -55,8 +55,11 @@ fn checkpoint_error(reason: impl Into<String>) -> EngineError {
     EngineError::Checkpoint(reason.into())
 }
 
-/// Extracts `"key":<u64>` from one of our own JSON lines.
-fn extract_u64(line: &str, key: &str) -> Option<u64> {
+/// Extracts `"key":<u64>` from one of our own JSON lines — the checkpoint
+/// and cost-table files here and the daemon's job journal. `None` when the
+/// key is absent or its value is not a `u64`. The quotes are part of the
+/// match, so `"value"` never matches `"value_bits"`.
+pub fn extract_u64(line: &str, key: &str) -> Option<u64> {
     let pattern = format!("\"{key}\":");
     let start = line.find(&pattern)? + pattern.len();
     let rest = &line[start..];
@@ -66,9 +69,10 @@ fn extract_u64(line: &str, key: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
-/// Extracts `"key":"<string>"` (no escapes — our writers only emit
-/// percent-encoded or hex payloads) from one of our own JSON lines.
-fn extract_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+/// Extracts `"key":"<string>"` from one of our own JSON lines (no escapes —
+/// our writers only emit percent-encoded, hex or plain-label payloads).
+/// `None` when the key is absent or its value is not a string.
+pub fn extract_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let pattern = format!("\"{key}\":\"");
     let start = line.find(&pattern)? + pattern.len();
     let rest = &line[start..];
@@ -331,6 +335,19 @@ mod tests {
     use rough_core::RoughnessSpec;
     use rough_em::material::Stackup;
     use rough_em::units::{GigaHertz, Micrometers};
+
+    #[test]
+    fn field_reader_matches_whole_keys_only() {
+        let line = r#"{"kind":"unit","value_bits":"3ff0000000000000","unit":7}"#;
+        assert_eq!(extract_str(line, "value"), None);
+        assert_eq!(extract_u64(line, "value"), None);
+        assert_eq!(extract_str(line, "value_bits"), Some("3ff0000000000000"));
+        assert_eq!(extract_u64(line, "unit"), Some(7));
+        let both = r#"{"value_bits":"3ff0","value":42}"#;
+        assert_eq!(extract_u64(both, "value"), Some(42));
+        assert_eq!(extract_u64(line, "case"), None);
+        assert_eq!(extract_str(line, "fingerprint"), None);
+    }
 
     fn scenario() -> Scenario {
         Scenario::builder(Stackup::paper_baseline())

@@ -22,6 +22,7 @@
 //!   static model otherwise (mixing measured seconds with the static model's
 //!   abstract scale inside one sort would be meaningless).
 
+use crate::checkpoint::{extract_str, extract_u64};
 use crate::error::EngineError;
 use crate::plan::{Plan, WorkUnit};
 use crate::report::CampaignReport;
@@ -230,24 +231,6 @@ impl CostTable {
             .map_err(|e| EngineError::Checkpoint(format!("cannot read {}: {e}", path.display())))?;
         Self::from_json(&text)
     }
-}
-
-/// Extracts `"key":<u64>` from one of our own JSON fragments.
-fn extract_u64(text: &str, key: &str) -> Option<u64> {
-    let pattern = format!("\"{key}\":");
-    let start = text.find(&pattern)? + pattern.len();
-    let rest = &text[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"key":"<string>"` (no escapes — our class keys contain none).
-fn extract_str<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let pattern = format!("\"{key}\":\"");
-    let start = text.find(&pattern)? + pattern.len();
-    text[start..].split('"').next()
 }
 
 /// Executes the most expensive units first, ties broken by plan order.

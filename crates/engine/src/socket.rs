@@ -640,7 +640,8 @@ fn reconnect_backoff(attempt: u32) -> Duration {
 /// The worker process's main loop: dials the dispatcher at `spec` (a
 /// [`SocketAddr`]), serves runs, and redials with backoff after a dropped
 /// connection. Returns the process exit code; a `spec` that does not parse
-/// fails at once.
+/// fails at once. At start it prints one stderr line with its effective
+/// settings: pid, dispatcher address, assembly threads and fault scope.
 pub(crate) fn worker_main(spec: &str) -> i32 {
     let addr = match worker_addr(spec) {
         Ok(addr) => addr,
@@ -650,6 +651,12 @@ pub(crate) fn worker_main(spec: &str) -> i32 {
         }
     };
     let mut state = WorkerState::new();
+    eprintln!(
+        "roughsim worker {pid} dialing {addr}, assembly threads {threads}, fault scope {scope}",
+        pid = std::process::id(),
+        threads = state.assembly.worker_count(),
+        scope = std::env::var(rough_faults::SCOPE_ENV).unwrap_or_else(|_| "none".to_owned()),
+    );
     let mut attempt: u32 = 0;
     loop {
         if let Ok(conn) = dial(addr) {

@@ -209,16 +209,10 @@ static ARMED: OnceLock<Mutex<Armed>> = OnceLock::new();
 
 fn armed() -> MutexGuard<'static, Armed> {
     let cell = ARMED.get_or_init(|| {
-        let plan = std::env::var(FAULTS_ENV)
-            .ok()
-            .and_then(|spec| match FaultPlan::parse(&spec) {
-                Ok(plan) => Some(plan),
-                Err(e) => {
-                    eprintln!("roughsim: ignoring malformed {FAULTS_ENV}: {e}");
-                    None
-                }
-            })
-            .unwrap_or_default();
+        let plan = env_plan().unwrap_or_else(|e| {
+            eprintln!("roughsim: ignoring {e}");
+            FaultPlan::none()
+        });
         let scope = std::env::var(SCOPE_ENV).ok();
         if !plan.entries.is_empty() {
             ANY_ARMED.store(true, Ordering::Release);
@@ -229,11 +223,27 @@ fn armed() -> MutexGuard<'static, Armed> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Ensures the environment plan (if any) is parsed and armed. Called lazily
-/// by [`should_fire`]; call it eagerly at process start to surface plan
-/// parse errors early.
-pub fn init_from_env() {
+/// The plan in [`FAULTS_ENV`]; the empty plan when the variable is unset.
+fn env_plan() -> Result<FaultPlan, String> {
+    match std::env::var(FAULTS_ENV) {
+        Ok(spec) => FaultPlan::parse(&spec).map_err(|e| format!("{FAULTS_ENV}={spec:?}: {e}")),
+        Err(std::env::VarError::NotPresent) => Ok(FaultPlan::none()),
+        Err(std::env::VarError::NotUnicode(_)) => Err(format!("{FAULTS_ENV} is not UTF-8")),
+    }
+}
+
+/// Parses and arms the environment plan (if any). [`should_fire`] arms
+/// lazily and ignores a malformed plan with one stderr line; call this
+/// eagerly at process start to refuse one instead.
+///
+/// # Errors
+///
+/// Returns a message naming [`FAULTS_ENV`] when its plan does not parse;
+/// nothing is armed then.
+pub fn init_from_env() -> Result<(), String> {
+    env_plan()?;
     drop(armed());
+    Ok(())
 }
 
 /// Returns `true` when the armed plan says fault point `point` fires now.
@@ -245,7 +255,7 @@ pub fn should_fire(point: &str) -> bool {
     if !ANY_ARMED.load(Ordering::Acquire) {
         // Arm from the environment exactly once; cheap no-op afterwards.
         if ARMED.get().is_none() {
-            init_from_env();
+            drop(armed());
             if ANY_ARMED.load(Ordering::Acquire) {
                 return armed().should_fire(point);
             }
@@ -359,6 +369,25 @@ mod tests {
         assert!(FaultPlan::parse("seed=42").is_err());
         assert!(FaultPlan::parse("worker.exit:1;seed=42").is_err());
         assert_eq!(FaultPlan::parse("  ;; , ").unwrap(), FaultPlan::none());
+    }
+
+    #[test]
+    fn init_from_env_refuses_a_malformed_plan() {
+        // Holds the in-process plan lock: the variable is process-wide.
+        let _lock = TEST_GUARD
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let saved = std::env::var_os(FAULTS_ENV);
+        std::env::set_var(FAULTS_ENV, "worker.exit#w0:1;seed=42");
+        let malformed = init_from_env();
+        std::env::remove_var(FAULTS_ENV);
+        let unset = init_from_env();
+        if let Some(value) = saved {
+            std::env::set_var(FAULTS_ENV, value);
+        }
+        let err = malformed.expect_err("a malformed plan must be refused");
+        assert!(err.contains(FAULTS_ENV), "{err}");
+        assert_eq!(unset, Ok(()));
     }
 
     #[test]

@@ -318,76 +318,6 @@ impl AdaptiveLineGauss {
         outcome
     }
 
-    /// Integrates a complex pair over `[a, b]` with a *node-batched*
-    /// integrand: `f(xs, out)` receives every node of one adaptive panel (the
-    /// embedded coarse block followed by the fine block) and fills `out` in
-    /// node order — the 1D counterpart of
-    /// [`AdaptiveTensorGauss::integrate_pair_batched`], with the same
-    /// bit-identical-to-recursive guarantee for per-node-equivalent
-    /// integrands.
-    pub fn integrate_pair_batched(
-        &self,
-        (a, b): (f64, f64),
-        floor: f64,
-        scratch: &mut QuadScratch,
-        mut f: impl FnMut(&[f64], &mut [(c64, c64)]),
-    ) -> AdaptiveOutcome {
-        assert!(b > a, "integration interval must be proper");
-        assert!(floor >= 0.0, "floor must be non-negative");
-        let mut outcome = AdaptiveOutcome::fresh();
-        let coarse_nodes = self.coarse.len();
-        scratch.stack.clear();
-        scratch.stack.push(PanelTask {
-            ax: a,
-            bx: b,
-            ay: 0.0,
-            by: 0.0,
-            floor,
-            depth: 0,
-        });
-        while let Some(panel) = scratch.stack.pop() {
-            outcome.panels += 1;
-            scratch.xs.clear();
-            push_line_nodes(&self.coarse, (panel.ax, panel.bx), scratch);
-            push_line_nodes(&self.fine, (panel.ax, panel.bx), scratch);
-            scratch.values.clear();
-            scratch
-                .values
-                .resize(scratch.xs.len(), (c64::zero(), c64::zero()));
-            f(&scratch.xs, &mut scratch.values);
-            let coarse = reduce_line_block(
-                &self.coarse,
-                (panel.ax, panel.bx),
-                &scratch.values[..coarse_nodes],
-            );
-            let fine = reduce_line_block(
-                &self.fine,
-                (panel.ax, panel.bx),
-                &scratch.values[coarse_nodes..],
-            );
-            let error = (coarse.0 - fine.0).abs() + (coarse.1 - fine.1).abs();
-            let scale = fine.0.abs() + fine.1.abs() + panel.floor;
-            let within_tolerance = error <= self.tolerance * scale;
-            if within_tolerance || panel.depth >= self.max_depth {
-                outcome.accept_leaf(fine, error, !within_tolerance);
-                continue;
-            }
-            let m = 0.5 * (panel.ax + panel.bx);
-            let child_floor = 0.5 * panel.floor;
-            for &(ca, cb) in [(panel.ax, m), (m, panel.bx)].iter().rev() {
-                scratch.stack.push(PanelTask {
-                    ax: ca,
-                    bx: cb,
-                    ay: 0.0,
-                    by: 0.0,
-                    floor: child_floor,
-                    depth: panel.depth + 1,
-                });
-            }
-        }
-        outcome
-    }
-
     fn refine(
         &self,
         (a, b): (f64, f64),
@@ -485,33 +415,6 @@ fn reduce_tensor_block(
             first += a * w;
             second += b * w;
         }
-    }
-    (first, second)
-}
-
-/// Appends the line nodes of `rule` on an interval to the scratch arrays, in
-/// [`line_pair`] order.
-fn push_line_nodes(rule: &QuadratureRule, (a, b): (f64, f64), scratch: &mut QuadScratch) {
-    let half = 0.5 * (b - a);
-    let mid = 0.5 * (a + b);
-    for (xi, _) in rule.iter() {
-        scratch.xs.push(mid + half * xi);
-    }
-}
-
-/// Reduces one pre-evaluated line block with the weights of `rule`, in the
-/// exact accumulation order of [`line_pair`].
-fn reduce_line_block(
-    rule: &QuadratureRule,
-    (a, b): (f64, f64),
-    values: &[(c64, c64)],
-) -> (c64, c64) {
-    let half = 0.5 * (b - a);
-    let mut first = c64::zero();
-    let mut second = c64::zero();
-    for ((_, wi), &(u, v)) in rule.iter().zip(values) {
-        first += u * (wi * half);
-        second += v * (wi * half);
     }
     (first, second)
 }
@@ -683,37 +586,6 @@ mod tests {
                 recursive.error_estimate.to_bits()
             );
         }
-    }
-
-    #[test]
-    fn batched_line_path_is_bit_identical_to_recursive() {
-        let a = 1e-2;
-        let f = |x: f64| (c64::from_real(1.0 / (x + a)), c64::new(0.0, x));
-        let rule = AdaptiveLineGauss::new(4, 1e-10, 12);
-        let recursive = rule.integrate_pair((0.0, 1.0), 0.0, f);
-        let mut scratch = QuadScratch::new();
-        let batched = rule.integrate_pair_batched((0.0, 1.0), 0.0, &mut scratch, |xs, out| {
-            for (x, slot) in xs.iter().zip(out.iter_mut()) {
-                *slot = f(*x);
-            }
-        });
-        assert_eq!(batched.panels, recursive.panels);
-        assert_eq!(batched.converged, recursive.converged);
-        assert_eq!(
-            batched.values.0.re.to_bits(),
-            recursive.values.0.re.to_bits()
-        );
-        assert_eq!(
-            batched.values.1.im.to_bits(),
-            recursive.values.1.im.to_bits()
-        );
-        // The arena is reusable: a second integration must agree too.
-        let again = rule.integrate_pair_batched((0.0, 1.0), 0.0, &mut scratch, |xs, out| {
-            for (x, slot) in xs.iter().zip(out.iter_mut()) {
-                *slot = f(*x);
-            }
-        });
-        assert_eq!(again.values.0.re.to_bits(), batched.values.0.re.to_bits());
     }
 
     #[test]

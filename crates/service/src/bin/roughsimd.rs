@@ -12,8 +12,9 @@
 //!
 //! `ROUGHSIMD_JOBS`, `ROUGHSIMD_JOB_RETRIES` and `ROUGHSIMD_CACHE_BUDGET`
 //! set the concurrent jobs, the job retry budget and the report-cache budget
-//! in bytes; a malformed value refuses start. Once started, the daemon
-//! prints one line with every setting it resolved.
+//! in bytes; `ROUGHSIM_FAULTS` arms a fault-injection plan (see
+//! `rough_faults`). A malformed value of any of them refuses start. Once
+//! started, the daemon prints one line with every setting it resolved.
 //!
 //! With `ROUGHSIM_EXECUTOR=socket:N` the daemon re-executes *itself* as its
 //! persistent workers — which is why `main` consults
@@ -37,8 +38,13 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!("usage: roughsimd [--addr HOST:PORT] [--state-dir DIR]");
         eprintln!("  env: ROUGHSIMD_ADDR, ROUGHSIMD_STATE, ROUGHSIM_EXECUTOR,");
-        eprintln!("       ROUGHSIMD_JOBS, ROUGHSIMD_JOB_RETRIES, ROUGHSIMD_CACHE_BUDGET");
+        eprintln!("       ROUGHSIMD_JOBS, ROUGHSIMD_JOB_RETRIES, ROUGHSIMD_CACHE_BUDGET,");
+        eprintln!("       ROUGHSIM_FAULTS");
         return;
+    }
+    if let Err(e) = rough_faults::init_from_env() {
+        eprintln!("roughsimd: {e}");
+        std::process::exit(1);
     }
     let addr = arg_value(&args, "--addr")
         .or_else(|| std::env::var("ROUGHSIMD_ADDR").ok())

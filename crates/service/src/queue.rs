@@ -35,6 +35,7 @@
 //! recomputes on its next submission; eviction never breaks correctness,
 //! only the cache hit.
 
+use rough_engine::checkpoint::{extract_str, extract_u64};
 use rough_engine::{wire, EngineError};
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
@@ -169,28 +170,6 @@ impl Job {
 
 fn queue_error(reason: impl Into<String>) -> EngineError {
     EngineError::Checkpoint(format!("job queue: {}", reason.into()))
-}
-
-/// Extracts `"key":<u64>` from one of our own JSON lines.
-fn extract_u64(line: &str, key: &str) -> Option<u64> {
-    let pattern = format!("\"{key}\":");
-    let start = line.find(&pattern)? + pattern.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"key":"<token>"` (tokens never contain quotes or escapes).
-fn extract_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pattern = format!("\"{key}\":\"");
-    let start = line.find(&pattern)? + pattern.len();
-    rest_until_quote(&line[start..])
-}
-
-fn rest_until_quote(rest: &str) -> Option<&str> {
-    rest.split('"').next()
 }
 
 fn job_line(job: &Job) -> String {
