@@ -12,6 +12,7 @@ use rough_core::{RoughnessSpec, SwmProblem};
 use rough_em::material::Stackup;
 use rough_em::units::Micrometers;
 use rough_engine::{Engine, Scenario};
+use rough_surface::Profile1d;
 
 fn main() {
     // Worker mode for ROUGHSIM_EXECUTOR=socket runs (no-op otherwise).
@@ -63,14 +64,21 @@ fn main() {
                 .build()
                 .expect("valid configuration");
             let problem_2d = Swm2dProblem::new(stack, f).expect("valid 2D problem");
+            let profiles: Vec<Profile1d> = (0..ensemble)
+                .map(|seed| {
+                    problem
+                        .sample_ridged_surface(seed as u64 + 1)
+                        .profile_along_x(0)
+                })
+                .collect();
+            // Every realization shares the flat reference (same segment count
+            // and period), so it is solved once per (eta, f).
+            let flat = problem_2d
+                .absorbed_power(&Profile1d::flat(profiles[0].len(), profiles[0].period()))
+                .expect("2D flat solve");
             let mut mean_2d = 0.0;
-            for seed in 0..ensemble {
-                let ridged = problem.sample_ridged_surface(seed as u64 + 1);
-                let profile = ridged.profile_along_x(0);
-                mean_2d += problem_2d
-                    .solve(&profile)
-                    .expect("2D solve")
-                    .enhancement_factor();
+            for profile in &profiles {
+                mean_2d += problem_2d.absorbed_power(profile).expect("2D solve") / flat;
             }
             mean_2d /= ensemble as f64;
 

@@ -28,10 +28,8 @@
 //!   corrected near-field MOM integrals.
 //! * [`stats`] — descriptive statistics, empirical CDFs and histograms used by
 //!   the Monte-Carlo / SSCM comparison experiments.
-//! * [`interp`] — piecewise-linear interpolation of sampled curves.
-//! * [`rational`] — Floater–Hormann barycentric rational interpolation and a
-//!   vector-fitting-style rational least-squares model with an explicit
-//!   tabular fallback (broadband sweep fitting and circuit export).
+//! * [`rational`] — Floater–Hormann barycentric rational interpolation, the
+//!   local curve model that estimates a broadband sweep's table error.
 //!
 //! The crate has no external dependencies (the dev-dependencies `proptest` and
 //! `rand` are used only by the test-suite).
@@ -59,7 +57,6 @@
 pub mod complex;
 pub mod eigen;
 pub mod fft;
-pub mod interp;
 pub mod iterative;
 pub mod linalg;
 pub mod quadrature;

@@ -1,30 +1,16 @@
-//! Rational approximation of sampled curves.
+//! Barycentric rational interpolation of sampled curves.
 //!
-//! Broadband sweeps produce a handful of accurately solved frequency points
-//! and need two rational tools on top of them:
+//! [`BarycentricRational`] is the Floater–Hormann interpolant: pole-free on
+//! the sampled interval by construction and `O(h^{d+1})` accurate on smooth
+//! data. A broadband sweep uses it as the local model of its solved curve —
+//! a few neighbouring samples predict the curve between two nodes, and the
+//! gap between that prediction and the piecewise-linear table the sweep
+//! exports is the table's error estimate there.
 //!
-//! * [`BarycentricRational`] — Floater–Hormann barycentric rational
-//!   interpolation. Pole-free on the sampled interval by construction, it is
-//!   the *local predictor* of the adaptive refinement loop: leave one sample
-//!   out, interpolate its neighbours, and compare.
-//! * [`fit_curve`] — a vector-fitting-style global model: a Sanathanan–Koerner
-//!   iterated rational least squares `p(x)/q(x)` on the normalized band,
-//!   with pole extraction (Durand–Kerner) and residue computation for
-//!   circuit-compatible export. When no admissible degree reproduces the
-//!   samples within the declared tolerance — or every candidate puts a pole
-//!   on the sampled band — the fit *explicitly degrades* to the
-//!   [`CurveFit::Tabular`] piecewise-linear model rather than returning a
-//!   model that interpolates badly between samples.
-//!
-//! Everything is deterministic: fixed iteration counts, fixed starting
-//! points, no randomness — the same samples always produce the same model,
-//! bit for bit.
+//! Everything is deterministic: the same samples always produce the same
+//! interpolant, bit for bit.
 
-use crate::complex::c64;
-use crate::interp::{InterpError, LinearInterpolator};
-use crate::linalg::CMatrix;
-
-/// Rejected input or a failed factorization inside the fitter.
+/// Samples the interpolant cannot be built from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FitError {
     /// Samples were missing, mismatched, non-finite or not strictly
@@ -74,8 +60,8 @@ fn validate_samples(xs: &[f64], ys: &[f64]) -> Result<(), FitError> {
 /// Reproduces the samples exactly, has **no poles on the real line** (the
 /// Floater–Hormann construction guarantees it for equispaced and arbitrary
 /// increasing nodes alike), and converges at `O(h^{d+1})` on smooth data —
-/// the right local model for predicting a held-out sweep sample from its
-/// neighbours.
+/// the right local model for predicting a sweep curve between its solved
+/// samples.
 #[derive(Debug, Clone)]
 pub struct BarycentricRational {
     xs: Vec<f64>,
@@ -138,363 +124,6 @@ impl BarycentricRational {
     }
 }
 
-/// A fitted global rational model `y(f) ≈ p(x)/q(x)` with
-/// `x = (2f − f_lo − f_hi)/(f_hi − f_lo)` the normalized band coordinate.
-/// Coefficients are ascending; the denominator is normalized to `q(0) = 1`.
-#[derive(Debug, Clone)]
-pub struct RationalModel {
-    f_lo: f64,
-    f_hi: f64,
-    num: Vec<f64>,
-    den: Vec<f64>,
-    max_rel_error: f64,
-}
-
-impl RationalModel {
-    /// The frequency band the normalization maps onto `[−1, 1]`.
-    pub fn band(&self) -> (f64, f64) {
-        (self.f_lo, self.f_hi)
-    }
-
-    /// Numerator coefficients, ascending powers of the normalized coordinate.
-    pub fn numerator(&self) -> &[f64] {
-        &self.num
-    }
-
-    /// Denominator coefficients, ascending powers; `den[0] == 1`.
-    pub fn denominator(&self) -> &[f64] {
-        &self.den
-    }
-
-    /// Largest relative error over the fitted samples.
-    pub fn max_relative_error(&self) -> f64 {
-        self.max_rel_error
-    }
-
-    /// Degree of the model (numerator and denominator share it).
-    pub fn degree(&self) -> usize {
-        self.den.len() - 1
-    }
-
-    fn normalize(&self, f: f64) -> f64 {
-        (2.0 * f - self.f_lo - self.f_hi) / (self.f_hi - self.f_lo)
-    }
-
-    /// Evaluates the model at a frequency.
-    pub fn evaluate(&self, f: f64) -> f64 {
-        let x = self.normalize(f);
-        horner(&self.num, x) / horner(&self.den, x)
-    }
-
-    /// Poles of the model in the normalized coordinate (Durand–Kerner roots
-    /// of the denominator; complex in general). Admissible models keep every
-    /// pole off the sampled band — see [`fit_curve`].
-    pub fn poles(&self) -> Vec<c64> {
-        polynomial_roots(&self.den)
-    }
-
-    /// Vector-fitting-style partial-fraction form: the poles with their
-    /// residues `rₖ = p(pₖ)/q'(pₖ)` plus the direct (constant) term — the
-    /// representation circuit tools consume. Degenerate (repeated-pole)
-    /// denominators make residues blow up; admissible fits never produce
-    /// them on the sampled band.
-    pub fn pole_residues(&self) -> (Vec<(c64, c64)>, f64) {
-        let poles = self.poles();
-        let dq = differentiate(&self.den);
-        let pairs = poles
-            .into_iter()
-            .map(|p| {
-                let r = horner_complex(&self.num, p) / horner_complex(&dq, p);
-                (p, r)
-            })
-            .collect();
-        // Equal degrees: the direct term is the ratio of leading coefficients.
-        let direct = self.num.last().unwrap_or(&0.0) / self.den.last().unwrap_or(&1.0);
-        (pairs, direct)
-    }
-}
-
-/// The result of [`fit_curve`]: a compact rational model when one reproduces
-/// the samples within tolerance with a stable pole set, or the explicit
-/// tabular (piecewise-linear) fallback otherwise.
-#[derive(Debug, Clone)]
-pub enum CurveFit {
-    /// A pole/residue-exportable rational model.
-    Rational(RationalModel),
-    /// Piecewise-linear table over the sampled points (always succeeds).
-    Tabular(LinearInterpolator),
-}
-
-impl CurveFit {
-    /// Evaluates the fitted curve at a frequency.
-    pub fn evaluate(&self, f: f64) -> f64 {
-        match self {
-            CurveFit::Rational(model) => model.evaluate(f),
-            CurveFit::Tabular(table) => table.evaluate(f),
-        }
-    }
-
-    /// Whether the compact rational model was achieved (vs the tabular
-    /// degradation).
-    pub fn is_rational(&self) -> bool {
-        matches!(self, CurveFit::Rational(_))
-    }
-
-    /// Short label for reports: `"rational(deg N)"` or `"tabular"`.
-    pub fn describe(&self) -> String {
-        match self {
-            CurveFit::Rational(model) => format!("rational(deg {})", model.degree()),
-            CurveFit::Tabular(_) => "tabular".into(),
-        }
-    }
-}
-
-/// Knobs of [`fit_curve`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FitOptions {
-    /// Largest rational degree tried (numerator = denominator degree). The
-    /// fitter returns the *lowest* admissible degree, so this is a cap, not
-    /// a target.
-    pub max_degree: usize,
-    /// Relative-error tolerance the model must meet at every sample.
-    pub tolerance: f64,
-    /// Sanathanan–Koerner reweighting iterations per degree (fixed count for
-    /// determinism; 8 is ample for the smooth curves swept here).
-    pub sk_iterations: usize,
-}
-
-impl Default for FitOptions {
-    fn default() -> Self {
-        Self {
-            max_degree: 6,
-            tolerance: 1e-4,
-            sk_iterations: 8,
-        }
-    }
-}
-
-/// Fits sampled curve data to the lowest-degree admissible rational model,
-/// degrading explicitly to the tabular model when none exists.
-///
-/// A candidate is admissible when (a) its relative error at every sample is
-/// within `options.tolerance`, and (b) every denominator root stays clear of
-/// the sampled band (`|Im x| > 0.05` or `|Re x| > 1.05` in the normalized
-/// coordinate) — a pole on the band would let the model blow up *between*
-/// samples while matching all of them, the classic rational-fit failure.
-///
-/// # Errors
-///
-/// Returns [`FitError::InvalidSamples`] for mismatched, short, unsorted or
-/// non-finite samples (the tabular fallback needs valid samples too).
-pub fn fit_curve(fs: &[f64], ys: &[f64], options: &FitOptions) -> Result<CurveFit, FitError> {
-    validate_samples(fs, ys)?;
-    let f_lo = fs[0];
-    let f_hi = fs[fs.len() - 1];
-    let xs: Vec<f64> = fs
-        .iter()
-        .map(|&f| (2.0 * f - f_lo - f_hi) / (f_hi - f_lo))
-        .collect();
-    let y_scale = ys
-        .iter()
-        .fold(0.0f64, |acc, y| acc.max(y.abs()))
-        .max(f64::MIN_POSITIVE);
-
-    for degree in 1..=options.max_degree {
-        // 2·degree + 1 unknowns need at least as many samples.
-        if xs.len() < 2 * degree + 1 {
-            break;
-        }
-        let Some((num, den)) = sk_fit(&xs, ys, degree, options.sk_iterations) else {
-            continue;
-        };
-        // Pole admissibility: no denominator root near the sampled band.
-        let offending = polynomial_roots(&den)
-            .iter()
-            .any(|p| p.im.abs() <= 0.05 && p.re.abs() <= 1.05);
-        if offending {
-            continue;
-        }
-        let mut worst = 0.0f64;
-        for (&x, &y) in xs.iter().zip(ys) {
-            let model = horner(&num, x) / horner(&den, x);
-            worst = worst.max((model - y).abs() / y.abs().max(1e-3 * y_scale));
-        }
-        if worst <= options.tolerance {
-            return Ok(CurveFit::Rational(RationalModel {
-                f_lo,
-                f_hi,
-                num,
-                den,
-                max_rel_error: worst,
-            }));
-        }
-    }
-
-    let table = LinearInterpolator::new(fs, ys).map_err(|e: InterpError| {
-        FitError::InvalidSamples(format!("tabular fallback rejected the samples: {e:?}"))
-    })?;
-    Ok(CurveFit::Tabular(table))
-}
-
-/// One Sanathanan–Koerner pass sequence at fixed degree: iteratively solve
-/// the linearized weighted least squares
-/// `min Σ wᵢ (p(xᵢ) − yᵢ q(xᵢ))²` with `wᵢ = 1/q_prev(xᵢ)²`, `q(0) = 1`.
-/// Returns ascending `(num, den)` or `None` when the normal equations are
-/// singular (degenerate sample sets).
-fn sk_fit(
-    xs: &[f64],
-    ys: &[f64],
-    degree: usize,
-    iterations: usize,
-) -> Option<(Vec<f64>, Vec<f64>)> {
-    let m = xs.len();
-    let unknowns = 2 * degree + 1; // a₀..a_d, b₁..b_d
-    let mut weights = vec![1.0f64; m];
-    let mut solution: Option<Vec<f64>> = None;
-
-    for _ in 0..iterations.max(1) {
-        // Row i: Σ_u a_u xᵢᵘ − yᵢ Σ_{v≥1} b_v xᵢᵛ = yᵢ, scaled by √wᵢ.
-        let mut rows = Vec::with_capacity(m);
-        let mut rhs = Vec::with_capacity(m);
-        for i in 0..m {
-            let w = weights[i].sqrt();
-            let mut row = Vec::with_capacity(unknowns);
-            let mut pow = 1.0;
-            for _ in 0..=degree {
-                row.push(w * pow);
-                pow *= xs[i];
-            }
-            let mut pow = xs[i];
-            for _ in 1..=degree {
-                row.push(-w * ys[i] * pow);
-                pow *= xs[i];
-            }
-            rows.push(row);
-            rhs.push(w * ys[i]);
-        }
-        // Normal equations AᵀA c = Aᵀb, solved with the complex LU (real
-        // payload) — the only dense factorization the workspace carries.
-        // Exactly rational data makes the linearization rank-deficient (the
-        // common-factor family p·s/q·s solves it too), so a tiny ridge picks
-        // the min-norm member; every member represents the same function.
-        let mut trace = 0.0;
-        for row in &rows {
-            for v in row {
-                trace += v * v;
-            }
-        }
-        let ridge = 1e-12 * trace / unknowns as f64;
-        let ata = CMatrix::from_fn(unknowns, unknowns, |r, c| {
-            let mut acc = if r == c { ridge } else { 0.0 };
-            for row in &rows {
-                acc += row[r] * row[c];
-            }
-            c64::from_real(acc)
-        });
-        let mut atb = vec![c64::zero(); unknowns];
-        for (slot, c) in atb.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (row, &b) in rows.iter().zip(&rhs) {
-                acc += row[slot] * b;
-            }
-            *c = c64::from_real(acc);
-        }
-        let coeffs = ata.lu().ok()?.solve(&atb);
-        let coeffs: Vec<f64> = coeffs.iter().map(|z| z.re).collect();
-        if coeffs.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
-
-        // Reweight by the freshly fitted denominator.
-        let den: Vec<f64> = std::iter::once(1.0)
-            .chain(coeffs[degree + 1..].iter().copied())
-            .collect();
-        for (w, &x) in weights.iter_mut().zip(xs) {
-            let q = horner(&den, x);
-            *w = 1.0 / (q * q).max(1e-12);
-        }
-        solution = Some(coeffs);
-    }
-
-    let coeffs = solution?;
-    let num = coeffs[..=degree].to_vec();
-    let den: Vec<f64> = std::iter::once(1.0)
-        .chain(coeffs[degree + 1..].iter().copied())
-        .collect();
-    Some((num, den))
-}
-
-/// Horner evaluation of an ascending-coefficient polynomial.
-fn horner(coeffs: &[f64], x: f64) -> f64 {
-    coeffs.iter().rev().fold(0.0, |acc, &c| acc * x + c)
-}
-
-/// Horner evaluation at a complex argument.
-fn horner_complex(coeffs: &[f64], z: c64) -> c64 {
-    coeffs
-        .iter()
-        .rev()
-        .fold(c64::zero(), |acc, &c| acc * z + c64::from_real(c))
-}
-
-/// First derivative of an ascending-coefficient polynomial.
-fn differentiate(coeffs: &[f64]) -> Vec<f64> {
-    coeffs
-        .iter()
-        .enumerate()
-        .skip(1)
-        .map(|(k, &c)| k as f64 * c)
-        .collect()
-}
-
-/// All roots of an ascending-coefficient real polynomial by Durand–Kerner
-/// iteration from the standard deterministic starting points `(0.4+0.9i)^k`.
-/// Leading zero coefficients are trimmed; a constant polynomial has no roots.
-fn polynomial_roots(coeffs: &[f64]) -> Vec<c64> {
-    let mut trimmed = coeffs.to_vec();
-    while trimmed.last().is_some_and(|&c| c.abs() < 1e-300) {
-        trimmed.pop();
-    }
-    if trimmed.len() < 2 {
-        return Vec::new();
-    }
-    let degree = trimmed.len() - 1;
-    let lead = trimmed[trimmed.len() - 1];
-    let monic: Vec<f64> = trimmed.iter().map(|&c| c / lead).collect();
-
-    let seed = c64::new(0.4, 0.9);
-    let mut roots: Vec<c64> = (0..degree)
-        .map(|k| {
-            let mut z = c64::from_real(1.0);
-            for _ in 0..=k {
-                z *= seed;
-            }
-            z
-        })
-        .collect();
-    for _ in 0..100 {
-        let mut moved = 0.0f64;
-        for k in 0..degree {
-            let mut denom = c64::from_real(1.0);
-            for j in 0..degree {
-                if j != k {
-                    denom *= roots[k] - roots[j];
-                }
-            }
-            if denom.abs() < 1e-300 {
-                continue;
-            }
-            let step = horner_complex(&monic, roots[k]) / denom;
-            roots[k] -= step;
-            moved = moved.max(step.abs());
-        }
-        if moved < 1e-14 {
-            break;
-        }
-    }
-    roots
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,181 +156,5 @@ mod tests {
         assert!(BarycentricRational::new(&[1.0, 1.0], &[1.0, 2.0], 1).is_err());
         assert!(BarycentricRational::new(&[1.0, 2.0], &[1.0], 1).is_err());
         assert!(BarycentricRational::new(&[1.0, 2.0], &[1.0, f64::NAN], 1).is_err());
-    }
-
-    #[test]
-    fn fit_recovers_an_exact_rational_function() {
-        // y = (3 + x)/(1 + 0.5 x) on the band, sampled at 9 points, is an
-        // exact degree-1 rational in the normalized coordinate as well
-        // (Möbius maps compose), so the fitter must nail it at degree 1.
-        let fs = linspace(1.0, 5.0, 9);
-        let ys: Vec<f64> = fs
-            .iter()
-            .map(|&f| {
-                let x = (2.0 * f - 6.0) / 4.0;
-                (3.0 + x) / (1.0 + 0.5 * x)
-            })
-            .collect();
-        let fit = fit_curve(&fs, &ys, &FitOptions::default()).unwrap();
-        let CurveFit::Rational(model) = &fit else {
-            panic!("expected a rational model, got {}", fit.describe());
-        };
-        assert_eq!(model.degree(), 1);
-        for (&f, &y) in fs.iter().zip(&ys) {
-            assert!((fit.evaluate(f) - y).abs() <= 1e-8 * y.abs());
-        }
-        // Off-sample evaluation stays accurate too.
-        let f = 2.3;
-        let x = (2.0 * f - 6.0) / 4.0;
-        let exact = (3.0 + x) / (1.0 + 0.5 * x);
-        assert!((fit.evaluate(f) - exact).abs() < 1e-6 * exact);
-        // The pole/residue form exposes the single real pole at x = −2.
-        let (pairs, _direct) = model.pole_residues();
-        assert_eq!(pairs.len(), 1);
-        assert!((pairs[0].0.re + 2.0).abs() < 1e-6);
-        assert!(pairs[0].0.im.abs() < 1e-8);
-    }
-
-    #[test]
-    fn fit_degrades_to_tabular_on_non_rational_data() {
-        // A noisy sawtooth has no low-degree rational representation; with a
-        // tight tolerance the fit must hand back the tabular model instead
-        // of a badly wiggling rational.
-        let fs = linspace(1.0, 9.0, 9);
-        let ys: Vec<f64> = (0..9).map(|i| if i % 2 == 0 { 1.0 } else { 2.0 }).collect();
-        let fit = fit_curve(
-            &fs,
-            &ys,
-            &FitOptions {
-                max_degree: 2,
-                tolerance: 1e-6,
-                sk_iterations: 8,
-            },
-        )
-        .unwrap();
-        assert!(!fit.is_rational(), "sawtooth must fall back to tabular");
-        // The tabular model still reproduces every sample exactly.
-        for (&f, &y) in fs.iter().zip(&ys) {
-            assert_eq!(fit.evaluate(f), y);
-        }
-    }
-
-    #[test]
-    fn fit_rejects_models_with_poles_on_the_band() {
-        // Samples of 1/x on a band straddling the pole: any rational model
-        // matching them puts a pole inside the band, so the admissibility
-        // check must force tabular.
-        let fs: Vec<f64> = vec![-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0];
-        let ys: Vec<f64> = fs.iter().map(|&f| 1.0 / f).collect();
-        let fit = fit_curve(&fs, &ys, &FitOptions::default()).unwrap();
-        if let CurveFit::Rational(model) = &fit {
-            for pole in model.poles() {
-                assert!(
-                    pole.im.abs() > 0.05 || pole.re.abs() > 1.05,
-                    "pole {pole:?} sits on the sampled band"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn polynomial_roots_match_known_factorizations() {
-        // (x − 1)(x − 2)(x − 3) = −6 + 11x − 6x² + x³
-        let mut roots = polynomial_roots(&[-6.0, 11.0, -6.0, 1.0]);
-        roots.sort_by(|a, b| a.re.partial_cmp(&b.re).unwrap());
-        let expected = [1.0, 2.0, 3.0];
-        for (root, want) in roots.iter().zip(expected) {
-            assert!((root.re - want).abs() < 1e-10 && root.im.abs() < 1e-10);
-        }
-        // x² + 1 has the conjugate pair ±i.
-        let roots = polynomial_roots(&[1.0, 0.0, 1.0]);
-        assert_eq!(roots.len(), 2);
-        for root in roots {
-            assert!(root.re.abs() < 1e-10 && (root.im.abs() - 1.0).abs() < 1e-10);
-        }
-        assert!(polynomial_roots(&[5.0]).is_empty());
-    }
-
-    #[test]
-    fn fit_validates_input() {
-        assert!(fit_curve(&[1.0], &[1.0], &FitOptions::default()).is_err());
-        assert!(fit_curve(&[2.0, 1.0], &[1.0, 1.0], &FitOptions::default()).is_err());
-        assert!(fit_curve(&[1.0, 2.0], &[1.0, f64::INFINITY], &FitOptions::default()).is_err());
-    }
-
-    use proptest::prelude::*;
-
-    proptest! {
-        // Whatever model `fit_curve` hands back — rational or tabular — it
-        // reproduces every sample within the requested tolerance. Data is a
-        // random degree-1 rational whose single pole sits off the band
-        // (|x_pole| = 1/|b₁| ≥ 2.5 in normalized coordinates), so an
-        // admissible fit always exists.
-        #[test]
-        fn prop_fit_reproduces_samples_within_tolerance(
-            a0 in 0.5f64..3.0,
-            a1 in -1.0f64..1.0,
-            b1 in -0.4f64..0.4,
-            n in 9usize..17,
-        ) {
-            let fs = linspace(1.0, 10.0, n);
-            let (f_lo, f_hi) = (fs[0], fs[n - 1]);
-            let ys: Vec<f64> = fs
-                .iter()
-                .map(|&f| {
-                    let x = (2.0 * f - f_lo - f_hi) / (f_hi - f_lo);
-                    (a0 + a1 * x) / (1.0 + b1 * x)
-                })
-                .collect();
-            let options = FitOptions::default();
-            let fit = fit_curve(&fs, &ys, &options).unwrap();
-            let y_scale = ys.iter().fold(0.0f64, |acc, y| acc.max(y.abs()));
-            for (&f, &y) in fs.iter().zip(&ys) {
-                let err = (fit.evaluate(f) - y).abs() / y.abs().max(1e-3 * y_scale);
-                prop_assert!(
-                    err <= options.tolerance,
-                    "sample at {f} missed by {err:e} ({})",
-                    fit.describe()
-                );
-            }
-        }
-
-        // Data sampled from a function with a genuine pole *inside* the band
-        // either degrades explicitly to the tabular model, or — if some
-        // higher-degree rational happens to be admissible — that model keeps
-        // every pole clear of the band and still meets tolerance. Unstable
-        // poles never leak into a returned rational.
-        #[test]
-        fn prop_on_band_poles_never_survive_into_the_rational_model(
-            slot in 1usize..64,
-            jitter in 0.1f64..0.9,
-            n in 15usize..25,
-        ) {
-            let fs = linspace(1.0, 10.0, n);
-            let (f_lo, f_hi) = (fs[0], fs[n - 1]);
-            // Pole strictly between two interior samples, never on one.
-            let slot = 1 + slot % (n - 3);
-            let x_pole = -1.0 + 2.0 * (slot as f64 + jitter) / (n - 1) as f64;
-            let ys: Vec<f64> = fs
-                .iter()
-                .map(|&f| {
-                    let x = (2.0 * f - f_lo - f_hi) / (f_hi - f_lo);
-                    1.0 / (x - x_pole)
-                })
-                .collect();
-            let options = FitOptions::default();
-            match fit_curve(&fs, &ys, &options).unwrap() {
-                CurveFit::Tabular(_) => {} // the expected, explicit fallback
-                CurveFit::Rational(model) => {
-                    for pole in model.poles() {
-                        prop_assert!(
-                            pole.im.abs() > 0.05 || pole.re.abs() > 1.05,
-                            "on-band pole {pole:?} survived into the model"
-                        );
-                    }
-                    prop_assert!(model.max_relative_error() <= options.tolerance);
-                }
-            }
-        }
     }
 }

@@ -198,11 +198,11 @@ fn main() {
                 })));
             let outcome = driver.run(&mut evaluator).unwrap_or_else(|e| fail(e));
             eprintln!(
-                "sweep done: {} points in {} rounds (converged {}, fit {}, daemon-cached rounds {}/{})",
+                "sweep done: {} points in {} rounds (converged {}, table error {:e}, daemon-cached rounds {}/{})",
                 outcome.points.len(),
                 outcome.rounds,
                 outcome.converged,
-                outcome.fit.describe(),
+                outcome.table_error,
                 evaluator.cached_rounds(),
                 evaluator.rounds(),
             );

@@ -1,60 +1,45 @@
 //! The adaptive refinement loop.
 //!
-//! [`FrequencySweep`] spends its solve budget where the curve needs it. The
-//! error indicator is *leave-one-out cross-validation*: a solved point is
-//! predicted from all the others with a Floater–Hormann barycentric rational
-//! interpolant (in log-frequency, matching the log-spaced scan); where the
-//! prediction misses the solved value by more than the sweep tolerance, the
-//! curve is under-resolved and both adjacent intervals are flagged for
-//! geometric bisection. Flags are scored by their cross-validation error, so
-//! a tight remaining budget goes to the worst intervals first, and every tie
-//! is broken by frequency — the refinement path is a pure function of the
-//! sweep definition and the solved values, which is what makes resumed
-//! sweeps bit-identical.
+//! [`FrequencySweep`] spends its solve budget where the curve needs it, and
+//! judges the curve by the one representation every export writes: the
+//! piecewise-linear table through the solved points, linear in frequency as
+//! a SPICE or Touchstone lookup interpolates. On each interval a local
+//! Floater–Hormann barycentric rational through the neighbouring points (in
+//! log-frequency, matching the log-spaced scan) predicts the curve at the
+//! geometric midpoint; where the table misses that prediction by more than
+//! the sweep tolerance, the interval is flagged for geometric bisection.
+//! Flags are scored by their midpoint error, so a tight remaining budget goes
+//! to the worst intervals first, and every tie is broken by frequency — the
+//! refinement path is a pure function of the sweep definition and the solved
+//! values, which is what makes resumed sweeps bit-identical.
 
 use crate::evaluate::{accumulate, RoundOutcome, SweepEvaluator, SweepPoint};
 use rough_engine::{CacheStats, EngineError, RunEvent, RunObserver, SweepScenario};
-use rough_numerics::rational::{fit_curve, BarycentricRational, CurveFit, FitOptions};
+use rough_numerics::rational::BarycentricRational;
 use std::sync::Arc;
 
-/// The completed sweep: solved points, the fitted curve and the run's
-/// accounting.
+/// The completed sweep: solved points, the exported table's measured error
+/// and the run's accounting.
 #[derive(Debug, Clone)]
 pub struct SweepOutcome {
     /// Solved points, sorted by frequency.
     pub points: Vec<SweepPoint>,
     /// Refinement rounds executed (the coarse scan is round 0).
     pub rounds: usize,
-    /// Whether the curve self-validated to tolerance (`false` means the
-    /// point budget ran out first).
+    /// Whether the exported table met the tolerance on every interval
+    /// (`false` means the point budget ran out first).
     pub converged: bool,
     /// Kernel-cache activity accumulated over every round — the visible
     /// evidence of warm-state reuse across frequency points.
     pub cache: CacheStats,
-    /// The fitted curve: a pole/residue rational model, or the explicit
-    /// tabular fallback when no stable fit met tolerance.
-    pub fit: CurveFit,
     /// The relative tolerance the sweep refined toward.
     pub tolerance: f64,
+    /// Largest estimated relative error of the exported piecewise-linear
+    /// table over its intervals, measured after the last round.
+    pub table_error: f64,
 }
 
 impl SweepOutcome {
-    /// Largest relative error of the fitted curve over the solved points.
-    pub fn max_fit_error(&self) -> f64 {
-        let y_scale = self
-            .points
-            .iter()
-            .fold(0.0f64, |acc, p| acc.max(p.value.abs()))
-            .max(f64::MIN_POSITIVE);
-        self.points
-            .iter()
-            .map(|p| {
-                (self.fit.evaluate(p.frequency_hz) - p.value).abs()
-                    / p.value.abs().max(1e-3 * y_scale)
-            })
-            .fold(0.0, f64::max)
-    }
-
     /// Structured JSON summary (points carry exact IEEE-754 bits so goldens
     /// can diff byte-for-byte).
     pub fn to_json(&self) -> String {
@@ -63,11 +48,7 @@ impl SweepOutcome {
         out.push_str(&format!("  \"rounds\": {},\n", self.rounds));
         out.push_str(&format!("  \"converged\": {},\n", self.converged));
         out.push_str(&format!("  \"tolerance\": {:e},\n", self.tolerance));
-        out.push_str(&format!("  \"fit\": \"{}\",\n", self.fit.describe()));
-        out.push_str(&format!(
-            "  \"max_fit_error\": {:e},\n",
-            self.max_fit_error()
-        ));
+        out.push_str(&format!("  \"table_error\": {:e},\n", self.table_error));
         out.push_str(&format!(
             "  \"cache\": {{\"hits\": {}, \"misses\": {}, \"kl_hits\": {}, \"kl_misses\": {}, \"table_hits\": {}, \"table_misses\": {}}},\n",
             self.cache.hits,
@@ -124,13 +105,12 @@ impl FrequencySweep {
         &self.sweep
     }
 
-    /// Runs the sweep to convergence or budget exhaustion and fits the
-    /// resulting curve.
+    /// Runs the sweep until the exported table meets the tolerance or the
+    /// point budget is spent.
     ///
     /// # Errors
     ///
-    /// Propagates evaluator failures; fitting itself cannot fail once points
-    /// are solved (the tabular fallback always exists).
+    /// Propagates evaluator failures.
     pub fn run(&self, evaluator: &mut dyn SweepEvaluator) -> Result<SweepOutcome, EngineError> {
         let budget = self.sweep.max_points();
         let tolerance = self.sweep.tolerance();
@@ -151,8 +131,14 @@ impl FrequencySweep {
         )?;
         rounds += 1;
 
+        let mut errors = table_errors(&freqs, &values);
         while solved < budget {
-            let flagged = flagged_intervals(&freqs, &values, tolerance);
+            let flagged: Vec<(usize, f64)> = errors
+                .iter()
+                .enumerate()
+                .filter(|(_, &err)| err > tolerance)
+                .map(|(i, &err)| (i, err))
+                .collect();
             if flagged.is_empty() {
                 break;
             }
@@ -173,15 +159,10 @@ impl FrequencySweep {
             if solved == before {
                 break;
             }
+            errors = table_errors(&freqs, &values);
         }
 
-        let converged = flagged_intervals(&freqs, &values, tolerance).is_empty();
-        let options = FitOptions {
-            tolerance,
-            ..FitOptions::default()
-        };
-        let fit = fit_curve(&freqs, &values, &options)
-            .map_err(|e| EngineError::InvalidScenario(format!("sweep curve fit failed: {e}")))?;
+        let table_error = errors.iter().copied().fold(0.0, f64::max);
         let points = freqs
             .into_iter()
             .zip(values)
@@ -193,10 +174,10 @@ impl FrequencySweep {
         Ok(SweepOutcome {
             points,
             rounds,
-            converged,
+            converged: table_error <= tolerance,
             cache,
-            fit,
             tolerance,
+            table_error,
         })
     }
 
@@ -236,52 +217,37 @@ impl FrequencySweep {
     }
 }
 
-/// Flags under-resolved intervals by leave-one-out cross-validation.
+/// Estimated relative error of the exported table on every interval.
 ///
-/// Returns `(interval index, score)` pairs where interval `i` spans
-/// `freqs[i]..freqs[i + 1]`; the score is the worst cross-validation error
-/// touching the interval. An empty result means every solved point is
-/// predicted by its neighbours within `tolerance` — the curve
-/// self-validates.
-fn flagged_intervals(freqs: &[f64], values: &[f64], tolerance: f64) -> Vec<(usize, f64)> {
+/// Entry `i` covers `freqs[i]..freqs[i + 1]`. A Floater–Hormann interpolant
+/// in `ln f` through nodes `i − 2..=i + 3` (clipped to the curve) predicts
+/// the curve at the geometric midpoint `√(f_i·f_{i+1})`; the table's value
+/// there is linear in `f`, as a SPICE or Touchstone lookup interpolates.
+/// Errors are relative to the prediction, floored at `1e-3 · max|K|`. The
+/// window is local on purpose: a global interpolant would bleed the error of
+/// a sharp feature into smooth regions far away, flagging the whole band and
+/// degenerating refinement into uniform bisection — locality is what lets
+/// points concentrate.
+fn table_errors(freqs: &[f64], values: &[f64]) -> Vec<f64> {
     let n = freqs.len();
-    if n < 3 {
-        return Vec::new();
-    }
     let y_scale = values
         .iter()
         .fold(0.0f64, |acc, &v| acc.max(v.abs()))
         .max(f64::MIN_POSITIVE);
-    let mut scores = vec![0.0f64; n - 1];
-    for j in 1..n - 1 {
-        // Local window: predict the held-out point from its (at most) six
-        // nearest neighbours only. A global interpolant would bleed the
-        // error of a sharp feature into perfectly smooth regions far away,
-        // flagging the whole band and degenerating refinement into uniform
-        // bisection — locality is what lets points concentrate.
-        let lo = j.saturating_sub(3);
-        let hi = (j + 3).min(n - 1);
-        let xs: Vec<f64> = (lo..=hi)
-            .filter(|&i| i != j)
-            .map(|i| freqs[i].ln())
-            .collect();
-        let ys: Vec<f64> = (lo..=hi).filter(|&i| i != j).map(|i| values[i]).collect();
-        let d = 3.min(xs.len() - 1);
-        let Ok(model) = BarycentricRational::new(&xs, &ys, d) else {
-            continue;
-        };
-        let predicted = model.evaluate(freqs[j].ln());
-        let err = (predicted - values[j]).abs() / values[j].abs().max(1e-3 * y_scale);
-        if err > tolerance {
-            scores[j - 1] = scores[j - 1].max(err);
-            scores[j] = scores[j].max(err);
-        }
-    }
-    scores
-        .iter()
-        .enumerate()
-        .filter(|(_, &s)| s > 0.0)
-        .map(|(i, &s)| (i, s))
+    (0..n.saturating_sub(1))
+        .map(|i| {
+            let window = i.saturating_sub(2)..=(i + 3).min(n - 1);
+            let xs: Vec<f64> = freqs[window.clone()].iter().map(|f| f.ln()).collect();
+            let Ok(model) = BarycentricRational::new(&xs, &values[window], 3) else {
+                return f64::INFINITY; // non-finite values: nothing vouches for the table
+            };
+            let (fa, fb) = (freqs[i], freqs[i + 1]);
+            let mid = (fa * fb).sqrt();
+            let predicted = model.evaluate(mid.ln());
+            let t = (mid - fa) / (fb - fa);
+            let table = values[i] + t * (values[i + 1] - values[i]);
+            (table - predicted).abs() / predicted.abs().max(1e-3 * y_scale)
+        })
         .collect()
 }
 
@@ -498,19 +464,36 @@ mod tests {
     }
 
     #[test]
-    fn fit_degrades_to_tabular_on_rough_data() {
-        // Deterministic pseudo-noise no low-degree rational reproduces.
-        fn noisy(f: f64) -> f64 {
-            let x = f / 1.0e9;
-            2.0 + 0.5 * (x * 7.3).sin() * (x * 2.1).cos()
+    fn converged_sweep_exports_a_table_within_tolerance() {
+        // The exported table is judged directly: once the sweep reports
+        // convergence, piecewise-linear interpolation in f through its points
+        // (what a SPICE or Touchstone lookup does) meets the tolerance on a
+        // dense log grid, and the reported bound does too.
+        for tol in [5e-3, 2e-3, 1e-3] {
+            let mut evaluator = Analytic { calls: 0, f: knee };
+            let outcome = FrequencySweep::new(sweep(5, 65, tol))
+                .run(&mut evaluator)
+                .unwrap();
+            assert!(outcome.converged, "tolerance {tol:e}: budget ran out");
+            let fs: Vec<f64> = outcome.points.iter().map(|p| p.frequency_hz).collect();
+            let ys: Vec<f64> = outcome.points.iter().map(|p| p.value).collect();
+            let scale = ys.iter().fold(0.0f64, |a, &y| a.max(y.abs()));
+            let (lo, hi) = (fs[0], fs[fs.len() - 1]);
+            let dense_error = (0..=2048)
+                .map(|i| {
+                    let f = lo * (hi / lo).powf(f64::from(i) / 2048.0);
+                    let k = fs.partition_point(|&g| g < f).clamp(1, fs.len() - 1);
+                    let t = (f - fs[k - 1]) / (fs[k] - fs[k - 1]);
+                    let table = ys[k - 1] + t * (ys[k] - ys[k - 1]);
+                    (table - knee(f)).abs() / knee(f).abs().max(1e-3 * scale)
+                })
+                .fold(0.0, f64::max);
+            assert!(
+                dense_error <= tol,
+                "tolerance {tol:e}: {} points, table errs by {dense_error:e}",
+                outcome.points.len()
+            );
+            assert!(outcome.table_error <= tol);
         }
-        let mut evaluator = Analytic { calls: 0, f: noisy };
-        let outcome = FrequencySweep::new(sweep(9, 11, 1e-4))
-            .run(&mut evaluator)
-            .unwrap();
-        assert!(!outcome.fit.is_rational());
-        assert_eq!(outcome.fit.describe(), "tabular");
-        // The tabular fallback still reproduces every sample.
-        assert!(outcome.max_fit_error() < 1e-12);
     }
 }

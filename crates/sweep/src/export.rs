@@ -72,10 +72,8 @@ pub fn touchstone(outcome: &SweepOutcome, stack: &Stackup, name: &str) -> String
         "! {name}: effective surface impedance Zs_eff(f)\n"
     ));
     out.push_str(&format!(
-        "! fitted model: {} (max rel err {:e}, tolerance {:e})\n",
-        outcome.fit.describe(),
-        outcome.max_fit_error(),
-        outcome.tolerance,
+        "! piecewise-linear table: estimated max rel err {:e} (tolerance {:e})\n",
+        outcome.table_error, outcome.tolerance,
     ));
     out.push_str(&format!(
         "! adaptive sweep: {} points, {} rounds, converged {}\n",
@@ -94,18 +92,17 @@ pub fn touchstone(outcome: &SweepOutcome, stack: &Stackup, name: &str) -> String
 /// A SPICE-friendly frequency/effective-conductivity table.
 ///
 /// Emitted as comment-documented `+ (f, σ_eff)` continuation pairs, the form
-/// behavioral conductor models and table-driven `G`/`E` elements consume;
-/// purely tabular, so it stays valid even when the rational fit degraded.
+/// behavioral conductor models and table-driven `G`/`E` elements consume.
 pub fn spice_table(outcome: &SweepOutcome, stack: &Stackup, name: &str) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "* {name}: effective conductivity sigma_eff(f) = sigma / K(f)^2\n"
     ));
     out.push_str(&format!(
-        "* bulk sigma = {:e} S/m; {} solved points; fit {}\n",
+        "* bulk sigma = {:e} S/m; {} solved points; estimated table max rel err {:e}\n",
         stack.conductor().conductivity(),
         outcome.points.len(),
-        outcome.fit.describe(),
+        outcome.table_error,
     ));
     out.push_str(".param roughsim_sigma_eff_table =\n");
     for p in &outcome.points {
@@ -145,12 +142,10 @@ mod tests {
     use super::*;
     use crate::evaluate::SweepPoint;
     use rough_engine::CacheStats;
-    use rough_numerics::rational::{fit_curve, FitOptions};
 
     fn outcome() -> SweepOutcome {
         let fs = [1.0e9, 2.0e9, 4.0e9, 8.0e9, 16.0e9];
         let ys = [1.1, 1.3, 1.6, 1.8, 1.9];
-        let fit = fit_curve(&fs, &ys, &FitOptions::default()).unwrap();
         SweepOutcome {
             points: fs
                 .iter()
@@ -163,8 +158,8 @@ mod tests {
             rounds: 1,
             converged: true,
             cache: CacheStats::default(),
-            fit,
             tolerance: 1e-3,
+            table_error: 5e-4,
         }
     }
 

@@ -1,8 +1,8 @@
 //! # rough-sweep
 //!
 //! Broadband frequency-sweep driver: adaptive sampling of the roughness-loss
-//! curve, warm-state reuse across frequency points, rational fitting and
-//! circuit-compatible export.
+//! curve, warm-state reuse across frequency points and circuit-compatible
+//! export.
 //!
 //! Chen & Wong's headline artifact (Fig. 5/6 of DATE 2009) is a *curve*:
 //! the power-loss enhancement factor `K(f)` of one rough interconnect swept
@@ -14,9 +14,10 @@
 //!
 //! 1. **Adaptive refinement** ([`adaptive`]) — [`FrequencySweep`] drives a
 //!    [`rough_engine::SweepScenario`]: a coarse log-spaced scan, then rounds
-//!    of bisection wherever the solved curve deviates from a local
-//!    barycentric rational interpolant by more than the sweep tolerance,
-//!    until the curve self-validates or the point budget is spent. Candidate
+//!    of bisection wherever the piecewise-linear table through the solved
+//!    points misses a local barycentric rational interpolant at an
+//!    interval's midpoint by more than the sweep tolerance, until the table
+//!    meets the tolerance everywhere or the point budget is spent. Candidate
 //!    selection is fully deterministic, so resumed sweeps retrace the same
 //!    refinement path bit for bit.
 //! 2. **Warm evaluation** ([`evaluate`]) — the [`SweepEvaluator`] trait
@@ -27,12 +28,10 @@
 //!    built for point *i* are reused at point *i + 1*; cache counters are
 //!    accumulated into the outcome so the reuse is observable. Rounds are
 //!    checkpointed per frequency point and resume bit-identically.
-//! 3. **Fit & export** ([`export`], re-exported fitting from
-//!    [`rough_numerics::rational`]) — the swept curve is compressed to a
-//!    pole/residue rational model when one reproduces every sample within
-//!    tolerance (with an explicit tabular fallback otherwise) and exported
-//!    as a `Z(f)` CSV table, a Touchstone-style one-port impedance file and
-//!    a SPICE-friendly effective-conductivity table.
+//! 3. **Export** ([`export`]) — the table is the sweep's one curve model:
+//!    it is written as a `Z(f)` CSV table, a Touchstone-style one-port
+//!    impedance file and a SPICE-friendly effective-conductivity table, and
+//!    its measured error travels with it as [`SweepOutcome::table_error`].
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -15,7 +15,8 @@
 //!   snapshot (regenerate with `REGEN_GOLDEN=1`).
 //! * **Sampling advantage** — over 0.05–100 GHz the adaptive sweep needs at
 //!   least 2× fewer solved points than linear-uniform sampling at equal
-//!   piecewise-linear curve error.
+//!   piecewise-linear curve error, and once it reports convergence its
+//!   exported table meets the tolerance.
 
 use rough_core::RoughnessSpec;
 use rough_em::material::{Conductor, Dielectric, Stackup};
@@ -305,11 +306,15 @@ fn adaptive_sweep_beats_linear_uniform_sampling() {
         .unwrap_or(65536);
     let advantage = linear_points as f64 / outcome.points.len() as f64;
     println!(
-        "adaptive: {} points (converged {}, fit {}), curve error {adaptive_error:.2e}; \
-         linear-uniform needs {linear_points} ({advantage:.1}x)",
+        "adaptive: {} points (converged {}, table error {:.2e}), curve error \
+         {adaptive_error:.2e}; linear-uniform needs {linear_points} ({advantage:.1}x)",
         outcome.points.len(),
         outcome.converged,
-        outcome.fit.describe()
+        outcome.table_error
+    );
+    assert!(
+        !outcome.converged || adaptive_error <= tolerance,
+        "converged sweep exports a table erring by {adaptive_error:.2e} > {tolerance:e}"
     );
     assert!(
         advantage >= 2.0,

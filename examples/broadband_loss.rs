@@ -1,7 +1,8 @@
 //! Broadband loss sweep: adaptively sample the loss-enhancement factor
-//! `K(f)` of the paper's Fig. 5 half-spheroid protrusion over 2–10 GHz,
-//! fit the curve, and export it as a `Z(f)` CSV, a Touchstone-style `.s1p`
-//! and a SPICE effective-conductivity table.
+//! `K(f)` of the paper's Fig. 5 half-spheroid protrusion over 2–10 GHz
+//! until the piecewise-linear table meets the tolerance, and export that
+//! table as a `Z(f)` CSV, a Touchstone-style `.s1p` and a SPICE
+//! effective-conductivity table.
 //!
 //! Run with `cargo run --release --example broadband_loss`.
 
@@ -34,9 +35,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .deterministic(surface)
         .build()?;
 
-    // 2. The band request: 2–10 GHz, a 5-point coarse scan, refined where
-    //    the curve deviates from local rational interpolation, up to 9
-    //    solved points.
+    // 2. The band request: 2–10 GHz, a 5-point coarse scan, refined wherever
+    //    the exported table misses a local rational interpolant of the
+    //    curve at an interval's midpoint by more than 1e-3, up to 9 solved
+    //    points.
     let sweep = SweepScenario::builder(
         template,
         GigaHertz::new(2.0).into(),
@@ -55,11 +57,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("broadband loss sweep (Fig. 5 half-spheroid, 2-10 GHz)");
     println!(
-        "  {} points in {} rounds (converged: {}, fit: {})",
+        "  {} points in {} rounds (converged: {}, table error: {:.2e})",
         outcome.points.len(),
         outcome.rounds,
         outcome.converged,
-        outcome.fit.describe(),
+        outcome.table_error,
     );
     for point in &outcome.points {
         println!(

@@ -32,9 +32,9 @@
 //!   bit-identically.
 //! * [`sweep`] — broadband frequency sweeps on top of the engine: adaptive
 //!   refinement of a [`SweepScenario`](engine::SweepScenario) band with
-//!   warm-state reuse, a vector-fitting-style rational curve model with an
-//!   explicit tabular fallback, and `Z(f)` CSV / Touchstone / SPICE
-//!   effective-conductivity exports.
+//!   warm-state reuse until the exported piecewise-linear table meets the
+//!   tolerance, and `Z(f)` CSV / Touchstone / SPICE effective-conductivity
+//!   exports of that table.
 //!
 //! # Quickstart
 //!
