@@ -68,7 +68,7 @@ pub mod swm3d;
 
 pub use error::SwmError;
 pub use matrixfree::{
-    BlockDiagonalPreconditioner, MatrixFreeOperator, MatrixFreePolicy, MfTableCache, OperatorRepr,
+    MatrixFreeOperator, MatrixFreePolicy, MfTableCache, NearFieldPreconditioner, OperatorRepr,
 };
 pub use nearfield::{AssemblyScheme, AssemblyStats, KernelEval, NearFieldPolicy};
 pub use parallel::{AssemblyParallelism, ASSEMBLY_THREADS_ENV};

@@ -23,7 +23,13 @@
 //! ```
 //!
 //! so only `2m−1` distinct *generator planes* `C_t` exist (and only `m` are
-//! evaluated — the kernel is even in the separation, its gradient odd). In
+//! evaluated — the kernel is even in the separation, its gradient odd).
+//! Within a plane the same symmetry holds laterally: at normal incidence on
+//! the square lattice the kernel is even in x and in y and symmetric under
+//! x ↔ y, so each plane evaluates only the canonical offsets
+//! `0 ≤ c_x ≤ c_y ≤ ⌊n/2⌋` (66 of 400 at n = 20) and copies every other
+//! offset from its canonical image, the gradient's x and y components
+//! taking the mirror signs and swapping with the axes. In
 //! x and y the kernel is doubly periodic with the patch period, so the lateral
 //! convolution is **exactly circulant at n × n — no padding**. The z axis is
 //! Toeplitz and is circulant-embedded into `M ≥ 2m−1` planes, `M` the
@@ -63,10 +69,18 @@
 //! far entries carry only the slab interpolation error, which the spacing
 //! rule keeps near machine precision (see [`MatrixFreePolicy::safety`]).
 //!
+//! **Preconditioner.** The row pass that computes the precorrections holds
+//! every exact near entry of the operator. It keeps them as 2 × 2 blocks
+//! over the near pattern, and [`MatrixFreeOperator::preconditioner`]
+//! factors that block-sparse near operator by block ILU(0): no fill beyond
+//! the near pattern, rows in natural cell order. Applied as a right
+//! preconditioner, one forward and one back substitution per Krylov step.
+//!
 //! The equivalence is pinned the way `KernelEval::Scalar` pins `Batched`:
 //! matvec agreement on random vectors ≤ 1e-10 relative across quasi-static,
-//! lossy and high-`|k|L` regimes, and end-to-end Pr/Ps agreement on the
-//! Fig. 5 golden (`tests/matrixfree_equivalence.rs`).
+//! lossy and high-`|k|L` regimes, and end-to-end Pr/Ps agreement with
+//! DirectLu on a reduced Fig. 5 case
+//! (`crates/core/tests/krylov_equivalence.rs`).
 
 use crate::assembly3d::{
     corrected_entry, eval_gathered, eval_gathered_regularized, gather_image_points,
@@ -309,6 +323,18 @@ struct MediumTables {
     gz: Vec<c64>,
 }
 
+impl MediumTables {
+    fn zeroed(len: usize) -> Self {
+        let zeros = vec![c64::zero(); len];
+        Self {
+            val: zeros.clone(),
+            gx: zeros.clone(),
+            gy: zeros.clone(),
+            gz: zeros,
+        }
+    }
+}
+
 /// Everything `build_tables` reads, as a hashable value: the generator
 /// tables depend only on kernel × grid × slab, not on the surface heights.
 /// Floats enter as IEEE-754 bit patterns so equality is exact.
@@ -422,6 +448,19 @@ impl MfTableCache {
 /// `ΔD = D_exact − D_grid`.
 type NearCorrection = (usize, c64, c64);
 
+/// A 2 × 2 complex block, row-major `[a, b, c, d]`: how the unknowns
+/// `(Ψⱼ, Uⱼ)` of cell `j` enter the two rows of paper eq. (9) at cell `i`.
+type Block = [c64; 4];
+
+/// Block-sparse rows: row `i` holds the blocks `start[i]..start[i + 1]` of
+/// `cols`/`blocks`, columns ascending.
+#[derive(Debug, Clone, Default)]
+struct BlockRows {
+    start: Vec<usize>,
+    cols: Vec<usize>,
+    blocks: Vec<Block>,
+}
+
 /// The matrix-free MOM operator of paper eq. (9): grid convolution + sparse
 /// near precorrections + the `½ I` free terms. Implements
 /// [`LinearOperator`], so it plugs straight into
@@ -439,9 +478,10 @@ pub struct MatrixFreeOperator {
     tables: [MediumTables; 2],
     /// Sparse near corrections per medium, one row of `(j, ΔS, ΔD)` per cell.
     near: [Vec<Vec<NearCorrection>>; 2],
-    /// Exact self entries `(S₁ᵢᵢ, D₁ᵢᵢ, S₂ᵢᵢ, D₂ᵢᵢ)` per cell — the raw
-    /// material of the block-diagonal preconditioner.
-    self_entries: Vec<[c64; 4]>,
+    /// The exact operator on the near pattern, one block per near pair:
+    /// `[[½δᵢⱼ − D₁ᵢⱼ, β·S₁ᵢⱼ], [½δᵢⱼ + D₂ᵢⱼ, −S₂ᵢⱼ]]`, the raw material of
+    /// the near-field preconditioner.
+    exact: BlockRows,
     /// Per-cell surface slopes (source-side weights of the double layer).
     fx: Vec<f64>,
     fy: Vec<f64>,
@@ -456,11 +496,11 @@ pub struct MatrixFreeOperator {
 impl MatrixFreeOperator {
     /// Assembles the matrix-free operator for one surface realization: slab
     /// geometry, generator tables (one batched kernel evaluation per z
-    /// level, the levels spread over `parallelism`), near-field sparse
-    /// precorrections (reusing the locally corrected integrator and the
-    /// flat-offset table of the dense path, row-parallel under
-    /// `parallelism`), and the incident-field
-    /// right-hand side. The matvec runs on the same number of workers. The
+    /// level over the canonical lateral offsets, the levels spread over
+    /// `parallelism`), near-field sparse precorrections and the exact near
+    /// blocks of the preconditioner (reusing the locally corrected
+    /// integrator and the flat-offset table of the dense path, row-parallel
+    /// under `parallelism`), and the incident-field right-hand side. The matvec runs on the same number of workers. The
     /// operator and its matvec are bit-identical at any worker count.
     ///
     /// Mirrors [`crate::assembly3d::assemble_system_with`]: `g1`/`g2` are the
@@ -492,8 +532,9 @@ impl MatrixFreeOperator {
     /// through a shared [`MfTableCache`]. The cache stores spatial tables
     /// byte-identical to a fresh build, so the assembled operator (and every
     /// downstream solve) is bit-identical with and without it; what a hit
-    /// saves is the batched kernel evaluation over all `m × n × n` generator
-    /// samples — the dominant setup cost of a repeated-frequency solve.
+    /// saves is the batched kernel evaluation over the `m` levels' canonical
+    /// generator samples — the dominant setup cost of a repeated-frequency
+    /// solve.
     #[allow(clippy::too_many_arguments)]
     pub fn assemble_with_cache(
         mesh: &PatchMesh,
@@ -524,8 +565,9 @@ impl MatrixFreeOperator {
         let k_max = g1.wavenumber().abs().max(g2.wavenumber().abs());
         let slab = build_slab(mesh, k_max, policy.radius * delta, &mf);
 
-        // Generator tables (spatial), one batched kernel call per z level,
-        // the levels spread over `parallelism`.
+        // Generator tables (spatial), one batched kernel call per z level
+        // over the canonical lateral offsets, the levels spread over
+        // `parallelism`.
         let fetch = |green: &PeriodicGreen3d| -> Arc<MediumTables> {
             let build = || build_tables(green, eval, side, delta, &slab, parallelism);
             match table_cache {
@@ -538,12 +580,13 @@ impl MatrixFreeOperator {
         let tables = [fetch(g1), fetch(g2)];
 
         // Near-field sparse precorrections: every 2-D minimum-image near pair
-        // (superset of the dense 3-D near set) gets `exact − grid`.
-        // Flat–flat pairs at equal height read their exact entries from the
+        // (superset of the dense 3-D near set) gets `exact − grid`, and its
+        // exact entries are kept as the preconditioner's block. Flat–flat pairs at equal height read their exact entries from the
         // flat-offset tables; both media's tables fill the same slots.
         let rule = NearRules::for_policy(policy);
         let image_points = rule.image.len() * rule.image.len();
         let greens = [g1, g2];
+        let half = c64::from_real(0.5);
         let flat = greens.map(|green| FlatOffsetTable::build(mesh, green, policy, &rule, eval));
         let rows = map_rows(ncells, parallelism.worker_count(), NearScratch::default, {
             let slab = &slab;
@@ -622,6 +665,7 @@ impl MatrixFreeOperator {
                 let mut far_cursor = 0;
                 for entry in &scratch.entries {
                     let cj = &cells[entry.j];
+                    let mut both = [(c64::zero(), c64::zero()); 2];
                     for m in 0..2 {
                         let (s_exact, d_exact) = match entry.kind {
                             NearKind::Reused(exact) => exact[m],
@@ -652,11 +696,11 @@ impl MatrixFreeOperator {
                         let (s_grid, d_grid) =
                             grid_entry(&tables[m], slab, side, area, i, entry.j, cj.fx, cj.fy);
                         row.corrections[m].push((entry.j, s_exact - s_grid, d_exact - d_grid));
-                        if entry.j == i {
-                            row.selfs[2 * m] = s_exact;
-                            row.selfs[2 * m + 1] = d_exact;
-                        }
+                        both[m] = (s_exact, d_exact);
                     }
+                    let free = if entry.j == i { half } else { c64::zero() };
+                    let [(s1, d1), (s2, d2)] = both;
+                    row.exact.push([free - d1, beta * s1, free + d2, -s2]);
                     match entry.kind {
                         NearKind::Reused(_) => {}
                         NearKind::Corrected => image_cursor += 1,
@@ -668,16 +712,21 @@ impl MatrixFreeOperator {
         });
 
         let mut near = [Vec::with_capacity(ncells), Vec::with_capacity(ncells)];
-        let mut self_entries = Vec::with_capacity(ncells);
+        let mut exact = BlockRows::default();
         let mut stats = flat[0].stats;
         stats.merge(&flat[1].stats);
         for row in rows {
+            exact.start.push(exact.cols.len());
+            exact
+                .cols
+                .extend(row.corrections[0].iter().map(|&(j, _, _)| j));
+            exact.blocks.extend(row.exact);
             let [n1, n2] = row.corrections;
             near[0].push(n1);
             near[1].push(n2);
-            self_entries.push(row.selfs);
             stats.merge(&row.stats);
         }
+        exact.start.push(exact.cols.len());
 
         // The near corrections are settled; switch the generator tables to
         // the spectral domain for the matvec, the eight cubes split over the
@@ -710,7 +759,7 @@ impl MatrixFreeOperator {
             slab,
             tables,
             near,
-            self_entries,
+            exact,
             fx: cells.iter().map(|c| c.fx).collect(),
             fy: cells.iter().map(|c| c.fy).collect(),
             rhs,
@@ -756,27 +805,14 @@ impl MatrixFreeOperator {
         self.near.iter().flatten().map(Vec::len).sum()
     }
 
-    /// Builds the per-cell 2 × 2 block-diagonal preconditioner from the
-    /// *exact* self entries: each cell's `[[½−D₁ᵢᵢ, βS₁ᵢᵢ], [½+D₂ᵢᵢ, −S₂ᵢᵢ]]`
-    /// block is inverted once; applying the preconditioner is `O(N)`.
-    pub fn preconditioner(&self) -> BlockDiagonalPreconditioner {
-        let half = c64::from_real(0.5);
-        let blocks = self
-            .self_entries
-            .iter()
-            .map(|&[s1, d1, s2, d2]| {
-                let a = half - d1;
-                let b = self.beta * s1;
-                let c = half + d2;
-                let d = -s2;
-                let det = a * d - b * c;
-                [d / det, -b / det, -c / det, a / det]
-            })
-            .collect();
-        BlockDiagonalPreconditioner {
-            ncells: self.ncells,
-            inverse_blocks: blocks,
-        }
+    /// Builds the near-field preconditioner: the block ILU(0) factors of the
+    /// operator restricted to its near pattern, from the *exact* near
+    /// entries the precorrection pass computed. Each near pair `(i, j)` is
+    /// the 2 × 2 block `[[½δᵢⱼ − D₁ᵢⱼ, β·S₁ᵢⱼ], [½δᵢⱼ + D₂ᵢⱼ, −S₂ᵢⱼ]]`. The
+    /// factorization runs serially in natural cell order, so it is
+    /// bit-identical at any worker count; applying it is `O(N)`.
+    pub fn preconditioner(&self) -> NearFieldPreconditioner {
+        NearFieldPreconditioner::factor(self.exact.clone())
     }
 
     /// Spreads per-cell source values onto the empty `cube` with the slab
@@ -900,32 +936,126 @@ impl LinearOperator for MatrixFreeOperator {
     }
 }
 
-/// Per-cell 2 × 2 block-diagonal (right) preconditioner built from the exact
-/// self entries of the matrix-free operator; see
-/// [`MatrixFreeOperator::preconditioner`]. Itself a [`LinearOperator`]
-/// (`y = M⁻¹ x`), composed with the system operator by
-/// [`crate::solver::solve_operator`].
+/// Block ILU(0) (right) preconditioner over the near pattern of the
+/// matrix-free operator; see [`MatrixFreeOperator::preconditioner`]. Itself
+/// a [`LinearOperator`] (`y = (LU)⁻¹ x`), composed with the system operator
+/// by [`crate::solver::solve_operator`].
 #[derive(Debug, Clone)]
-pub struct BlockDiagonalPreconditioner {
-    ncells: usize,
-    /// Inverted per-cell blocks, row-major `[a, b, c, d]`.
-    inverse_blocks: Vec<[c64; 4]>,
+pub struct NearFieldPreconditioner {
+    /// The factors in the near pattern: `L` (unit block diagonal implied)
+    /// left of each row's diagonal, `U` on and right of it.
+    factors: BlockRows,
+    /// Position of each row's diagonal block in `factors`.
+    diagonal: Vec<usize>,
+    /// Inverted diagonal blocks of `U`.
+    inverse_diagonal: Vec<Block>,
 }
 
-impl LinearOperator for BlockDiagonalPreconditioner {
+impl NearFieldPreconditioner {
+    /// Factors `rows` in place (IKJ order): row `i` eliminates its blocks
+    /// left of the diagonal against the finished rows above, and updates
+    /// only the blocks its pattern already holds.
+    fn factor(mut rows: BlockRows) -> Self {
+        let n = rows.start.len() - 1;
+        let diagonal: Vec<usize> = (0..n)
+            .map(|i| {
+                let first = rows.start[i];
+                let offset = rows.cols[first..rows.start[i + 1]].binary_search(&i);
+                first + offset.expect("every near row holds its self pair")
+            })
+            .collect();
+        let mut inverse_diagonal: Vec<Block> = Vec::with_capacity(n);
+        for i in 0..n {
+            let end = rows.start[i + 1];
+            for p in rows.start[i]..diagonal[i] {
+                let k = rows.cols[p];
+                let l = block_mul(&rows.blocks[p], &inverse_diagonal[k]);
+                rows.blocks[p] = l;
+                // Both rows are sorted by column: merge row k's U part into
+                // row i's remaining pattern.
+                let mut q = p + 1;
+                for r in diagonal[k] + 1..rows.start[k + 1] {
+                    let j = rows.cols[r];
+                    while q < end && rows.cols[q] < j {
+                        q += 1;
+                    }
+                    if q == end {
+                        break;
+                    }
+                    if rows.cols[q] == j {
+                        let lu = block_mul(&l, &rows.blocks[r]);
+                        for (a, b) in rows.blocks[q].iter_mut().zip(lu) {
+                            *a -= b;
+                        }
+                    }
+                }
+            }
+            inverse_diagonal.push(block_inverse(&rows.blocks[diagonal[i]]));
+        }
+        Self {
+            factors: rows,
+            diagonal,
+            inverse_diagonal,
+        }
+    }
+}
+
+impl LinearOperator for NearFieldPreconditioner {
     fn dim(&self) -> usize {
-        2 * self.ncells
+        2 * self.diagonal.len()
     }
 
     fn apply(&self, x: &[c64]) -> Vec<c64> {
-        let n = self.ncells;
+        let n = self.diagonal.len();
+        let BlockRows {
+            start,
+            cols,
+            blocks,
+        } = &self.factors;
+        // Forward substitution `L·w = x`, then back substitution `U·v = w`
+        // over the same buffer.
+        let mut w: Vec<[c64; 2]> = Vec::with_capacity(n);
+        for i in 0..n {
+            let mut acc = [x[i], x[n + i]];
+            for p in start[i]..self.diagonal[i] {
+                let [a, b] = block_apply(&blocks[p], w[cols[p]]);
+                acc = [acc[0] - a, acc[1] - b];
+            }
+            w.push(acc);
+        }
+        for i in (0..n).rev() {
+            let mut acc = w[i];
+            for p in self.diagonal[i] + 1..start[i + 1] {
+                let [a, b] = block_apply(&blocks[p], w[cols[p]]);
+                acc = [acc[0] - a, acc[1] - b];
+            }
+            w[i] = block_apply(&self.inverse_diagonal[i], acc);
+        }
         let mut y = vec![c64::zero(); 2 * n];
-        for (i, inv) in self.inverse_blocks.iter().enumerate() {
-            y[i] = inv[0] * x[i] + inv[1] * x[n + i];
-            y[n + i] = inv[2] * x[i] + inv[3] * x[n + i];
+        for (i, [a, b]) in w.into_iter().enumerate() {
+            y[i] = a;
+            y[n + i] = b;
         }
         y
     }
+}
+
+fn block_mul(x: &Block, y: &Block) -> Block {
+    [
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    ]
+}
+
+fn block_inverse(&[a, b, c, d]: &Block) -> Block {
+    let det = a * d - b * c;
+    [d / det, -b / det, -c / det, a / det]
+}
+
+fn block_apply(m: &Block, [u, v]: [c64; 2]) -> [c64; 2] {
+    [m[0] * u + m[1] * v, m[2] * u + m[3] * v]
 }
 
 /// How the exact value of one near pair is obtained.
@@ -961,19 +1091,21 @@ struct NearScratch {
 #[derive(Default)]
 struct NearRow {
     corrections: [Vec<NearCorrection>; 2],
-    /// `(S₁ᵢᵢ, D₁ᵢᵢ, S₂ᵢᵢ, D₂ᵢᵢ)` of this row's self entry.
-    selfs: [c64; 4],
+    /// The exact operator block of each corrected pair, in the same order.
+    exact: Vec<Block>,
     stats: AssemblyStats,
 }
 
 /// Evaluates the generator planes of one medium: for `t ∈ [0, m)` the kernel
-/// (and gradient) at separations `(b·Δ, a·Δ, t·h)` — one batched call per
-/// plane, the planes spread over `parallelism` and scattered in level order,
-/// so the tables are bit-identical at any worker count — and fills `t < 0` by
-/// parity (`G` even, `∇G` odd, lateral indices reflected mod n). The singular
-/// `(0, 0, 0)` sample is pinned to zero: only self pairs read that column and
-/// their precorrection subtracts the grid part exactly, so any *finite*
-/// placeholder cancels.
+/// (and gradient) at the canonical lateral offsets `0 ≤ c_x ≤ c_y ≤ ⌊n/2⌋`
+/// and height `t·h`, and scatters each sample to every offset `(b, a)` it
+/// stands for (see [`fold`]): value and `∂_z` as they are, `∂_x`/`∂_y` with
+/// the fold signs, swapped where the folded x exceeds the folded y. The
+/// planes are spread over `parallelism` and scattered in level order, so the
+/// tables are bit-identical at any worker count. Negative planes follow by
+/// parity ([`fill_negative_planes`]). The singular `(0, 0, 0)` sample is
+/// pinned to zero: only self pairs read that column and their precorrection
+/// subtracts the grid part exactly, so any *finite* placeholder cancels.
 fn build_tables(
     green: &PeriodicGreen3d,
     eval: KernelEval,
@@ -982,34 +1114,74 @@ fn build_tables(
     slab: &SlabGrid,
     parallelism: AssemblyParallelism,
 ) -> MediumTables {
-    let nn = side * side;
-    let planes = slab.planes;
-    let m = slab.levels;
-    let mut val = vec![c64::zero(); planes * nn];
-    let mut gx = vec![c64::zero(); planes * nn];
-    let mut gy = vec![c64::zero(); planes * nn];
-    let mut gz = vec![c64::zero(); planes * nn];
+    let canonical: Vec<(usize, usize)> = (0..=side / 2)
+        .flat_map(|cy| (0..=cy).map(move |cx| (cx, cy)))
+        .collect();
+    let levels = eval_levels(green, eval, delta, slab, parallelism, &canonical);
+    let mut tables = MediumTables::zeroed(slab.planes * side * side);
+    for (t, out) in levels.iter().enumerate() {
+        let base = t * side * side;
+        for a in 0..side {
+            let (fy, flip_y) = fold(a, side);
+            for b in 0..side {
+                let (fx, flip_x) = fold(b, side);
+                let (lo, hi) = (fx.min(fy), fx.max(fy));
+                let sample = &out[hi * (hi + 1) / 2 + lo];
+                let [gx, gy, gz] = sample.gradient;
+                let (gx, gy) = if fx <= fy { (gx, gy) } else { (gy, gx) };
+                let k = base + a * side + b;
+                tables.val[k] = sample.value;
+                tables.gx[k] = if flip_x { -gx } else { gx };
+                tables.gy[k] = if flip_y { -gy } else { gy };
+                tables.gz[k] = gz;
+            }
+        }
+    }
+    fill_negative_planes(&mut tables, side, slab);
+    tables
+}
 
-    let levels = map_rows(
-        m,
+/// Folds lattice index `i` of an `n`-periodic axis onto `[0, ⌊n/2⌋]`: the
+/// offset `i·Δ` is `−(n − i)·Δ` modulo the period, so past the half period
+/// the kernel reads its mirror image and the gradient component along the
+/// axis flips sign. Returns the folded index and whether it was mirrored.
+fn fold(i: usize, n: usize) -> (usize, bool) {
+    if i <= n / 2 {
+        (i, false)
+    } else {
+        (n - i, true)
+    }
+}
+
+/// One batched kernel evaluation per level `t ∈ [0, m)` at the lateral
+/// `offsets` `(c_x, c_y)` (in cells) and height `t·h`, the levels spread over
+/// `parallelism`. The first offset must be `(0, 0)`; its `t = 0` sample is
+/// the singular one and comes back zero.
+fn eval_levels(
+    green: &PeriodicGreen3d,
+    eval: KernelEval,
+    delta: f64,
+    slab: &SlabGrid,
+    parallelism: AssemblyParallelism,
+    offsets: &[(usize, usize)],
+) -> Vec<Vec<GreenSample>> {
+    debug_assert_eq!(offsets.first(), Some(&(0, 0)));
+    map_rows(
+        slab.levels,
         parallelism.worker_count(),
-        || Vec::with_capacity(nn),
+        || Vec::with_capacity(offsets.len()),
         |t, seps: &mut Vec<SeparationVector>| {
             seps.clear();
-            for a in 0..side {
-                for b in 0..side {
-                    if t == 0 && a == 0 && b == 0 {
-                        // Singular sample: evaluate a benign stand-in,
-                        // overwrite below.
-                        seps.push(SeparationVector::new(delta, 0.0, 0.0));
-                    } else {
-                        seps.push(SeparationVector::new(
-                            b as f64 * delta,
-                            a as f64 * delta,
-                            t as f64 * slab.spacing,
-                        ));
-                    }
-                }
+            for &(cx, cy) in offsets {
+                seps.push(SeparationVector::new(
+                    cx as f64 * delta,
+                    cy as f64 * delta,
+                    t as f64 * slab.spacing,
+                ));
+            }
+            if t == 0 {
+                // Singular sample: evaluate a benign stand-in, zero it below.
+                seps[0] = SeparationVector::new(delta, 0.0, 0.0);
             }
             let mut out = Vec::new();
             eval_gathered(green, eval, seps, &mut out);
@@ -1018,21 +1190,16 @@ fn build_tables(
             }
             out
         },
-    );
-    for (t, out) in levels.iter().enumerate() {
-        let base = t * nn;
-        for (offset, sample) in out.iter().enumerate() {
-            val[base + offset] = sample.value;
-            gx[base + offset] = sample.gradient[0];
-            gy[base + offset] = sample.gradient[1];
-            gz[base + offset] = sample.gradient[2];
-        }
-    }
+    )
+}
 
-    // Negative planes by parity: C₋ₜ[a][b] = Cₜ[(−a) mod n][(−b) mod n],
-    // gradient negated.
-    for t in 1..m {
-        let dst_base = (planes - t) * nn;
+/// Fills the negative planes by parity: `C₋ₜ[a][b] = Cₜ[(−a) mod n][(−b) mod n]`,
+/// gradient negated.
+fn fill_negative_planes(tables: &mut MediumTables, side: usize, slab: &SlabGrid) {
+    let nn = side * side;
+    let MediumTables { val, gx, gy, gz } = tables;
+    for t in 1..slab.levels {
+        let dst_base = (slab.planes - t) * nn;
         let src_base = t * nn;
         for a in 0..side {
             for b in 0..side {
@@ -1045,8 +1212,6 @@ fn build_tables(
             }
         }
     }
-
-    MediumTables { val, gx, gy, gz }
 }
 
 /// The slab-interpolated (grid) value of one matrix-entry pair, read straight
@@ -1299,6 +1464,21 @@ mod tests {
         .unwrap();
         assert!(stats.iterations > 0);
         assert!(stats.relative_residual < 1e-10);
+        // Unpreconditioned BiCGSTAB stalls on this system, so the iteration
+        // counts are compared under full GMRES (restart = dimension), which
+        // converges with or without the preconditioner.
+        let full = SolverKind::Gmres {
+            tolerance: 1e-12,
+            restart: mf.dim(),
+        };
+        let (_, with) = solve_operator(&mf, mf.rhs(), full, Some(&precond)).unwrap();
+        let (_, plain) = solve_operator(&mf, mf.rhs(), full, None).unwrap();
+        assert!(
+            with.iterations < plain.iterations,
+            "near-field preconditioner: {} iterations, none: {}",
+            with.iterations,
+            plain.iterations
+        );
         let scale = x_lu.iter().map(|z| z.abs()).fold(0.0, f64::max);
         for (a, b) in x_lu.iter().zip(&x_mf) {
             assert!((*a - *b).abs() < 1e-8 * scale);
@@ -1355,6 +1535,14 @@ mod tests {
                 assert_eq!(serial.stats(), threaded.stats());
                 for (u, v) in serial.rhs().iter().zip(threaded.rhs()) {
                     assert_eq!(bits(u), bits(v));
+                }
+                assert_eq!(serial.exact.cols, threaded.exact.cols);
+                for (a, b) in serial.exact.blocks.iter().zip(&threaded.exact.blocks) {
+                    assert_eq!(a.map(|z| bits(&z)), b.map(|z| bits(&z)));
+                }
+                let precond = threaded.preconditioner().apply(&x);
+                for (u, v) in serial.preconditioner().apply(&x).iter().zip(&precond) {
+                    assert_eq!(bits(u), bits(v), "{workers} workers: preconditioner");
                 }
             }
         }
@@ -1503,6 +1691,239 @@ mod tests {
         }
         cache.clear();
         assert_eq!(cache.entries(), 0);
+    }
+
+    /// The per-offset table build the fold replaced: every lateral offset
+    /// `(b, a)` of every level evaluated directly.
+    fn per_offset_tables(
+        green: &PeriodicGreen3d,
+        side: usize,
+        delta: f64,
+        slab: &SlabGrid,
+    ) -> MediumTables {
+        let offsets: Vec<(usize, usize)> = (0..side)
+            .flat_map(|a| (0..side).map(move |b| (b, a)))
+            .collect();
+        let levels = eval_levels(
+            green,
+            KernelEval::default(),
+            delta,
+            slab,
+            AssemblyParallelism::Serial,
+            &offsets,
+        );
+        let mut tables = MediumTables::zeroed(slab.planes * side * side);
+        for (t, out) in levels.iter().enumerate() {
+            for (offset, sample) in out.iter().enumerate() {
+                let k = t * side * side + offset;
+                tables.val[k] = sample.value;
+                tables.gx[k] = sample.gradient[0];
+                tables.gy[k] = sample.gradient[1];
+                tables.gz[k] = sample.gradient[2];
+            }
+        }
+        fill_negative_planes(&mut tables, side, slab);
+        tables
+    }
+
+    /// Quasi-static, lossy and high-`|k|L` kernels on a 5 µm tile, with a
+    /// rough mesh of `side` cells and its slab.
+    fn fold_cases(side: usize) -> Vec<(PeriodicGreen3d, SlabGrid, f64)> {
+        let length = 5e-6;
+        let mesh = rough_mesh(side, length, 0.3e-6);
+        let policy = NearFieldPolicy::default();
+        let mut cases = Vec::new();
+        for [k1, k2] in [
+            [c64::new(150.0, 0.0), c64::new(2.0e4, 2.0e4)],
+            [c64::new(500.0, 0.0), c64::new(1.5e6, 1.5e6)],
+            [c64::new(800.0, 0.0), c64::new(4.0e6, 4.0e6)],
+        ] {
+            let slab = build_slab(
+                &mesh,
+                k2.abs(),
+                policy.radius * mesh.cell_size(),
+                &MatrixFreePolicy::default(),
+            );
+            for k in [k1, k2] {
+                cases.push((
+                    PeriodicGreen3d::new(k, length),
+                    slab.clone(),
+                    mesh.cell_size(),
+                ));
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn folded_tables_match_the_per_offset_oracle() {
+        // Odd and even sides: at even n the half-period offset is its own
+        // mirror image.
+        for side in [5, 6, 7] {
+            for (green, slab, delta) in fold_cases(side) {
+                let folded = build_tables(
+                    &green,
+                    KernelEval::default(),
+                    side,
+                    delta,
+                    &slab,
+                    AssemblyParallelism::Serial,
+                );
+                let oracle = per_offset_tables(&green, side, delta, &slab);
+                let k = green.wavenumber();
+                let components =
+                    |t: &MediumTables| [t.val.clone(), t.gx.clone(), t.gy.clone(), t.gz.clone()];
+                for (c, (fast, slow)) in components(&folded)
+                    .iter()
+                    .zip(&components(&oracle))
+                    .enumerate()
+                {
+                    let scale = slow.iter().map(|z| z.abs()).fold(0.0, f64::max);
+                    for (idx, (a, b)) in fast.iter().zip(slow).enumerate() {
+                        // Entries that vanish by symmetry (the x gradient on
+                        // the mirror lines) hold only the kernel's rounding,
+                        // so they are held to the component's scale instead.
+                        let tol = 1e-13 * b.abs().max(1e-3 * scale);
+                        assert!(
+                            (*a - *b).abs() <= tol,
+                            "side {side}, k {k}, component {c}, entry {idx}: {a} vs {b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn folded_tables_are_exactly_symmetric() {
+        for side in [5, 6, 7] {
+            let mirror = |i: usize| (side - i) % side;
+            for (green, slab, delta) in fold_cases(side) {
+                let t = build_tables(
+                    &green,
+                    KernelEval::default(),
+                    side,
+                    delta,
+                    &slab,
+                    AssemblyParallelism::Serial,
+                );
+                let bits = |z: c64| (z.re.to_bits(), z.im.to_bits());
+                for level in 0..slab.levels {
+                    let at = |a: usize, b: usize| level * side * side + a * side + b;
+                    for a in 0..side {
+                        for b in 0..side {
+                            let k = at(a, b);
+                            // Value and z gradient: even in x and y, and
+                            // symmetric under x ↔ y.
+                            for image in [at(a, mirror(b)), at(mirror(a), b), at(b, a)] {
+                                assert_eq!(bits(t.val[k]), bits(t.val[image]));
+                                assert_eq!(bits(t.gz[k]), bits(t.gz[image]));
+                            }
+                            // x and y gradients: odd along their own axis,
+                            // even along the other, exchanged by x ↔ y.
+                            // Offsets on a mirror line, and the swap of a
+                            // folded diagonal offset, map onto themselves.
+                            if mirror(b) != b {
+                                assert_eq!(bits(t.gx[k]), bits(-t.gx[at(a, mirror(b))]));
+                                assert_eq!(bits(t.gy[k]), bits(t.gy[at(a, mirror(b))]));
+                            }
+                            if mirror(a) != a {
+                                assert_eq!(bits(t.gy[k]), bits(-t.gy[at(mirror(a), b)]));
+                                assert_eq!(bits(t.gx[k]), bits(t.gx[at(mirror(a), b)]));
+                            }
+                            if fold(a, side).0 != fold(b, side).0 {
+                                assert_eq!(bits(t.gx[k]), bits(t.gy[at(b, a)]));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The block of `rows` at `(i, j)`, if the pattern holds it.
+    fn block_at(rows: &BlockRows, i: usize, j: usize) -> Option<Block> {
+        let range = rows.start[i]..rows.start[i + 1];
+        let offset = rows.cols[range.clone()].binary_search(&j).ok()?;
+        Some(rows.blocks[range.start + offset])
+    }
+
+    #[test]
+    fn near_field_factors_reproduce_the_near_operator_on_its_pattern() {
+        // ILU(0): `L·U` equals the factored matrix on every position of its
+        // pattern (fill outside the pattern is dropped).
+        let mesh = rough_mesh(6, 5e-6, 0.3e-6);
+        let (_, mf) = assemble_pair(
+            &mesh,
+            c64::new(500.0, 0.0),
+            c64::new(1.5e6, 1.5e6),
+            c64::new(0.0, -1e-7),
+        );
+        let exact = &mf.exact;
+        assert!(
+            exact.cols.len() < mf.ncells * mf.ncells,
+            "the pattern must drop fill"
+        );
+        let precond = mf.preconditioner();
+        let factors = &precond.factors;
+        let scale = exact
+            .blocks
+            .iter()
+            .flatten()
+            .map(|z| z.abs())
+            .fold(0.0, f64::max);
+        for i in 0..mf.ncells {
+            for p in exact.start[i]..exact.start[i + 1] {
+                let j = exact.cols[p];
+                // (L·U)ᵢⱼ = Σ_{k<i} Lᵢₖ·Uₖⱼ + Uᵢⱼ (unit diagonal of L).
+                let mut lu = if i <= j {
+                    block_at(factors, i, j).unwrap()
+                } else {
+                    [c64::zero(); 4]
+                };
+                for q in factors.start[i]..precond.diagonal[i] {
+                    let k = factors.cols[q];
+                    if let Some(u) = block_at(factors, k, j).filter(|_| k <= j) {
+                        let term = block_mul(&factors.blocks[q], &u);
+                        for (a, b) in lu.iter_mut().zip(term) {
+                            *a += b;
+                        }
+                    }
+                }
+                for (a, b) in lu.iter().zip(&exact.blocks[p]) {
+                    assert!((*a - *b).abs() <= 1e-12 * scale, "({i}, {j}): {a} vs {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn near_field_preconditioner_inverts_an_all_near_operator() {
+        // At radius 3 every pair of a 4 × 4 patch is near: ILU(0) keeps all
+        // fill and is the exact LU, and the operator is its exact near
+        // entries plus FFT roundoff, so M⁻¹·A is the identity up to the
+        // system's conditioning (a pivoted dense LU recovers this `x` to
+        // 8e-9 as well; a wrong block is off by O(1)).
+        let mesh = rough_mesh(4, 5e-6, 0.3e-6);
+        let length = mesh.patch_length();
+        let mf = MatrixFreeOperator::assemble(
+            &mesh,
+            &PeriodicGreen3d::new(c64::new(500.0, 0.0), length),
+            &PeriodicGreen3d::new(c64::new(1.5e6, 1.5e6), length),
+            c64::new(0.0, -1e-7),
+            c64::new(500.0, 0.0),
+            NearFieldPolicy::new(3.0, NearFieldPolicy::default().order),
+            MatrixFreePolicy::default(),
+            KernelEval::default(),
+            AssemblyParallelism::Serial,
+        );
+        assert_eq!(mf.exact.cols.len(), mf.ncells * mf.ncells);
+        let x = random_vector(mf.dim(), 3);
+        let y = mf.preconditioner().apply(&mf.apply(&x));
+        let num: f64 = x.iter().zip(&y).map(|(a, b)| (*a - *b).norm_sqr()).sum();
+        let den: f64 = x.iter().map(|a| a.norm_sqr()).sum();
+        let rel = (num / den).sqrt();
+        assert!(rel <= 1e-7, "M⁻¹·A·x differs from x by {rel:e}");
     }
 
     #[test]

@@ -178,7 +178,7 @@ impl LinearOperator for RightPreconditioned<'_> {
 
 /// Solves `A·x = b` through *any* [`LinearOperator`] — dense or matrix-free —
 /// with an optional right preconditioner `M⁻¹` (itself just another operator;
-/// see [`crate::matrixfree::BlockDiagonalPreconditioner`]).
+/// see [`crate::matrixfree::NearFieldPreconditioner`]).
 ///
 /// Only the Krylov strategies apply: a matrix-free operator exposes nothing a
 /// direct factorization could act on.

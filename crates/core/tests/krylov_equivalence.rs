@@ -4,8 +4,9 @@
 //!
 //! Pins the acceptance criteria of the matrix-free operator: Pr/Ps from the
 //! preconditioned Krylov + MatrixFree path agrees with DirectLu + Dense within
-//! 1e-8 relative, and the block-diagonal preconditioner keeps the iteration
-//! counts small (recorded in the test output).
+//! 1e-8 relative, and the near-field block ILU(0) preconditioner keeps the
+//! iteration counts at the handful it reaches today (recorded in the test
+//! output).
 
 use rough_core::solver::solve_operator;
 use rough_core::{
@@ -59,7 +60,7 @@ fn preconditioned_krylov_matches_direct_lu_on_reduced_fig5() {
 }
 
 #[test]
-fn block_preconditioner_keeps_iteration_counts_small() {
+fn near_field_preconditioner_keeps_iteration_counts_small() {
     let problem = reduced_fig5(
         SolverKind::Bicgstab { tolerance: 1e-12 },
         OperatorRepr::MatrixFree(MatrixFreePolicy::default()),
@@ -81,12 +82,18 @@ fn block_preconditioner_keeps_iteration_counts_small() {
     );
     let precond = mf.preconditioner();
 
-    for kind in [
-        SolverKind::Bicgstab { tolerance: 1e-12 },
-        SolverKind::Gmres {
-            tolerance: 1e-12,
-            restart: 60,
-        },
+    // The near-field preconditioner takes 7 BiCGSTAB and 11 GMRES
+    // iterations here (the block-diagonal one it replaced took 14 and 24);
+    // the limits leave a little room and catch a return to the old counts.
+    for (kind, limit) in [
+        (SolverKind::Bicgstab { tolerance: 1e-12 }, 10),
+        (
+            SolverKind::Gmres {
+                tolerance: 1e-12,
+                restart: 60,
+            },
+            16,
+        ),
     ] {
         let (_, stats) = solve_operator(&mf, mf.rhs(), kind, Some(&precond)).unwrap();
         println!(
@@ -94,11 +101,9 @@ fn block_preconditioner_keeps_iteration_counts_small() {
             stats.iterations, stats.relative_residual
         );
         assert!(stats.iterations > 0);
-        // The 2N=128 system converges in a handful of preconditioned
-        // iterations; 100 is the regression alarm, not the expectation.
         assert!(
-            stats.iterations < 100,
-            "{kind:?} needed {} iterations",
+            stats.iterations <= limit,
+            "{kind:?} needed {} iterations, more than {limit}",
             stats.iterations
         );
         assert!(stats.relative_residual < 1e-10);

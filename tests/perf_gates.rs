@@ -177,6 +177,14 @@ fn matrix_free_beats_dense_at_24_cells() {
             "cells={cells}: matrix-free residual {:.2e}",
             stats.relative_residual
         );
+        // The near-field preconditioner holds BiCGSTAB at 5–6 iterations
+        // from 8 to 32 cells (the block-diagonal one it replaced needed 7
+        // to 13).
+        assert!(
+            stats.iterations <= 8,
+            "cells={cells}: matrix-free solve needed {} iterations, more than 8",
+            stats.iterations
+        );
         if cells > dense_limit {
             println!(
                 "cells={cells}: matrix-free {mf_s:.2} s ({} iterations)",
