@@ -20,26 +20,32 @@
 //! surface); the paper absorbs them differently but the flat-patch validation
 //! in `swm3d.rs` pins the convention against the analytic Fresnel solution.
 //!
-//! The singular (self) and near-singular (neighbour) entries are locally
-//! corrected ([`AssemblyScheme::LocallyCorrected`]): the `1/(4πR)` static
-//! part is integrated *analytically* over the exact tangent-plane cell
-//! parallelogram (Wilton polygon potential for `S`, signed solid angle for
-//! `D`), and the smooth remainder `G_p − 1/(4πR)` is integrated with adaptive
-//! tensor Gauss–Legendre quadrature, for every source cell within
-//! [`NearFieldPolicy::radius`] cell sizes (minimum-image distance, so the
-//! periodic seam is corrected too). Every other entry is one midpoint sample
-//! of the periodic kernel. An entry between two exactly flat cells at the
-//! same height depends only on their lattice offset, so the flat-offset table
-//! integrates each such offset once and every other flat–flat pair copies it
-//! (the matrix-free near precorrections read the same table).
+//! **One exact entry per pair.** Every entry of both media comes from one
+//! row pass, `ExactEntries`: given an observation row and a set of source
+//! columns it returns each column's `(S, D)` of media 1 and 2 under one rule.
+//! The singular (self) and near-singular entries — every source cell within
+//! [`NearFieldPolicy::radius`] cell sizes (3-D minimum-image distance, so the
+//! periodic seam is corrected too) — are locally corrected
+//! ([`AssemblyScheme::LocallyCorrected`]): the `1/(4πR)` static part is
+//! integrated *analytically* over the exact tangent-plane cell parallelogram
+//! (Wilton polygon potential for `S`, signed solid angle for `D`), and the
+//! smooth remainder `G_p − 1/(4πR)` with adaptive tensor Gauss–Legendre
+//! quadrature. Every other entry is one midpoint sample of the periodic
+//! kernel. An entry between two exactly flat cells at the same height
+//! depends only on their lattice offset, so the flat-offset table integrates
+//! each such offset once, for both media, and every other flat–flat pair
+//! copies it. The dense system runs the pass over all columns and writes
+//! each pair's 2 × 2 block of paper eq. (9) straight into the matrix; the
+//! matrix-free operator ([`crate::matrixfree`]) runs the same pass over its
+//! near pattern, so the two representations share every exact entry.
 //!
 //! Orthogonal to the near-field policy, [`KernelEval`] selects how the
 //! Ewald-summed kernel itself is evaluated. The default,
 //! [`KernelEval::Batched`], is **blocked row-panel assembly**: for each
 //! observation row, every far-field observation–source separation (and every
 //! fixed-rule periodic-image quadrature point of the row's near entries) is
-//! gathered into a contiguous slice, evaluated in one batched kernel call
-//! ([`PeriodicGreen3d::eval_batch_samples`] /
+//! gathered into a contiguous slice, evaluated in one batched kernel call per
+//! medium ([`PeriodicGreen3d::eval_batch_samples`] /
 //! [`PeriodicGreen3d::eval_batch_regularized`]), and scattered into the
 //! matrix. The near-field analytic statics and the adaptive smooth-remainder
 //! quadrature are untouched. [`KernelEval::Scalar`] evaluates the identical
@@ -105,7 +111,7 @@ pub(crate) fn eval_gathered(
 
 /// Evaluates gathered separations of the regularized kernel (periodic-image
 /// part of the corrected near field), batched or per-entry.
-pub(crate) fn eval_gathered_regularized(
+fn eval_gathered_regularized(
     green: &PeriodicGreen3d,
     eval: KernelEval,
     seps: &[SeparationVector],
@@ -123,258 +129,288 @@ pub(crate) fn eval_gathered_regularized(
     }
 }
 
-/// The assembled MOM operator blocks for one medium.
-#[derive(Debug, Clone)]
-pub struct MediumBlocks {
-    /// Single-layer interaction matrix `S` (N × N).
-    pub single_layer: CMatrix,
-    /// Double-layer interaction matrix `D` (N × N).
-    pub double_layer: CMatrix,
-    /// Integration diagnostics of this assembly (adaptive-quadrature panel
-    /// counts, reused flat-offset entries and depth-cap hits).
-    pub stats: AssemblyStats,
+/// `(S, D)` of one observation–source pair in media 1 and 2.
+pub(crate) type MediaEntry = [(c64, c64); 2];
+
+/// A 2 × 2 complex block, row-major `[a, b, c, d]`: how the unknowns
+/// `(Ψⱼ, Uⱼ)` of cell `j` enter the two rows of paper eq. (9) at cell `i`.
+pub(crate) type Block = [c64; 4];
+
+/// The block of paper eq. (9) for one pair with entries `entry`:
+/// `[[½δᵢⱼ − D₁, β·S₁], [½δᵢⱼ + D₂, −S₂]]`, `δᵢⱼ = 1` on the self pair.
+pub(crate) fn system_block([(s1, d1), (s2, d2)]: MediaEntry, beta: c64, self_pair: bool) -> Block {
+    let free = if self_pair {
+        c64::from_real(0.5)
+    } else {
+        c64::zero()
+    };
+    [free - d1, beta * s1, free + d2, -s2]
 }
 
-/// Assembles the single- and double-layer blocks for one medium.
-///
-/// `green` must be the doubly-periodic kernel of that medium with the same
-/// period as the mesh patch.
-///
-/// # Panics
-///
-/// Panics if the kernel period does not match the mesh patch length.
-pub fn assemble_medium(
-    mesh: &PatchMesh,
-    green: &PeriodicGreen3d,
-    scheme: AssemblyScheme,
-) -> MediumBlocks {
-    assemble_medium_with(
-        mesh,
-        green,
-        scheme,
-        KernelEval::default(),
-        AssemblyParallelism::default(),
-    )
+/// The incident plane wave `ψ_inc = e^{−j k₁ z}` on the upper block of paper
+/// eq. (9), zeros on the lower one.
+pub(crate) fn incident_rhs(mesh: &PatchMesh, k1: c64) -> Vec<c64> {
+    let mut rhs = vec![c64::zero(); 2 * mesh.len()];
+    for (slot, cell) in rhs.iter_mut().zip(mesh.cells()) {
+        *slot = (c64::new(0.0, -1.0) * k1 * cell.z).exp();
+    }
+    rhs
 }
 
-/// Assembles the single- and double-layer blocks with explicit kernel
-/// evaluation and parallelism strategies.
+/// The minimum-image geometry of an observation–source pair on a periodic
+/// patch: the source cell's nearest periodic image seen from the observation
+/// point.
+#[derive(Debug, Clone, Copy)]
+struct MinImage {
+    /// In-plane separation observation − nearest source image.
+    offset: [f64; 2],
+    /// In-plane centre of the nearest source image (the source centre
+    /// itself on the self pair).
+    at: [f64; 2],
+    /// Vertical separation observation − source.
+    dz: f64,
+}
+
+impl MinImage {
+    /// The pair `(observation, source)` on a patch of period `length`.
+    fn new(observation: &Cell3d, source: &Cell3d, length: f64) -> Self {
+        let dx = observation.x - source.x;
+        let dy = observation.y - source.y;
+        let shift = [
+            (dx / length).round() * length,
+            (dy / length).round() * length,
+        ];
+        Self {
+            offset: [dx - shift[0], dy - shift[1]],
+            at: [source.x + shift[0], source.y + shift[1]],
+            dz: observation.z - source.z,
+        }
+    }
+
+    /// Squared in-plane distance to the nearest image.
+    fn lateral_sq(&self) -> f64 {
+        self.offset[0] * self.offset[0] + self.offset[1] * self.offset[1]
+    }
+
+    /// Squared 3-D distance to the nearest image.
+    fn distance_sq(&self) -> f64 {
+        self.lateral_sq() + self.dz * self.dz
+    }
+}
+
+/// The exact-entry pass of paper eq. (9): per observation row, the `(S, D)`
+/// of both media for any set of source columns, under one rule —
 ///
-/// [`KernelEval::Batched`] (what [`assemble_medium`] uses) gathers the
-/// far-field separations of every matrix row into one blocked kernel call;
-/// [`KernelEval::Scalar`] evaluates the same points one scalar kernel call at
-/// a time and is kept as the equivalence oracle and benchmark baseline. The
-/// two agree to ≤ 1e-12 relative on every entry.
+/// * the self pair, or a 3-D minimum-image distance below
+///   [`NearFieldPolicy::radius`] cell sizes: the locally corrected integral
+///   ([`corrected_entry`]), or its copy from the [`FlatOffsetTable`] when
+///   both cells are exactly flat at the same height;
+/// * every other pair: one midpoint sample of the periodic kernel.
 ///
-/// `parallelism` spreads the row panels over worker threads; the result is
-/// bit-identical at any thread count (rows are independent and the scatter is
-/// serial in row order).
-///
-/// # Panics
-///
-/// Panics if the kernel period does not match the mesh patch length.
-pub fn assemble_medium_with(
-    mesh: &PatchMesh,
-    green: &PeriodicGreen3d,
-    scheme: AssemblyScheme,
+/// Both the dense system ([`assemble_system_with`], all columns) and the
+/// matrix-free near field ([`crate::matrixfree`], its in-plane near pattern)
+/// read their exact entries here, so the two agree bit for bit on every pair
+/// they share. Rows are independent: each borrows its own [`RowScratch`].
+pub(crate) struct ExactEntries<'a> {
+    cells: &'a [Cell3d],
+    greens: [&'a PeriodicGreen3d; 2],
     eval: KernelEval,
-    parallelism: AssemblyParallelism,
-) -> MediumBlocks {
-    assert!(
-        (green.period() - mesh.patch_length()).abs() < 1e-9 * mesh.patch_length(),
-        "Green's function period must match the mesh patch length"
-    );
-    let AssemblyScheme::LocallyCorrected(policy) = scheme;
-    assemble_medium_corrected(mesh, green, policy, eval, parallelism)
+    rule: NearRules,
+    flat: FlatOffsetTable,
+    area: f64,
+    delta: f64,
+    length: f64,
+    near_radius_sq: f64,
 }
 
-/// One near entry of a corrected row panel: the source column, the
-/// (possibly periodically shifted) source-cell centre, and the entry itself
-/// when the flat-offset table already holds it.
-struct NearEntry {
-    j: usize,
-    src_x: f64,
-    src_y: f64,
-    reused: Option<(c64, c64)>,
+/// How the exact-entry pass obtains one column's entries.
+enum Source {
+    /// Copied from the flat-offset table.
+    Copied(MediaEntry),
+    /// Integrated by [`corrected_entry`] over column `j`, its nearest image
+    /// centred at `at`.
+    Corrected { j: usize, at: [f64; 2] },
+    /// The far midpoint sample of column `j`.
+    Far(usize),
 }
 
-/// Row-local buffers of the corrected scheme, one per worker: kernel
-/// gather/evaluate slices plus the adaptive-quadrature node arena.
+/// Row-local buffers of the exact-entry pass, one per worker: the column
+/// classification, the kernel gather/evaluate slices of both media, the
+/// adaptive-quadrature node arena and the row's output.
 #[derive(Default)]
-struct CorrectedScratch {
-    far_js: Vec<usize>,
+pub(crate) struct RowScratch {
+    sources: Vec<Source>,
     far_seps: Vec<SeparationVector>,
-    far_out: Vec<GreenSample>,
-    near_entries: Vec<NearEntry>,
+    far_out: [Vec<GreenSample>; 2],
     image_seps: Vec<SeparationVector>,
-    image_out: Vec<GreenSample>,
+    image_out: [Vec<GreenSample>; 2],
     quad: QuadScratch,
+    entries: Vec<MediaEntry>,
 }
 
-/// The computed entries of one corrected row panel (`(j, S_ij, D_ij)`; the
-/// corrected scheme integrates each direction from its own side, so a row
-/// owns exactly its own matrix row).
-struct CorrectedRow {
-    far: Vec<(usize, c64, c64)>,
-    near: Vec<(usize, c64, c64)>,
-    stats: AssemblyStats,
-}
+impl<'a> ExactEntries<'a> {
+    /// Prepares the pass for `mesh` with the media kernels `g1`, `g2`: the
+    /// quadrature rules of `policy` and the flat-offset table of both media
+    /// (built serially, so every row reads the same table at any thread
+    /// count).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a kernel period does not match the mesh patch length, or if
+    /// [`NearFieldPolicy::validate`] rejects `policy`.
+    pub(crate) fn new(
+        mesh: &'a PatchMesh,
+        g1: &'a PeriodicGreen3d,
+        g2: &'a PeriodicGreen3d,
+        policy: NearFieldPolicy,
+        eval: KernelEval,
+    ) -> Self {
+        policy.validate().expect("near-field policy must be valid");
+        let length = mesh.patch_length();
+        for green in [g1, g2] {
+            assert!(
+                (green.period() - length).abs() < 1e-9 * length,
+                "Green's function period must match the mesh patch length"
+            );
+        }
+        let delta = mesh.cell_size();
+        let rule = NearRules::for_policy(policy);
+        let flat = FlatOffsetTable::build(mesh, [g1, g2], policy, &rule, eval);
+        Self {
+            cells: mesh.cells(),
+            greens: [g1, g2],
+            eval,
+            rule,
+            flat,
+            area: mesh.cell_area(),
+            delta,
+            length,
+            near_radius_sq: (policy.radius * delta) * (policy.radius * delta),
+        }
+    }
 
-/// Locally corrected assembly: analytic static extraction plus adaptive
-/// quadrature of the smooth remainder on every near (minimum-image) pair.
-///
-/// Blocked row panels: per observation row, the far-field midpoint
-/// separations *and* the fixed-rule periodic-image quadrature points of every
-/// near entry are gathered into contiguous slices, evaluated in one batched
-/// kernel call each, and scattered back — the analytic statics and the
-/// (kernel-free) adaptive remainder quadrature of the near entries are
-/// untouched. Near entries between exactly flat cells at the same height are
-/// read from the [`FlatOffsetTable`] instead.
-fn assemble_medium_corrected(
-    mesh: &PatchMesh,
-    green: &PeriodicGreen3d,
-    policy: NearFieldPolicy,
-    eval: KernelEval,
-    parallelism: AssemblyParallelism,
-) -> MediumBlocks {
-    let n = mesh.len();
-    let cells = mesh.cells();
-    let area = mesh.cell_area();
-    let delta = mesh.cell_size();
-    let length = mesh.patch_length();
-    let near_radius_sq = (policy.radius * delta) * (policy.radius * delta);
-    let rule = NearRules::for_policy(policy);
-    let image_points = rule.image.len() * rule.image.len();
-    let flat = FlatOffsetTable::build(mesh, green, policy, &rule, eval);
+    /// The integrations that filled the flat-offset table (both media).
+    pub(crate) fn table_stats(&self) -> AssemblyStats {
+        self.flat.stats
+    }
 
-    let rows = map_rows(
-        n,
-        parallelism.worker_count(),
-        CorrectedScratch::default,
-        |i, scratch| {
-            let ci = cells[i];
-            let mut stats = AssemblyStats::default();
-            scratch.far_js.clear();
-            scratch.far_seps.clear();
-            scratch.near_entries.clear();
-            scratch.image_seps.clear();
-            for (j, cj) in cells.iter().enumerate() {
-                let dx = ci.x - cj.x;
-                let dy = ci.y - cj.y;
-                let dz = ci.z - cj.z;
-                // Minimum-image separation: cells adjacent across the periodic
-                // seam are genuine near neighbours of the kernel's nearest
-                // image. The self pair has zero separation and no shift.
-                let wrap_x = (dx / length).round() * length;
-                let wrap_y = (dy / length).round() * length;
-                let dxw = dx - wrap_x;
-                let dyw = dy - wrap_y;
-                let r2 = dxw * dxw + dyw * dyw + dz * dz;
+    /// Whether source `j` lies within the near radius of observation `i` in
+    /// the plane (minimum image): the matrix-free near pattern, a superset of
+    /// the pairs the pass integrates.
+    pub(crate) fn laterally_near(&self, i: usize, j: usize) -> bool {
+        MinImage::new(&self.cells[i], &self.cells[j], self.length).lateral_sq()
+            < self.near_radius_sq
+    }
 
-                if r2 < near_radius_sq {
-                    let (src_x, src_y) = (cj.x + wrap_x, cj.y + wrap_y);
-                    let reused = flat.lookup(i, j, &ci, cj, [dxw, dyw], &mut stats);
-                    if reused.is_none() {
+    /// The entries of observation row `i` at the source columns `cols`, in
+    /// that order. Near entries are gathered and integrated, far ones
+    /// sampled, each kernel evaluated once per medium over the whole row;
+    /// integration diagnostics go to `stats`.
+    pub(crate) fn row<'s>(
+        &self,
+        i: usize,
+        cols: impl IntoIterator<Item = usize>,
+        scratch: &'s mut RowScratch,
+        stats: &mut AssemblyStats,
+    ) -> &'s [MediaEntry] {
+        let ci = &self.cells[i];
+        scratch.sources.clear();
+        scratch.far_seps.clear();
+        scratch.image_seps.clear();
+        for j in cols {
+            let cj = &self.cells[j];
+            let pair = MinImage::new(ci, cj, self.length);
+            let source = if i == j || pair.distance_sq() < self.near_radius_sq {
+                match self.flat.lookup(i, j, ci, cj, pair.offset, stats) {
+                    Some(entry) => Source::Copied(entry),
+                    None => {
                         gather_image_points(
-                            &rule.image,
-                            &ci,
+                            &self.rule.image,
+                            ci,
                             cj,
-                            src_x,
-                            src_y,
-                            delta,
+                            pair.at,
+                            self.delta,
                             &mut scratch.image_seps,
                         );
+                        Source::Corrected { j, at: pair.at }
                     }
-                    scratch.near_entries.push(NearEntry {
-                        j,
-                        src_x,
-                        src_y,
-                        reused,
-                    });
-                } else {
-                    scratch.far_js.push(j);
-                    scratch.far_seps.push(SeparationVector::new(dx, dy, dz));
                 }
-            }
+            } else {
+                scratch
+                    .far_seps
+                    .push(SeparationVector::new(ci.x - cj.x, ci.y - cj.y, ci.z - cj.z));
+                Source::Far(j)
+            };
+            scratch.sources.push(source);
+        }
 
-            eval_gathered(green, eval, &scratch.far_seps, &mut scratch.far_out);
-            eval_gathered_regularized(green, eval, &scratch.image_seps, &mut scratch.image_out);
+        for (m, green) in self.greens.iter().enumerate() {
+            eval_gathered(green, self.eval, &scratch.far_seps, &mut scratch.far_out[m]);
+            eval_gathered_regularized(
+                green,
+                self.eval,
+                &scratch.image_seps,
+                &mut scratch.image_out[m],
+            );
+        }
 
-            let mut far = Vec::with_capacity(scratch.far_js.len());
-            for (sample, &j) in scratch.far_out.iter().zip(&scratch.far_js) {
-                let cj = cells[j];
-                let s = sample.value * area;
-                let grad = sample.gradient;
-                let d = -(grad[0] * cj.normal[0] + grad[1] * cj.normal[1] + grad[2] * cj.normal[2])
-                    * (cj.jacobian * area);
-                far.push((j, s, d));
-            }
-            let mut near = Vec::with_capacity(scratch.near_entries.len());
-            let mut image_cursor = 0;
-            for entry in &scratch.near_entries {
-                let (s, d) = match entry.reused {
-                    Some(exact) => exact,
-                    None => {
-                        let images = &scratch.image_out
-                            [image_points * image_cursor..image_points * (image_cursor + 1)];
-                        image_cursor += 1;
+        let image_points = self.rule.image.len() * self.rule.image.len();
+        let (mut images, mut far) = (0..image_points, 0);
+        scratch.entries.clear();
+        for source in &scratch.sources {
+            let entry = match *source {
+                Source::Copied(entry) => entry,
+                Source::Corrected { j, at } => {
+                    let entry = [0, 1].map(|m| {
                         corrected_entry(
-                            green,
-                            &ci,
-                            &cells[entry.j],
-                            entry.src_x,
-                            entry.src_y,
-                            delta,
-                            &rule,
-                            images,
+                            self.greens[m],
+                            ci,
+                            &self.cells[j],
+                            at,
+                            self.delta,
+                            &self.rule,
+                            &scratch.image_out[m][images.clone()],
                             &mut scratch.quad,
-                            &mut stats,
+                            stats,
                         )
-                    }
-                };
-                near.push((entry.j, s, d));
-            }
-            CorrectedRow { far, near, stats }
-        },
-    );
-
-    // Serial scatter in row order; each row owns exactly its own matrix row.
-    let mut single = CMatrix::zeros(n, n);
-    let mut double = CMatrix::zeros(n, n);
-    let mut stats = flat.stats;
-    for (i, row) in rows.iter().enumerate() {
-        for &(j, s, d) in &row.far {
-            single[(i, j)] = s;
-            double[(i, j)] = d;
+                    });
+                    images = images.end..images.end + image_points;
+                    entry
+                }
+                Source::Far(j) => {
+                    let entry = [0, 1]
+                        .map(|m| far_entry(&scratch.far_out[m][far], &self.cells[j], self.area));
+                    far += 1;
+                    entry
+                }
+            };
+            scratch.entries.push(entry);
         }
-        for &(j, s, d) in &row.near {
-            single[(i, j)] = s;
-            double[(i, j)] = d;
-        }
-        stats.merge(&row.stats);
+        &scratch.entries
     }
+}
 
-    MediumBlocks {
-        single_layer: single,
-        double_layer: double,
-        stats,
-    }
+/// The far-field midpoint entry `(S, D)` of `source` from its kernel sample.
+fn far_entry(sample: &GreenSample, source: &Cell3d, area: f64) -> (c64, c64) {
+    let grad = sample.gradient;
+    let normal = source.normal;
+    let d = -(grad[0] * normal[0] + grad[1] * normal[1] + grad[2] * normal[2])
+        * (source.jacobian * area);
+    (sample.value * area, d)
 }
 
 /// Quadrature rules shared by every corrected near-field entry of one
 /// assembly: the adaptive rule for the rapidly varying (but cheap) free-space
 /// remainder, and a fixed 3 × 3 rule (on `[-1/2, 1/2]`, scaled per cell) for
 /// the smooth — but Ewald-sum-expensive — periodic-image part.
-pub(crate) struct NearRules {
-    pub(crate) adaptive: AdaptiveTensorGauss,
-    pub(crate) image: rough_numerics::quadrature::QuadratureRule,
+struct NearRules {
+    adaptive: AdaptiveTensorGauss,
+    image: QuadratureRule,
 }
 
 impl NearRules {
-    /// The quadrature rules the corrected scheme uses for `policy` — shared
-    /// with the matrix-free near-field precorrection so both paths integrate
-    /// near entries identically.
-    pub(crate) fn for_policy(policy: NearFieldPolicy) -> Self {
+    /// The quadrature rules the corrected scheme uses for `policy`.
+    fn for_policy(policy: NearFieldPolicy) -> Self {
         Self {
             adaptive: AdaptiveTensorGauss::new(
                 policy.order,
@@ -387,30 +423,29 @@ impl NearRules {
 }
 
 /// Gathers the fixed-rule periodic-image quadrature separations of one
-/// corrected near entry, in the exact nested order
-/// [`corrected_entry`] consumes them.
-pub(crate) fn gather_image_points(
+/// corrected near entry, the source cell centred at `at`, in the exact
+/// nested order [`corrected_entry`] consumes them.
+fn gather_image_points(
     rule: &QuadratureRule,
     observation: &Cell3d,
     source: &Cell3d,
-    src_x: f64,
-    src_y: f64,
+    at: [f64; 2],
     delta: f64,
     out: &mut Vec<SeparationVector>,
 ) {
     let p = [observation.x, observation.y, observation.z];
     for (qx, _) in rule.iter() {
         for (qy, _) in rule.iter() {
-            let xs = src_x + qx * delta;
-            let ys = src_y + qy * delta;
-            let zs = source.z + source.fx * (xs - src_x) + source.fy * (ys - src_y);
+            let xs = at[0] + qx * delta;
+            let ys = at[1] + qy * delta;
+            let zs = source.z + source.fx * (xs - at[0]) + source.fy * (ys - at[1]);
             out.push(SeparationVector::new(p[0] - xs, p[1] - ys, p[2] - zs));
         }
     }
 }
 
-/// The flat-offset table of one medium and one mesh: the exact locally
-/// corrected `(S, D)` of the near pairs between two exactly flat cells
+/// The flat-offset table of one mesh: the exact locally corrected `(S, D)`
+/// of both media for the near pairs between two exactly flat cells
 /// (`fx == fy == 0`) at the same height, one per in-plane minimum-image
 /// lattice offset within [`NearFieldPolicy::radius`].
 ///
@@ -422,9 +457,8 @@ pub(crate) fn gather_image_points(
 /// entry; every other pair with that offset copies it. The table is built
 /// serially before the row-parallel pass, so the assembly stays
 /// bit-identical at any thread count, and finding the representative pairs
-/// visits one offset stencil per flat cell, `O(stencil × N)`. The dense
-/// corrected assembly and the matrix-free near precorrections both read it.
-pub(crate) struct FlatOffsetTable {
+/// visits one offset stencil per flat cell, `O(stencil × N)`.
+struct FlatOffsetTable {
     /// Offsets span `-reach..=reach` cells along each axis.
     reach: isize,
     /// Cell size Δ, the unit of the offsets.
@@ -433,14 +467,14 @@ pub(crate) struct FlatOffsetTable {
     /// has that offset.
     slots: Vec<Option<FlatEntry>>,
     /// The integrations that filled the table.
-    pub(crate) stats: AssemblyStats,
+    stats: AssemblyStats,
 }
 
 /// One integrated flat-offset entry and the pair it was integrated for.
 #[derive(Clone, Copy)]
 struct FlatEntry {
     first: (usize, usize),
-    exact: (c64, c64),
+    exact: MediaEntry,
 }
 
 /// Whether a cell is exactly flat (zero slope along both axes).
@@ -450,10 +484,10 @@ fn is_flat(cell: &Cell3d) -> bool {
 
 impl FlatOffsetTable {
     /// Integrates every flat-cell lattice offset of `mesh` that some near
-    /// pair has, with the kernel of one medium.
-    pub(crate) fn build(
+    /// pair has, with the kernels of both media.
+    fn build(
         mesh: &PatchMesh,
-        green: &PeriodicGreen3d,
+        greens: [&PeriodicGreen3d; 2],
         policy: NearFieldPolicy,
         rule: &NearRules,
         eval: KernelEval,
@@ -480,7 +514,7 @@ impl FlatOffsetTable {
         let length = mesh.patch_length();
         let delta = table.delta;
         let near_radius_sq = (policy.radius * delta) * (policy.radius * delta);
-        let mut firsts: Vec<Option<(usize, usize, f64, f64)>> = vec![None; width * width];
+        let mut firsts: Vec<Option<(usize, usize, [f64; 2])>> = vec![None; width * width];
         for (i, ci) in cells.iter().enumerate() {
             if !is_flat(ci) {
                 continue;
@@ -492,51 +526,46 @@ impl FlatOffsetTable {
                         ((iy - oy).rem_euclid(side) * side + (ix - ox).rem_euclid(side)) as usize;
                     let cj = &cells[j];
                     // The same minimum-image classification as the rows.
-                    let wrap_x = ((ci.x - cj.x) / length).round() * length;
-                    let wrap_y = ((ci.y - cj.y) / length).round() * length;
-                    let dxw = ci.x - cj.x - wrap_x;
-                    let dyw = ci.y - cj.y - wrap_y;
-                    if dxw * dxw + dyw * dyw >= near_radius_sq {
+                    let pair = MinImage::new(ci, cj, length);
+                    if pair.lateral_sq() >= near_radius_sq {
                         continue;
                     }
-                    if let Some(slot) = table.slot(ci, cj, [dxw, dyw]) {
-                        firsts[slot].get_or_insert((i, j, cj.x + wrap_x, cj.y + wrap_y));
+                    if let Some(slot) = table.slot(ci, cj, pair.offset) {
+                        firsts[slot].get_or_insert((i, j, pair.at));
                     }
                 }
             }
         }
 
-        let image_points = rule.image.len() * rule.image.len();
         let mut seps = Vec::new();
-        for &(i, j, src_x, src_y) in firsts.iter().flatten() {
-            gather_image_points(
-                &rule.image,
-                &cells[i],
-                &cells[j],
-                src_x,
-                src_y,
-                delta,
-                &mut seps,
-            );
+        for &(i, j, at) in firsts.iter().flatten() {
+            gather_image_points(&rule.image, &cells[i], &cells[j], at, delta, &mut seps);
         }
-        let mut samples = Vec::new();
-        eval_gathered_regularized(green, eval, &seps, &mut samples);
+        let image_points = rule.image.len() * rule.image.len();
+        let samples = greens.map(|green| {
+            let mut samples = Vec::new();
+            eval_gathered_regularized(green, eval, &seps, &mut samples);
+            samples
+        });
         let mut quad = QuadScratch::default();
-        let mut images = samples.chunks_exact(image_points);
+        let mut firsts_seen = 0;
         for (slot, first) in table.slots.iter_mut().zip(&firsts) {
-            if let &Some((i, j, src_x, src_y)) = first {
-                let exact = corrected_entry(
-                    green,
-                    &cells[i],
-                    &cells[j],
-                    src_x,
-                    src_y,
-                    delta,
-                    rule,
-                    images.next().expect("one image block per first pair"),
-                    &mut quad,
-                    &mut table.stats,
-                );
+            if let &Some((i, j, at)) = first {
+                let images = firsts_seen * image_points..(firsts_seen + 1) * image_points;
+                firsts_seen += 1;
+                let exact = [0, 1].map(|m| {
+                    corrected_entry(
+                        greens[m],
+                        &cells[i],
+                        &cells[j],
+                        at,
+                        delta,
+                        rule,
+                        &samples[m][images.clone()],
+                        &mut quad,
+                        &mut table.stats,
+                    )
+                });
                 *slot = Some(FlatEntry {
                     first: (i, j),
                     exact,
@@ -560,11 +589,11 @@ impl FlatOffsetTable {
         Some(((oy + self.reach) * (2 * self.reach + 1) + ox + self.reach) as usize)
     }
 
-    /// The table's `(S, D)` for the near pair `(i, j)` with wrapped in-plane
+    /// The table's entries for the near pair `(i, j)` with wrapped in-plane
     /// separation `separation`, or `None` when the pair is not flat–flat at
     /// equal height. A hit on any pair but the one its offset was integrated
-    /// for counts in `stats.reused_entries`.
-    pub(crate) fn lookup(
+    /// for counts one copy per medium in `stats.reused_entries`.
+    fn lookup(
         &self,
         i: usize,
         j: usize,
@@ -572,10 +601,10 @@ impl FlatOffsetTable {
         source: &Cell3d,
         separation: [f64; 2],
         stats: &mut AssemblyStats,
-    ) -> Option<(c64, c64)> {
+    ) -> Option<MediaEntry> {
         let entry = self.slots[self.slot(observation, source, separation)?]?;
         if entry.first != (i, j) {
-            stats.reused_entries += 1;
+            stats.reused_entries += 2;
         }
         Some(entry.exact)
     }
@@ -584,7 +613,7 @@ impl FlatOffsetTable {
 /// One locally corrected matrix-entry pair `(S_ij, D_ij)`.
 ///
 /// The source cell is represented by its tangent plane at the (possibly
-/// periodically shifted) centre `(src_x, src_y, source.z)`, and the kernel is
+/// periodically shifted) centre `(at[0], at[1], source.z)`, and the kernel is
 /// split as `G_p = 1/(4πR) + (e^{jkR} − 1)/(4πR) + regularized`:
 ///
 /// * the `1/(4πR)` static part of `S` is the analytic Wilton potential of the
@@ -605,12 +634,11 @@ impl FlatOffsetTable {
 /// absorbed into `stats` so callers can see when the depth cap truncated the
 /// refinement instead of silently accepting the result.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn corrected_entry(
+fn corrected_entry(
     green: &PeriodicGreen3d,
     observation: &Cell3d,
     source: &Cell3d,
-    src_x: f64,
-    src_y: f64,
+    [src_x, src_y]: [f64; 2],
     delta: f64,
     rule: &NearRules,
     image_samples: &[GreenSample],
@@ -709,18 +737,23 @@ pub struct SwmSystem {
     pub rhs: Vec<c64>,
     /// Number of surface unknowns N (the system order is 2N).
     pub surface_unknowns: usize,
-    /// Merged integration diagnostics of both media assemblies.
+    /// Integration diagnostics of both media (adaptive-quadrature panel
+    /// counts, reused flat-offset entries and depth-cap hits).
     pub stats: AssemblyStats,
 }
 
 /// Assembles the full coupled system.
 ///
 /// * `g1`, `g2` — periodic kernels of the dielectric (medium 1) and conductor
-///   (medium 2);
+///   (medium 2), with the same period as the mesh patch;
 /// * `beta` — the boundary-condition contrast `β = ε₁/ε₂`;
 /// * `k1` — dielectric wavenumber used for the normally incident plane wave
 ///   `ψ_inc = e^{−j k₁ z}` evaluated on the surface;
 /// * `scheme` — how the singular and near-singular entries are integrated.
+///
+/// # Panics
+///
+/// As [`assemble_system_with`].
 pub fn assemble_system(
     mesh: &PatchMesh,
     g1: &PeriodicGreen3d,
@@ -742,7 +775,22 @@ pub fn assemble_system(
 }
 
 /// Assembles the full coupled system with explicit kernel evaluation and
-/// parallelism strategies (see [`assemble_medium_with`]).
+/// parallelism strategies.
+///
+/// [`KernelEval::Batched`] (what [`assemble_system`] uses) gathers the
+/// far-field separations of every matrix row into one blocked kernel call
+/// per medium; [`KernelEval::Scalar`] evaluates the same points one scalar
+/// kernel call at a time and is kept as the equivalence oracle and benchmark
+/// baseline. The two agree to ≤ 1e-12 relative on every entry.
+///
+/// `parallelism` spreads the row panels over worker threads; the result is
+/// bit-identical at any thread count (rows are independent and the scatter is
+/// serial in row order).
+///
+/// # Panics
+///
+/// Panics if a kernel period does not match the mesh patch length, or if
+/// [`NearFieldPolicy::validate`] rejects the scheme's policy.
 #[allow(clippy::too_many_arguments)]
 pub fn assemble_system_with(
     mesh: &PatchMesh,
@@ -755,36 +803,59 @@ pub fn assemble_system_with(
     parallelism: AssemblyParallelism,
 ) -> SwmSystem {
     let n = mesh.len();
-    let m1 = assemble_medium_with(mesh, g1, scheme, eval, parallelism);
-    let m2 = assemble_medium_with(mesh, g2, scheme, eval, parallelism);
-
+    let (rows, stats) = dense_rows(mesh, g1, g2, scheme, eval, parallelism);
     let mut matrix = CMatrix::zeros(2 * n, 2 * n);
-    let half = c64::from_real(0.5);
-    for i in 0..n {
-        for j in 0..n {
-            let delta_ij = if i == j { c64::one() } else { c64::zero() };
+    for (i, row) in rows.into_iter().enumerate() {
+        for (j, entry) in row.into_iter().enumerate() {
             // Row block 1: (½I − D₁)Ψ + β S₁ U = Ψ_inc
-            matrix[(i, j)] = half * delta_ij - m1.double_layer[(i, j)];
-            matrix[(i, n + j)] = beta * m1.single_layer[(i, j)];
             // Row block 2: (½I + D₂)Ψ − S₂ U = 0
-            matrix[(n + i, j)] = half * delta_ij + m2.double_layer[(i, j)];
-            matrix[(n + i, n + j)] = -m2.single_layer[(i, j)];
+            let [a, b, c, d] = system_block(entry, beta, i == j);
+            matrix[(i, j)] = a;
+            matrix[(i, n + j)] = b;
+            matrix[(n + i, j)] = c;
+            matrix[(n + i, n + j)] = d;
         }
     }
-
-    let mut rhs = vec![c64::zero(); 2 * n];
-    for (i, cell) in mesh.cells().iter().enumerate() {
-        rhs[i] = (c64::new(0.0, -1.0) * k1 * cell.z).exp();
-    }
-
-    let mut stats = m1.stats;
-    stats.merge(&m2.stats);
     SwmSystem {
         matrix,
-        rhs,
+        rhs: incident_rhs(mesh, k1),
         surface_unknowns: n,
         stats,
     }
+}
+
+/// The exact-entry pass over every column of every row, rows spread over
+/// `parallelism` and collected in row order, with the merged diagnostics.
+fn dense_rows(
+    mesh: &PatchMesh,
+    g1: &PeriodicGreen3d,
+    g2: &PeriodicGreen3d,
+    scheme: AssemblyScheme,
+    eval: KernelEval,
+    parallelism: AssemblyParallelism,
+) -> (Vec<Vec<MediaEntry>>, AssemblyStats) {
+    let n = mesh.len();
+    let AssemblyScheme::LocallyCorrected(policy) = scheme;
+    let pass = ExactEntries::new(mesh, g1, g2, policy, eval);
+    let rows = map_rows(
+        n,
+        parallelism.worker_count(),
+        RowScratch::default,
+        |i, scratch| {
+            let mut stats = AssemblyStats::default();
+            let row = pass.row(i, 0..n, scratch, &mut stats).to_vec();
+            (row, stats)
+        },
+    );
+    let mut stats = pass.table_stats();
+    let rows = rows
+        .into_iter()
+        .map(|(row, row_stats)| {
+            stats.merge(&row_stats);
+            row
+        })
+        .collect();
+    (rows, stats)
 }
 
 #[cfg(test)]
@@ -836,6 +907,49 @@ pub(crate) mod tests {
         }))
     }
 
+    /// Each medium's dense single- and double-layer matrices `[S, D]` from the
+    /// exact-entry pass, and the merged diagnostics: the per-medium view the
+    /// tests check.
+    fn medium_matrices(
+        mesh: &PatchMesh,
+        g1: &PeriodicGreen3d,
+        g2: &PeriodicGreen3d,
+        scheme: AssemblyScheme,
+        eval: KernelEval,
+        parallelism: AssemblyParallelism,
+    ) -> ([[CMatrix; 2]; 2], AssemblyStats) {
+        let n = mesh.len();
+        let (rows, stats) = dense_rows(mesh, g1, g2, scheme, eval, parallelism);
+        let mut media = [0, 1].map(|_| [CMatrix::zeros(n, n), CMatrix::zeros(n, n)]);
+        for (i, row) in rows.iter().enumerate() {
+            for (j, entry) in row.iter().enumerate() {
+                for ([single, double], &(s, d)) in media.iter_mut().zip(entry) {
+                    single[(i, j)] = s;
+                    double[(i, j)] = d;
+                }
+            }
+        }
+        (media, stats)
+    }
+
+    /// Both media's `[S, D]` of `mesh` with kernels `g1`, `g2` under
+    /// `scheme`, the default kernel evaluation and parallelism.
+    fn media(
+        mesh: &PatchMesh,
+        g1: &PeriodicGreen3d,
+        g2: &PeriodicGreen3d,
+        scheme: AssemblyScheme,
+    ) -> ([[CMatrix; 2]; 2], AssemblyStats) {
+        medium_matrices(
+            mesh,
+            g1,
+            g2,
+            scheme,
+            KernelEval::default(),
+            AssemblyParallelism::default(),
+        )
+    }
+
     fn max_abs(m: &CMatrix) -> f64 {
         let mut max = 0.0f64;
         for i in 0..m.rows() {
@@ -846,11 +960,16 @@ pub(crate) mod tests {
         max
     }
 
+    fn bits(z: c64) -> (u64, u64) {
+        (z.re.to_bits(), z.im.to_bits())
+    }
+
     #[test]
     fn single_layer_is_symmetric_and_diagonally_dominant_in_magnitude() {
         let mesh = small_mesh();
+        let g1 = PeriodicGreen3d::new(c64::new(2.0e5, 0.0), 5e-6);
         let g2 = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 5e-6);
-        let blocks = assemble_medium(&mesh, &g2, AssemblyScheme::default());
+        let ([_, [single, _]], _) = media(&mesh, &g1, &g2, AssemblyScheme::default());
         let n = mesh.len();
         for i in 0..n {
             for j in 0..n {
@@ -858,17 +977,15 @@ pub(crate) mod tests {
                 // are symmetric; near pairs are integrated from each side over
                 // the tangent plane of their own source cell and may differ by
                 // a few percent on a curved surface.
-                let a = blocks.single_layer[(i, j)];
-                let b = blocks.single_layer[(j, i)];
+                let a = single[(i, j)];
+                let b = single[(j, i)];
                 assert!(
                     (a - b).abs() <= 0.15 * a.abs().max(b.abs()),
                     "S[{i}][{j}] vs S[{j}][{i}]: {a} vs {b}"
                 );
             }
             // The singular self integral dominates neighbouring interactions.
-            assert!(
-                blocks.single_layer[(i, i)].abs() > blocks.single_layer[(i, (i + 1) % n)].abs()
-            );
+            assert!(single[(i, i)].abs() > single[(i, (i + 1) % n)].abs());
         }
     }
 
@@ -876,18 +993,22 @@ pub(crate) mod tests {
     fn double_layer_vanishes_for_flat_surface() {
         // On a flat patch every separation is horizontal and every normal is
         // vertical; the z-gradient of the periodic kernel at Δz = 0 vanishes
-        // by symmetry, so the whole double-layer block must be ~0.
+        // by symmetry, so the whole double-layer block must be ~0 in both
+        // media.
         let mesh = PatchMesh::from_surface(&RoughSurface::flat(4, 5e-6));
-        let g = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 5e-6);
-        let blocks = assemble_medium(&mesh, &g, AssemblyScheme::default());
-        let scale = blocks.single_layer[(0, 0)].abs();
-        for i in 0..mesh.len() {
-            for j in 0..mesh.len() {
-                assert!(
-                    blocks.double_layer[(i, j)].abs() < 1e-10 * scale,
-                    "D[{i}][{j}] = {}",
-                    blocks.double_layer[(i, j)]
-                );
+        let g1 = PeriodicGreen3d::new(c64::new(2.0e5, 0.0), 5e-6);
+        let g2 = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 5e-6);
+        let (media, _) = media(&mesh, &g1, &g2, AssemblyScheme::default());
+        for (m, [single, double]) in media.iter().enumerate() {
+            let scale = single[(0, 0)].abs();
+            for i in 0..mesh.len() {
+                for j in 0..mesh.len() {
+                    assert!(
+                        double[(i, j)].abs() < 1e-10 * scale,
+                        "medium {m}: D[{i}][{j}] = {}",
+                        double[(i, j)]
+                    );
+                }
             }
         }
     }
@@ -898,7 +1019,7 @@ pub(crate) mod tests {
         let g = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 5e-6);
         let self_term = |cells| {
             let mesh = PatchMesh::from_surface(&RoughSurface::flat(cells, 5e-6));
-            assemble_medium(&mesh, &g, AssemblyScheme::default()).single_layer[(0, 0)].abs()
+            media(&mesh, &g, &g, AssemblyScheme::default()).0[1][0][(0, 0)].abs()
         };
         // The smooth remainder, integrated over the cell, shifts the ratio a
         // little below 2 at this lossy wavenumber.
@@ -911,18 +1032,21 @@ pub(crate) mod tests {
         // Cells on opposite edges of the patch are adjacent through the
         // periodic boundary. The corrected scheme integrates them as near
         // neighbours of the wrapped image, so S must stay near-symmetric and
-        // close to the direct-neighbour magnitude.
+        // close to the direct-neighbour magnitude, in both media.
         let mesh = PatchMesh::from_surface(&RoughSurface::flat(6, 5e-6));
-        let g = PeriodicGreen3d::new(c64::new(1.5e6, 1.5e6), 5e-6);
-        let blocks = assemble_medium(&mesh, &g, AssemblyScheme::default());
-        // Row 0: cell (0, 0); its +x neighbour is cell 1, its seam neighbour
-        // across x is cell 5.
-        let direct = blocks.single_layer[(0, 1)];
-        let seam = blocks.single_layer[(0, 5)];
-        assert!(
-            (direct - seam).abs() < 1e-9 * direct.abs(),
-            "direct {direct} vs seam {seam}"
-        );
+        let g1 = PeriodicGreen3d::new(c64::new(2.0e5, 0.0), 5e-6);
+        let g2 = PeriodicGreen3d::new(c64::new(1.5e6, 1.5e6), 5e-6);
+        let (media, _) = media(&mesh, &g1, &g2, AssemblyScheme::default());
+        for [single, _] in &media {
+            // Row 0: cell (0, 0); its +x neighbour is cell 1, its seam
+            // neighbour across x is cell 5.
+            let direct = single[(0, 1)];
+            let seam = single[(0, 5)];
+            assert!(
+                (direct - seam).abs() < 1e-9 * direct.abs(),
+                "direct {direct} vs seam {seam}"
+            );
+        }
     }
 
     #[test]
@@ -933,17 +1057,21 @@ pub(crate) mod tests {
         // the cell area. The corrected scheme integrates the remainder instead
         // of sampling it once, a sub-percent difference at this low frequency.
         let mesh = PatchMesh::from_surface(&RoughSurface::flat(4, 5e-6));
-        let g = PeriodicGreen3d::new(c64::new(1.0e5, 1.0e5), 5e-6);
+        let g1 = PeriodicGreen3d::new(c64::new(1.0e5, 0.0), 5e-6);
+        let g2 = PeriodicGreen3d::new(c64::new(1.0e5, 1.0e5), 5e-6);
         let delta = mesh.cell_size();
-        let closed_form =
-            c64::from_real(inverse_r_integral_over_rectangle(delta, delta) / (4.0 * PI))
-                + (smooth_part_at_origin(g.wavenumber()) + g.regularized(0.0, 0.0, 0.0).value)
-                    * (delta * delta);
-        let corrected = assemble_medium(&mesh, &g, AssemblyScheme::default()).single_layer[(0, 0)];
-        assert!(
-            (corrected - closed_form).abs() < 1e-2 * closed_form.abs(),
-            "{corrected} vs {closed_form}"
-        );
+        let (media, _) = media(&mesh, &g1, &g2, AssemblyScheme::default());
+        for ([single, _], g) in media.iter().zip([&g1, &g2]) {
+            let closed_form =
+                c64::from_real(inverse_r_integral_over_rectangle(delta, delta) / (4.0 * PI))
+                    + (smooth_part_at_origin(g.wavenumber()) + g.regularized(0.0, 0.0, 0.0).value)
+                        * (delta * delta);
+            let corrected = single[(0, 0)];
+            assert!(
+                (corrected - closed_form).abs() < 1e-2 * closed_form.abs(),
+                "{corrected} vs {closed_form}"
+            );
+        }
     }
 
     #[test]
@@ -955,48 +1083,42 @@ pub(crate) mod tests {
         // stackup's own k₁ and k₂ at 16 GHz on the full-size Fig. 5 tile:
         // |k|L ≈ 33, where the conductor-side spectral series is widest.
         let scheme = AssemblyScheme::default();
-        let model = [c64::new(1.0e6, 1.0e6), c64::new(2.0e5, 0.0)];
+        let model = [c64::new(2.0e5, 0.0), c64::new(1.0e6, 1.0e6)];
         let stack = rough_em::material::Stackup::paper_baseline();
         let f16 = rough_em::units::GigaHertz::new(16.0).into();
         let paper = [stack.k1(f16), stack.k2(f16)];
-        for (mesh, ks) in [
+        for (mesh, [k1, k2]) in [
             (small_mesh(), model),
             (fig5_spheroid_mesh(6, 5e-6), model),
             (fig5_spheroid_mesh(8, 12e-6), paper),
         ] {
-            for k in ks {
-                let g = PeriodicGreen3d::new(k, mesh.patch_length());
-                let scalar = assemble_medium_with(
-                    &mesh,
-                    &g,
-                    scheme,
-                    KernelEval::Scalar,
-                    AssemblyParallelism::Serial,
-                );
-                let batched = assemble_medium_with(
-                    &mesh,
-                    &g,
-                    scheme,
-                    KernelEval::Batched,
-                    AssemblyParallelism::Serial,
-                );
+            let g1 = PeriodicGreen3d::new(k1, mesh.patch_length());
+            let g2 = PeriodicGreen3d::new(k2, mesh.patch_length());
+            let assemble = |eval| {
+                medium_matrices(&mesh, &g1, &g2, scheme, eval, AssemblyParallelism::Serial).0
+            };
+            let scalar = assemble(KernelEval::Scalar);
+            let batched = assemble(KernelEval::Batched);
+            for (m, ([s_scalar, d_scalar], [s_batched, d_batched])) in
+                scalar.iter().zip(&batched).enumerate()
+            {
                 // Entries that nearly cancel (e.g. far double-layer entries on
                 // almost-coplanar pairs) carry rounding noise proportional to
                 // the *largest* entry of their block, so that is the scale the
                 // rounding-level agreement is measured against.
-                let scale_s = max_abs(&scalar.single_layer);
-                let scale_d = max_abs(&scalar.double_layer).max(scale_s);
+                let scale_s = max_abs(s_scalar);
+                let scale_d = max_abs(d_scalar).max(scale_s);
                 for i in 0..mesh.len() {
                     for j in 0..mesh.len() {
-                        let (a, b) = (scalar.single_layer[(i, j)], batched.single_layer[(i, j)]);
+                        let (a, b) = (s_scalar[(i, j)], s_batched[(i, j)]);
                         assert!(
                             (a - b).abs() <= 1e-12 * (scale_s + a.abs()),
-                            "k = {k}: S[{i}][{j}]: {a} vs {b}"
+                            "medium {m}: S[{i}][{j}]: {a} vs {b}"
                         );
-                        let (a, b) = (scalar.double_layer[(i, j)], batched.double_layer[(i, j)]);
+                        let (a, b) = (d_scalar[(i, j)], d_batched[(i, j)]);
                         assert!(
                             (a - b).abs() <= 1e-12 * (scale_d + a.abs()),
-                            "k = {k}: D[{i}][{j}]: {a} vs {b}"
+                            "medium {m}: D[{i}][{j}]: {a} vs {b}"
                         );
                     }
                 }
@@ -1010,47 +1132,38 @@ pub(crate) mod tests {
         // assembled matrices must match the serial result bit for bit at any
         // thread count — for both kernel evaluation paths, on a fully rough
         // mesh and on one whose flat region the flat-offset table serves.
-        let g = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 5e-6);
+        let g1 = PeriodicGreen3d::new(c64::new(2.0e5, 0.0), 5e-6);
+        let g2 = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 5e-6);
         let scheme = AssemblyScheme::default();
         for mesh in [small_mesh(), fig5_spheroid_mesh(6, 5e-6)] {
             for eval in [KernelEval::Batched, KernelEval::Scalar] {
-                let serial =
-                    assemble_medium_with(&mesh, &g, scheme, eval, AssemblyParallelism::Serial);
+                let assemble =
+                    |parallelism| medium_matrices(&mesh, &g1, &g2, scheme, eval, parallelism);
+                let (serial, serial_stats) = assemble(AssemblyParallelism::Serial);
                 let flat_region = mesh.cells().iter().any(is_flat);
                 assert_eq!(
-                    serial.stats.reused_entries > 0,
+                    serial_stats.reused_entries > 0,
                     flat_region,
-                    "{eval:?}: {:?}",
-                    serial.stats
+                    "{eval:?}: {serial_stats:?}"
                 );
                 for threads in [1usize, 2, 4, 8] {
-                    let parallel = assemble_medium_with(
-                        &mesh,
-                        &g,
-                        scheme,
-                        eval,
-                        AssemblyParallelism::workers(threads),
-                    );
-                    for i in 0..mesh.len() {
-                        for j in 0..mesh.len() {
-                            let (a, b) =
-                                (serial.single_layer[(i, j)], parallel.single_layer[(i, j)]);
-                            assert_eq!(
-                                (a.re.to_bits(), a.im.to_bits()),
-                                (b.re.to_bits(), b.im.to_bits()),
-                                "{eval:?} S[{i}][{j}] at {threads} threads"
-                            );
-                            let (a, b) =
-                                (serial.double_layer[(i, j)], parallel.double_layer[(i, j)]);
-                            assert_eq!(
-                                (a.re.to_bits(), a.im.to_bits()),
-                                (b.re.to_bits(), b.im.to_bits()),
-                                "{eval:?} D[{i}][{j}] at {threads} threads"
-                            );
+                    let (parallel, parallel_stats) =
+                        assemble(AssemblyParallelism::workers(threads));
+                    for (m, (a, b)) in serial.iter().zip(&parallel).enumerate() {
+                        for (name, a, b) in [("S", &a[0], &b[0]), ("D", &a[1], &b[1])] {
+                            for i in 0..mesh.len() {
+                                for j in 0..mesh.len() {
+                                    assert_eq!(
+                                        bits(a[(i, j)]),
+                                        bits(b[(i, j)]),
+                                        "{eval:?} medium {m} {name}[{i}][{j}] at {threads} threads"
+                                    );
+                                }
+                            }
                         }
                     }
                     assert_eq!(
-                        parallel.stats, serial.stats,
+                        parallel_stats, serial_stats,
                         "{eval:?} stats at {threads} threads"
                     );
                 }
@@ -1070,48 +1183,49 @@ pub(crate) mod tests {
         // are flat on both meshes, so the x-seam pair (0, n − 1) and its
         // wrapped neighbours are served too.
         let policy = NearFieldPolicy::default();
-        for (tile, ks) in flat_table_regimes() {
+        let scheme = AssemblyScheme::LocallyCorrected(policy);
+        for (tile, [k1, k2]) in flat_table_regimes() {
+            let g1 = PeriodicGreen3d::new(k1, tile);
+            let g2 = PeriodicGreen3d::new(k2, tile);
             for cells in [8, 10] {
                 let flat = PatchMesh::from_surface(&RoughSurface::flat(cells, tile));
-                for (mesh, k) in [flat, fig5_spheroid_mesh(cells, tile)]
-                    .into_iter()
-                    .flat_map(|mesh| ks.map(|k| (mesh.clone(), k)))
-                {
+                for mesh in [flat, fig5_spheroid_mesh(cells, tile)] {
                     assert!(is_flat(&mesh.cells()[0]) && is_flat(&mesh.cells()[cells - 1]));
-                    let g = PeriodicGreen3d::new(k, tile);
-                    let table = assemble_medium(&mesh, &g, AssemblyScheme::default());
-                    let oracle = per_pair(|| assemble_medium(&mesh, &g, AssemblyScheme::default()));
+                    let (table, t) = media(&mesh, &g1, &g2, scheme);
+                    let (oracle, o) = per_pair(|| media(&mesh, &g1, &g2, scheme));
                     let offsets = FlatOffsetTable::build(
                         &mesh,
-                        &g,
+                        [&g1, &g2],
                         policy,
                         &NearRules::for_policy(policy),
                         KernelEval::default(),
                     );
-                    let bits = |z: c64| (z.re.to_bits(), z.im.to_bits());
                     for entry in offsets.slots.iter().flatten() {
                         let (i, j) = entry.first;
-                        assert_eq!(bits(entry.exact.0), bits(oracle.single_layer[(i, j)]));
-                        assert_eq!(bits(entry.exact.1), bits(oracle.double_layer[(i, j)]));
-                        assert_eq!(bits(table.single_layer[(i, j)]), bits(entry.exact.0));
+                        for (m, &(s, d)) in entry.exact.iter().enumerate() {
+                            assert_eq!(bits(s), bits(oracle[m][0][(i, j)]));
+                            assert_eq!(bits(d), bits(oracle[m][1][(i, j)]));
+                            assert_eq!(bits(table[m][0][(i, j)]), bits(s));
+                        }
                     }
-                    let scale = max_abs(&oracle.single_layer).max(max_abs(&oracle.double_layer));
-                    for i in 0..mesh.len() {
-                        for j in 0..mesh.len() {
-                            for (name, a, b) in [
-                                ("S", table.single_layer[(i, j)], oracle.single_layer[(i, j)]),
-                                ("D", table.double_layer[(i, j)], oracle.double_layer[(i, j)]),
-                            ] {
-                                assert!(
-                                    (a - b).abs() <= 1e-13 * scale,
-                                    "{cells} cells, k = {k}: {name}[{i}][{j}] {a} vs {b}"
-                                );
+                    for (m, (table, oracle)) in table.iter().zip(&oracle).enumerate() {
+                        let scale = max_abs(&oracle[0]).max(max_abs(&oracle[1]));
+                        for i in 0..mesh.len() {
+                            for j in 0..mesh.len() {
+                                for (name, a, b) in [
+                                    ("S", table[0][(i, j)], oracle[0][(i, j)]),
+                                    ("D", table[1][(i, j)], oracle[1][(i, j)]),
+                                ] {
+                                    assert!(
+                                        (a - b).abs() <= 1e-13 * scale,
+                                        "{cells} cells, medium {m}: {name}[{i}][{j}] {a} vs {b}"
+                                    );
+                                }
                             }
                         }
                     }
                     // Each copy replaces one per-pair integration, and the
                     // copies add no adaptive work.
-                    let (t, o) = (table.stats, oracle.stats);
                     assert!(t.reused_entries > 0 && o.reused_entries == 0, "{t:?}");
                     assert_eq!(t.corrected_entries + t.reused_entries, o.corrected_entries);
                     assert!(t.adaptive_panels < o.adaptive_panels);
@@ -1125,21 +1239,22 @@ pub(crate) mod tests {
     #[test]
     fn corrected_assembly_reports_adaptive_statistics() {
         let mesh = small_mesh();
-        let g = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 5e-6);
-        let corrected = assemble_medium(&mesh, &g, AssemblyScheme::default());
-        // Every row corrects its self cell plus its near neighbours.
-        assert!(corrected.stats.corrected_entries >= mesh.len());
-        assert!(corrected.stats.adaptive_panels >= corrected.stats.corrected_entries);
+        let g1 = PeriodicGreen3d::new(c64::new(2.0e5, 0.0), 5e-6);
+        let g2 = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 5e-6);
+        let ([_, [single, _]], stats) = media(&mesh, &g1, &g2, AssemblyScheme::default());
+        // Every row corrects its self cell plus its near neighbours, in each
+        // medium.
+        assert!(stats.corrected_entries >= 2 * mesh.len());
+        assert!(stats.adaptive_panels >= stats.corrected_entries);
         // On this rough conductor-side mesh a handful of entries hit the
         // depth cap with a (tiny, ~1e-10 absolute) residual error — which is
         // exactly what the stats exist to surface instead of silently
         // accepting. The achieved error must still be well below the
         // self-term scale.
-        let self_scale = corrected.single_layer[(0, 0)].abs();
+        let self_scale = single[(0, 0)].abs();
         assert!(
-            corrected.stats.max_entry_error < 1e-2 * self_scale,
-            "{:?} vs self scale {self_scale}",
-            corrected.stats
+            stats.max_entry_error < 1e-2 * self_scale,
+            "{stats:?} vs self scale {self_scale}"
         );
     }
 
@@ -1151,17 +1266,45 @@ pub(crate) mod tests {
         let mesh = small_mesh();
         let g = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 5e-6);
         let starved = AssemblyScheme::LocallyCorrected(NearFieldPolicy::new(2.5, 1));
-        let blocks = assemble_medium(&mesh, &g, starved);
+        let (_, stats) = media(&mesh, &g, &g, starved);
         assert!(
-            !blocks.stats.all_converged(),
-            "an order-1 rule at the default tolerance must hit the depth cap: {:?}",
-            blocks.stats
+            !stats.all_converged(),
+            "an order-1 rule at the default tolerance must hit the depth cap: {stats:?}"
         );
-        assert!(blocks.stats.depth_cap_hits > 0);
-        assert!(blocks.stats.max_entry_error > 0.0);
+        assert!(stats.depth_cap_hits > 0);
+        assert!(stats.max_entry_error > 0.0);
         // A starved rule must report *more* truncation than the default one.
-        let healthy = assemble_medium(&mesh, &g, AssemblyScheme::default());
-        assert!(blocks.stats.unconverged_entries >= healthy.stats.unconverged_entries);
+        let (_, healthy) = media(&mesh, &g, &g, AssemblyScheme::default());
+        assert!(stats.unconverged_entries >= healthy.unconverged_entries);
+    }
+
+    #[test]
+    fn system_blocks_are_the_media_entries() {
+        // The dense system is the 2 × 2 block of paper eq. (9) per pair, read
+        // from the same pass as the per-medium matrices.
+        let mesh = fig5_spheroid_mesh(6, 5e-6);
+        let g1 = PeriodicGreen3d::new(c64::new(2.0e5, 0.0), 5e-6);
+        let g2 = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 5e-6);
+        let beta = c64::new(0.0, -1e-7);
+        let scheme = AssemblyScheme::default();
+        let system = assemble_system(&mesh, &g1, &g2, beta, c64::new(2.0e5, 0.0), scheme);
+        let ([[s1, d1], [s2, d2]], stats) = media(&mesh, &g1, &g2, scheme);
+        assert_eq!(system.stats, stats);
+        let n = mesh.len();
+        let half = c64::from_real(0.5);
+        for i in 0..n {
+            for j in 0..n {
+                let free = if i == j { half } else { c64::zero() };
+                for (got, want) in [
+                    (system.matrix[(i, j)], free - d1[(i, j)]),
+                    (system.matrix[(i, n + j)], beta * s1[(i, j)]),
+                    (system.matrix[(n + i, j)], free + d2[(i, j)]),
+                    (system.matrix[(n + i, n + j)], -s2[(i, j)]),
+                ] {
+                    assert_eq!(bits(got), bits(want), "({i}, {j})");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1194,7 +1337,36 @@ pub(crate) mod tests {
     #[should_panic(expected = "period must match")]
     fn mismatched_period_panics() {
         let mesh = small_mesh();
-        let g = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 7e-6);
-        let _ = assemble_medium(&mesh, &g, AssemblyScheme::default());
+        let g1 = PeriodicGreen3d::new(c64::new(2.0e5, 0.0), 5e-6);
+        let g2 = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 7e-6);
+        let _ = assemble_system(
+            &mesh,
+            &g1,
+            &g2,
+            c64::one(),
+            c64::new(2.0e5, 0.0),
+            AssemblyScheme::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "near-field policy must be valid")]
+    fn invalid_near_field_policy_panics_before_assembly() {
+        // A NaN radius classifies no pair as near; without the check the
+        // self pair reached the far midpoint sample at zero separation.
+        let mesh = small_mesh();
+        let g = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 5e-6);
+        let policy = NearFieldPolicy {
+            radius: f64::NAN,
+            order: 4,
+        };
+        let _ = assemble_system(
+            &mesh,
+            &g,
+            &g,
+            c64::one(),
+            c64::new(2.0e5, 0.0),
+            AssemblyScheme::LocallyCorrected(policy),
+        );
     }
 }

@@ -56,25 +56,27 @@
 //! the calling thread.
 //!
 //! **Precorrection.** Every pair within the corrected scheme's near radius
-//! (2-D minimum-image, a superset of the dense scheme's 3-D near set) gets a
-//! sparse correction `exact − grid`: `exact` is the *identical* locally
-//! corrected integral the dense path computes
-//! ([`crate::assembly3d`]'s analytic statics + adaptive remainder, read from
-//! the same flat-offset table for pairs of exactly flat cells at equal
-//! height, so each such lattice offset is integrated once per medium), or
-//! the dense far-field midpoint formula for 2-D-near/3-D-far pairs; `grid`
-//! is the slab-interpolated value read directly from the generator tables.
-//! Near entries therefore match the dense operator *exactly* (up to FFT
-//! roundoff);
-//! far entries carry only the slab interpolation error, which the spacing
-//! rule keeps near machine precision (see [`MatrixFreePolicy::safety`]).
+//! in the plane (2-D minimum image, a superset of the dense scheme's 3-D
+//! near set) reads its exact entries of both media from the dense path's
+//! own exact-entry pass ([`crate::assembly3d`]): the locally corrected
+//! integral for 3-D near pairs (analytic statics + adaptive remainder, or
+//! its copy from the flat-offset table for pairs of exactly flat cells at
+//! equal height), the far midpoint sample for 2-D-near/3-D-far pairs. Near
+//! entries therefore equal the dense system's bit for bit. Each pair is one
+//! 2 × 2 block of paper eq. (9) over one block-sparse pattern, which holds
+//! two block arrays: the exact blocks, and the precorrections — the same
+//! block formula applied to `exact − grid`, `grid` being the
+//! slab-interpolated value read directly from the generator tables, with
+//! the `½` free terms on the diagonal. A matvec adds the grid convolution
+//! and one block-sparse product with the precorrections, so near entries
+//! match the dense operator up to FFT roundoff; far entries carry only the
+//! slab interpolation error, which the spacing rule keeps near machine
+//! precision (see [`MatrixFreePolicy::safety`]).
 //!
-//! **Preconditioner.** The row pass that computes the precorrections holds
-//! every exact near entry of the operator. It keeps them as 2 × 2 blocks
-//! over the near pattern, and [`MatrixFreeOperator::preconditioner`]
-//! factors that block-sparse near operator by block ILU(0): no fill beyond
-//! the near pattern, rows in natural cell order. Applied as a right
-//! preconditioner, one forward and one back substitution per Krylov step.
+//! **Preconditioner.** [`MatrixFreeOperator::preconditioner`] factors the
+//! exact blocks of that pattern by block ILU(0): no fill beyond the near
+//! pattern, rows in natural cell order. Applied as a right preconditioner,
+//! one forward and one back substitution per Krylov step.
 //!
 //! The equivalence is pinned the way `KernelEval::Scalar` pins `Batched`:
 //! matvec agreement on random vectors ≤ 1e-10 relative across quasi-static,
@@ -83,8 +85,7 @@
 //! (`crates/core/tests/krylov_equivalence.rs`).
 
 use crate::assembly3d::{
-    corrected_entry, eval_gathered, eval_gathered_regularized, gather_image_points,
-    FlatOffsetTable, NearRules,
+    eval_gathered, incident_rhs, system_block, Block, ExactEntries, MediaEntry, RowScratch,
 };
 use crate::mesh::PatchMesh;
 use crate::nearfield::{AssemblyStats, KernelEval, NearFieldPolicy};
@@ -93,7 +94,6 @@ use rough_em::green::{GreenSample, PeriodicGreen3d, SeparationVector};
 use rough_numerics::complex::c64;
 use rough_numerics::fft::{fft3_in_place, fft3_in_place_live, next_smooth_len, Direction};
 use rough_numerics::iterative::LinearOperator;
-use rough_numerics::quadrature2d::QuadScratch;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -444,14 +444,6 @@ impl MfTableCache {
     }
 }
 
-/// One sparse near-field correction: column `j`, `ΔS = S_exact − S_grid`,
-/// `ΔD = D_exact − D_grid`.
-type NearCorrection = (usize, c64, c64);
-
-/// A 2 × 2 complex block, row-major `[a, b, c, d]`: how the unknowns
-/// `(Ψⱼ, Uⱼ)` of cell `j` enter the two rows of paper eq. (9) at cell `i`.
-type Block = [c64; 4];
-
 /// Block-sparse rows: row `i` holds the blocks `start[i]..start[i + 1]` of
 /// `cols`/`blocks`, columns ascending.
 #[derive(Debug, Clone, Default)]
@@ -461,9 +453,9 @@ struct BlockRows {
     blocks: Vec<Block>,
 }
 
-/// The matrix-free MOM operator of paper eq. (9): grid convolution + sparse
-/// near precorrections + the `½ I` free terms. Implements
-/// [`LinearOperator`], so it plugs straight into
+/// The matrix-free MOM operator of paper eq. (9): grid convolution plus one
+/// block-sparse near-field precorrection that also carries the `½ I` free
+/// terms. Implements [`LinearOperator`], so it plugs straight into
 /// [`crate::solver::solve_operator`].
 #[derive(Debug, Clone)]
 pub struct MatrixFreeOperator {
@@ -476,12 +468,14 @@ pub struct MatrixFreeOperator {
     slab: SlabGrid,
     /// Spectral generator tables, media 1 and 2.
     tables: [MediumTables; 2],
-    /// Sparse near corrections per medium, one row of `(j, ΔS, ΔD)` per cell.
-    near: [Vec<Vec<NearCorrection>>; 2],
     /// The exact operator on the near pattern, one block per near pair:
     /// `[[½δᵢⱼ − D₁ᵢⱼ, β·S₁ᵢⱼ], [½δᵢⱼ + D₂ᵢⱼ, −S₂ᵢⱼ]]`, the raw material of
     /// the near-field preconditioner.
     exact: BlockRows,
+    /// The precorrection of each block of `exact`, in the same pattern: the
+    /// same block formula applied to `exact − grid` of both media, so the
+    /// grid part plus it gives the exact block, free terms included.
+    corrections: Vec<Block>,
     /// Per-cell surface slopes (source-side weights of the double layer).
     fx: Vec<f64>,
     fy: Vec<f64>,
@@ -497,11 +491,11 @@ impl MatrixFreeOperator {
     /// Assembles the matrix-free operator for one surface realization: slab
     /// geometry, generator tables (one batched kernel evaluation per z
     /// level over the canonical lateral offsets, the levels spread over
-    /// `parallelism`), near-field sparse precorrections and the exact near
-    /// blocks of the preconditioner (reusing the locally corrected
-    /// integrator and the flat-offset table of the dense path, row-parallel
-    /// under `parallelism`), and the incident-field right-hand side. The matvec runs on the same number of workers. The
-    /// operator and its matvec are bit-identical at any worker count.
+    /// `parallelism`), the exact near blocks and their precorrections (the
+    /// dense path's exact-entry pass over the near pattern, row-parallel
+    /// under `parallelism`), and the incident-field right-hand side. The
+    /// matvec runs on the same number of workers. The operator and its
+    /// matvec are bit-identical at any worker count.
     ///
     /// Mirrors [`crate::assembly3d::assemble_system_with`]: `g1`/`g2` are the
     /// periodic kernels of the two media, `beta` the boundary contrast, `k1`
@@ -510,9 +504,10 @@ impl MatrixFreeOperator {
     ///
     /// # Panics
     ///
-    /// Panics if the kernel period does not match the mesh patch length or
-    /// the matrix-free policy is invalid (callers validate via
-    /// [`MatrixFreePolicy::validate`] first).
+    /// Panics if a kernel period does not match the mesh patch length, or if
+    /// the near-field or matrix-free policy is invalid (callers validate via
+    /// [`NearFieldPolicy::validate`] and [`MatrixFreePolicy::validate`]
+    /// first).
     #[allow(clippy::too_many_arguments)]
     pub fn assemble(
         mesh: &PatchMesh,
@@ -535,6 +530,10 @@ impl MatrixFreeOperator {
     /// saves is the batched kernel evaluation over the `m` levels' canonical
     /// generator samples — the dominant setup cost of a repeated-frequency
     /// solve.
+    ///
+    /// # Panics
+    ///
+    /// As [`MatrixFreeOperator::assemble`].
     #[allow(clippy::too_many_arguments)]
     pub fn assemble_with_cache(
         mesh: &PatchMesh,
@@ -548,19 +547,16 @@ impl MatrixFreeOperator {
         parallelism: AssemblyParallelism,
         table_cache: Option<&MfTableCache>,
     ) -> Self {
-        assert!(
-            (g1.period() - mesh.patch_length()).abs() < 1e-9 * mesh.patch_length(),
-            "Green's function period must match the mesh patch length"
-        );
+        // Both policies are checked before the slab is sized from the near
+        // radius: the pass checks the near-field one and the kernels.
         mf.validate().expect("matrix-free policy must be valid");
+        let pass = ExactEntries::new(mesh, g1, g2, policy, eval);
 
         let side = mesh.cells_per_side();
         let ncells = mesh.len();
         let cells = mesh.cells();
         let area = mesh.cell_area();
         let delta = mesh.cell_size();
-        let length = mesh.patch_length();
-        let near_radius_sq = (policy.radius * delta) * (policy.radius * delta);
 
         let k_max = g1.wavenumber().abs().max(g2.wavenumber().abs());
         let slab = build_slab(mesh, k_max, policy.radius * delta, &mf);
@@ -579,160 +575,53 @@ impl MatrixFreeOperator {
         };
         let tables = [fetch(g1), fetch(g2)];
 
-        // Near-field sparse precorrections: every 2-D minimum-image near pair
-        // (superset of the dense 3-D near set) gets `exact − grid`, and its
-        // exact entries are kept as the preconditioner's block. Flat–flat pairs at equal height read their exact entries from the
-        // flat-offset tables; both media's tables fill the same slots.
-        let rule = NearRules::for_policy(policy);
-        let image_points = rule.image.len() * rule.image.len();
-        let greens = [g1, g2];
-        let half = c64::from_real(0.5);
-        let flat = greens.map(|green| FlatOffsetTable::build(mesh, green, policy, &rule, eval));
-        let rows = map_rows(ncells, parallelism.worker_count(), NearScratch::default, {
-            let slab = &slab;
-            let tables = &tables;
-            let flat = &flat;
-            move |i, scratch: &mut NearScratch| {
-                let ci = cells[i];
-                let mut row = NearRow::default();
-                scratch.entries.clear();
-                scratch.image_seps.clear();
-                scratch.far_seps.clear();
-                for (j, cj) in cells.iter().enumerate() {
-                    let dx = ci.x - cj.x;
-                    let dy = ci.y - cj.y;
-                    let dz = ci.z - cj.z;
-                    let wrap_x = (dx / length).round() * length;
-                    let wrap_y = (dy / length).round() * length;
-                    let dxw = dx - wrap_x;
-                    let dyw = dy - wrap_y;
-                    let rho2 = dxw * dxw + dyw * dyw;
-                    if rho2 >= near_radius_sq {
-                        continue; // far in-plane: the grid convolution is exact enough
-                    }
-                    let r2 = rho2 + dz * dz;
-                    if i == j || r2 < near_radius_sq {
-                        // Same near set and same integrator as the dense path.
-                        let (src_x, src_y) = (cj.x + wrap_x, cj.y + wrap_y);
-                        let kind = match flat
-                            .each_ref()
-                            .map(|t| t.lookup(i, j, &ci, cj, [dxw, dyw], &mut row.stats))
-                        {
-                            [Some(s1), Some(s2)] => NearKind::Reused([s1, s2]),
-                            _ => {
-                                gather_image_points(
-                                    &rule.image,
-                                    &ci,
-                                    cj,
-                                    src_x,
-                                    src_y,
-                                    delta,
-                                    &mut scratch.image_seps,
-                                );
-                                NearKind::Corrected
-                            }
-                        };
-                        scratch.entries.push(NearProbe {
-                            j,
-                            src_x,
-                            src_y,
-                            kind,
+        // Near field: every 2-D minimum-image near pair (a superset of the
+        // dense 3-D near set) gets its exact block from the dense path's
+        // pass and the precorrection `exact − grid`.
+        let rows = map_rows(ncells, parallelism.worker_count(), RowScratch::default, {
+            let (pass, slab, tables) = (&pass, &slab, &tables);
+            move |i, scratch| {
+                let cols: Vec<usize> = (0..ncells).filter(|&j| pass.laterally_near(i, j)).collect();
+                let mut stats = AssemblyStats::default();
+                let entries = pass.row(i, cols.iter().copied(), scratch, &mut stats);
+                let blocks: Vec<[Block; 2]> = cols
+                    .iter()
+                    .zip(entries)
+                    .map(|(&j, &exact)| {
+                        let cj = &cells[j];
+                        let correction: MediaEntry = [0, 1].map(|m| {
+                            let (s, d) =
+                                grid_entry(&tables[m], slab, side, area, i, j, cj.fx, cj.fy);
+                            (exact[m].0 - s, exact[m].1 - d)
                         });
-                    } else {
-                        // In-plane near but vertically far: the dense path
-                        // treats this pair with the far midpoint formula.
-                        scratch.far_seps.push(SeparationVector::new(dx, dy, dz));
-                        scratch.entries.push(NearProbe {
-                            j,
-                            src_x: 0.0,
-                            src_y: 0.0,
-                            kind: NearKind::Far,
-                        });
-                    }
-                }
-
-                for (m, green) in greens.iter().enumerate() {
-                    eval_gathered_regularized(
-                        green,
-                        eval,
-                        &scratch.image_seps,
-                        &mut scratch.image_out[m],
-                    );
-                    eval_gathered(green, eval, &scratch.far_seps, &mut scratch.far_out[m]);
-                }
-
-                let mut image_cursor = 0;
-                let mut far_cursor = 0;
-                for entry in &scratch.entries {
-                    let cj = &cells[entry.j];
-                    let mut both = [(c64::zero(), c64::zero()); 2];
-                    for m in 0..2 {
-                        let (s_exact, d_exact) = match entry.kind {
-                            NearKind::Reused(exact) => exact[m],
-                            NearKind::Corrected => corrected_entry(
-                                greens[m],
-                                &ci,
-                                cj,
-                                entry.src_x,
-                                entry.src_y,
-                                delta,
-                                &rule,
-                                &scratch.image_out[m][image_points * image_cursor
-                                    ..image_points * (image_cursor + 1)],
-                                &mut scratch.quad,
-                                &mut row.stats,
-                            ),
-                            NearKind::Far => {
-                                let sample = &scratch.far_out[m][far_cursor];
-                                let s = sample.value * area;
-                                let grad = sample.gradient;
-                                let d = -(grad[0] * cj.normal[0]
-                                    + grad[1] * cj.normal[1]
-                                    + grad[2] * cj.normal[2])
-                                    * (cj.jacobian * area);
-                                (s, d)
-                            }
-                        };
-                        let (s_grid, d_grid) =
-                            grid_entry(&tables[m], slab, side, area, i, entry.j, cj.fx, cj.fy);
-                        row.corrections[m].push((entry.j, s_exact - s_grid, d_exact - d_grid));
-                        both[m] = (s_exact, d_exact);
-                    }
-                    let free = if entry.j == i { half } else { c64::zero() };
-                    let [(s1, d1), (s2, d2)] = both;
-                    row.exact.push([free - d1, beta * s1, free + d2, -s2]);
-                    match entry.kind {
-                        NearKind::Reused(_) => {}
-                        NearKind::Corrected => image_cursor += 1,
-                        NearKind::Far => far_cursor += 1,
-                    }
-                }
-                row
+                        [
+                            system_block(exact, beta, i == j),
+                            system_block(correction, beta, i == j),
+                        ]
+                    })
+                    .collect();
+                (cols, blocks, stats)
             }
         });
 
-        let mut near = [Vec::with_capacity(ncells), Vec::with_capacity(ncells)];
         let mut exact = BlockRows::default();
-        let mut stats = flat[0].stats;
-        stats.merge(&flat[1].stats);
-        for row in rows {
+        let mut corrections = Vec::new();
+        let mut stats = pass.table_stats();
+        for (cols, blocks, row_stats) in rows {
             exact.start.push(exact.cols.len());
-            exact
-                .cols
-                .extend(row.corrections[0].iter().map(|&(j, _, _)| j));
-            exact.blocks.extend(row.exact);
-            let [n1, n2] = row.corrections;
-            near[0].push(n1);
-            near[1].push(n2);
-            stats.merge(&row.stats);
+            exact.cols.extend(cols);
+            for [block, correction] in blocks {
+                exact.blocks.push(block);
+                corrections.push(correction);
+            }
+            stats.merge(&row_stats);
         }
         exact.start.push(exact.cols.len());
 
-        // The near corrections are settled; switch the generator tables to
-        // the spectral domain for the matvec, the eight cubes split over the
-        // workers. Tables built
-        // for this operator alone are moved; a cached entry stays spatial, so
-        // the FFT acts on a private clone of it.
+        // The precorrections are settled; switch the generator tables to the
+        // spectral domain for the matvec, the eight cubes split over the
+        // workers. Tables built for this operator alone are moved; a cached
+        // entry stays spatial, so the FFT acts on a private clone of it.
         let workers = match slab.planes {
             1 => 1,
             _ => parallelism.worker_count(),
@@ -746,11 +635,6 @@ impl MatrixFreeOperator {
             let Ok(()) = fft3_in_place(cube, slab.planes, side, side, Direction::Forward);
         });
 
-        let mut rhs = vec![c64::zero(); 2 * ncells];
-        for (i, cell) in cells.iter().enumerate() {
-            rhs[i] = (c64::new(0.0, -1.0) * k1 * cell.z).exp();
-        }
-
         Self {
             side,
             ncells,
@@ -758,11 +642,11 @@ impl MatrixFreeOperator {
             beta,
             slab,
             tables,
-            near,
             exact,
+            corrections,
             fx: cells.iter().map(|c| c.fx).collect(),
             fy: cells.iter().map(|c| c.fy).collect(),
-            rhs,
+            rhs: incident_rhs(mesh, k1),
             stats,
             workers,
         }
@@ -799,15 +683,16 @@ impl MatrixFreeOperator {
         self.slab.planes
     }
 
-    /// Number of stored near-field corrections (both media; diagnostics —
-    /// `O(N)`, against the dense representation's `O(N²)` entries).
+    /// Number of near-field corrections (both media, two per near pair;
+    /// diagnostics — `O(N)`, against the dense representation's `O(N²)`
+    /// entries).
     pub fn near_corrections(&self) -> usize {
-        self.near.iter().flatten().map(Vec::len).sum()
+        2 * self.exact.cols.len()
     }
 
     /// Builds the near-field preconditioner: the block ILU(0) factors of the
-    /// operator restricted to its near pattern, from the *exact* near
-    /// entries the precorrection pass computed. Each near pair `(i, j)` is
+    /// operator restricted to its near pattern, from the exact near blocks
+    /// the setup stored. Each near pair `(i, j)` is
     /// the 2 × 2 block `[[½δᵢⱼ − D₁ᵢⱼ, β·S₁ᵢⱼ], [½δᵢⱼ + D₂ᵢⱼ, −S₂ᵢⱼ]]`. The
     /// factorization runs serially in natural cell order, so it is
     /// bit-identical at any worker count; applying it is `O(N)`.
@@ -913,24 +798,21 @@ impl LinearOperator for MatrixFreeOperator {
             let Ok(()) = fft3_in_place_live(cube, planes, side, side, live, Direction::Inverse);
         });
 
-        // Gather, then the `½ I` free terms and the sparse near-field
-        // precorrections of the same two rows.
-        let half = c64::from_real(0.5);
+        // Gather, then one block-sparse product with the near-field
+        // precorrections, which carry the `½ I` free terms on the diagonal.
         let mut y = vec![c64::zero(); 2 * n];
         let (y_top, y_bottom) = y.split_at_mut(n);
         self.gather(&rows[0], y_top);
         self.gather(&rows[1], y_bottom);
-        for (i, (near1, near2)) in self.near[0].iter().zip(&self.near[1]).enumerate() {
-            let mut acc = y_top[i] + half * x1[i];
-            for &(j, ds, dd) in near1 {
-                acc += beta * (ds * x2[j]) - dd * x1[j];
+        let BlockRows { start, cols, .. } = &self.exact;
+        for i in 0..n {
+            let mut acc = [y_top[i], y_bottom[i]];
+            let row = start[i]..start[i + 1];
+            for (&j, correction) in cols[row.clone()].iter().zip(&self.corrections[row]) {
+                let [a, b] = block_apply(correction, [x1[j], x2[j]]);
+                acc = [acc[0] + a, acc[1] + b];
             }
-            y_top[i] = acc;
-            let mut acc = y_bottom[i] + half * x1[i];
-            for &(j, ds, dd) in near2 {
-                acc += dd * x1[j] - ds * x2[j];
-            }
-            y_bottom[i] = acc;
+            [y_top[i], y_bottom[i]] = acc;
         }
         y
     }
@@ -1056,44 +938,6 @@ fn block_inverse(&[a, b, c, d]: &Block) -> Block {
 
 fn block_apply(m: &Block, [u, v]: [c64; 2]) -> [c64; 2] {
     [m[0] * u + m[1] * v, m[2] * u + m[3] * v]
-}
-
-/// How the exact value of one near pair is obtained.
-enum NearKind {
-    /// Integrated here by the locally corrected scheme.
-    Corrected,
-    /// Copied from the flat-offset tables: `(S, D)` of media 1 and 2.
-    Reused([(c64, c64); 2]),
-    /// In-plane near but vertically far: the dense far midpoint formula.
-    Far,
-}
-
-/// One near-pair probe collected during row classification.
-struct NearProbe {
-    j: usize,
-    src_x: f64,
-    src_y: f64,
-    kind: NearKind,
-}
-
-/// Row-local gather/evaluate buffers of the near-field precorrection pass.
-#[derive(Default)]
-struct NearScratch {
-    entries: Vec<NearProbe>,
-    image_seps: Vec<SeparationVector>,
-    image_out: [Vec<GreenSample>; 2],
-    far_seps: Vec<SeparationVector>,
-    far_out: [Vec<GreenSample>; 2],
-    quad: QuadScratch,
-}
-
-/// The computed near corrections of one observation row.
-#[derive(Default)]
-struct NearRow {
-    corrections: [Vec<NearCorrection>; 2],
-    /// The exact operator block of each corrected pair, in the same order.
-    exact: Vec<Block>,
-    stats: AssemblyStats,
 }
 
 /// Evaluates the generator planes of one medium: for `t ∈ [0, m)` the kernel
@@ -1521,16 +1365,12 @@ mod tests {
                 for (u, v) in reference.iter().zip(&threaded.apply(&x)) {
                     assert_eq!(bits(u), bits(v), "{workers} workers");
                 }
-                for (a, b) in serial
-                    .near
-                    .iter()
-                    .flatten()
-                    .zip(threaded.near.iter().flatten())
-                {
-                    assert_eq!(a.len(), b.len());
-                    for (&(j, ds, dd), &(k, es, ed)) in a.iter().zip(b) {
-                        assert_eq!((j, bits(&ds), bits(&dd)), (k, bits(&es), bits(&ed)));
-                    }
+                for (a, b) in serial.corrections.iter().zip(&threaded.corrections) {
+                    assert_eq!(
+                        a.map(|z| bits(&z)),
+                        b.map(|z| bits(&z)),
+                        "{workers} workers"
+                    );
                 }
                 assert_eq!(serial.stats(), threaded.stats());
                 for (u, v) in serial.rhs().iter().zip(threaded.rhs()) {
@@ -1594,11 +1434,15 @@ mod tests {
 
     #[test]
     fn matrixfree_flat_offset_corrections_match_the_per_pair_oracle() {
-        // The near precorrections read the same flat-offset tables as the
+        // The near precorrections read the same flat-offset table as the
         // dense assembly: every correction must agree with the per-pair
         // integration to rounding (see the dense
         // `flat_offset_table_matches_the_per_pair_oracle`), in both media, on
-        // a flat mesh and on the Fig. 5 spheroid, seam pairs included.
+        // a flat mesh and on the Fig. 5 spheroid, seam pairs included. A
+        // block holds `[½δ − ΔD₁, β·ΔS₁, ½δ + ΔD₂, −ΔS₂]`; each medium is
+        // held to 1e-13 of its largest `|ΔS|` or `|ΔD|`, the β-scaled entry
+        // to `|β|` times that.
+        let beta = c64::new(0.0, -1e-7);
         for (tile, [k1, k2]) in flat_table_regimes() {
             for cells in [8, 10] {
                 let flat = PatchMesh::from_surface(&RoughSurface::flat(cells, tile));
@@ -1610,7 +1454,7 @@ mod tests {
                             &mesh,
                             &g1,
                             &g2,
-                            c64::new(0.0, -1e-7),
+                            beta,
                             k1,
                             NearFieldPolicy::default(),
                             MatrixFreePolicy::default(),
@@ -1620,23 +1464,33 @@ mod tests {
                     };
                     let table = build();
                     let oracle = per_pair(build);
-                    for (m, (fast, slow)) in table.near.iter().zip(&oracle.near).enumerate() {
-                        let scale = slow
-                            .iter()
-                            .flatten()
-                            .map(|&(_, ds, dd)| ds.abs().max(dd.abs()))
-                            .fold(0.0, f64::max);
-                        for (i, (a, b)) in fast.iter().zip(slow).enumerate() {
-                            assert_eq!(a.len(), b.len());
-                            for (&(j, ds, dd), &(k, es, ed)) in a.iter().zip(b) {
-                                assert_eq!(j, k);
-                                assert!(
-                                    (ds - es).abs() <= 1e-13 * scale
-                                        && (dd - ed).abs() <= 1e-13 * scale,
-                                    "{cells} cells, medium {m}, ({i}, {j}): \
-                                     ({ds}, {dd}) vs ({es}, {ed})"
-                                );
-                            }
+                    assert_eq!(table.exact.start, oracle.exact.start);
+                    assert_eq!(table.exact.cols, oracle.exact.cols);
+                    let free = |p: usize| {
+                        let i = oracle.exact.start.partition_point(|&s| s <= p) - 1;
+                        c64::from_real(if oracle.exact.cols[p] == i { 0.5 } else { 0.0 })
+                    };
+                    let mut scale = [0.0f64; 2];
+                    for (p, c) in oracle.corrections.iter().enumerate() {
+                        let f = free(p);
+                        scale[0] = scale[0].max((c[0] - f).abs()).max(c[1].abs() / beta.abs());
+                        scale[1] = scale[1].max((c[2] - f).abs()).max(c[3].abs());
+                    }
+                    let bound =
+                        [scale[0], beta.abs() * scale[0], scale[1], scale[1]].map(|s| 1e-13 * s);
+                    for (p, (a, b)) in table
+                        .corrections
+                        .iter()
+                        .zip(&oracle.corrections)
+                        .enumerate()
+                    {
+                        for c in 0..4 {
+                            assert!(
+                                (a[c] - b[c]).abs() <= bound[c],
+                                "{cells} cells, pair {p}, entry {c}: {} vs {}",
+                                a[c],
+                                b[c]
+                            );
                         }
                     }
                     let (t, o) = (table.stats(), oracle.stats());
@@ -1649,6 +1503,86 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn exact_near_blocks_equal_the_dense_system_bit_for_bit() {
+        // Both representations read their exact entries from one pass, so
+        // on every pair of the near pattern — 3-D near pairs integrated or
+        // copied from the flat-offset table, and 2-D-near/3-D-far pairs
+        // sampled — the matrix-free block is the dense system's 2 × 2 block
+        // to the bit. A flat mesh and the Fig. 5 spheroid, whose flat plane
+        // the table serves and whose cap puts vertically far pairs in the
+        // near pattern.
+        let beta = c64::new(0.0, -1e-7);
+        let bits = |z: c64| (z.re.to_bits(), z.im.to_bits());
+        for (tile, [k1, k2]) in flat_table_regimes() {
+            let g1 = PeriodicGreen3d::new(k1, tile);
+            let g2 = PeriodicGreen3d::new(k2, tile);
+            let flat = PatchMesh::from_surface(&RoughSurface::flat(8, tile));
+            for mesh in [flat, fig5_spheroid_mesh(8, tile)] {
+                let policy = NearFieldPolicy::default();
+                let dense = assemble_system_with(
+                    &mesh,
+                    &g1,
+                    &g2,
+                    beta,
+                    k1,
+                    AssemblyScheme::LocallyCorrected(policy),
+                    KernelEval::default(),
+                    AssemblyParallelism::Serial,
+                );
+                let mf = MatrixFreeOperator::assemble(
+                    &mesh,
+                    &g1,
+                    &g2,
+                    beta,
+                    k1,
+                    policy,
+                    MatrixFreePolicy::default(),
+                    KernelEval::default(),
+                    AssemblyParallelism::workers(2),
+                );
+                let n = mf.ncells;
+                let mut vertically_far = 0;
+                for i in 0..n {
+                    for p in mf.exact.start[i]..mf.exact.start[i + 1] {
+                        let j = mf.exact.cols[p];
+                        let want = [(i, j), (i, n + j), (n + i, j), (n + i, n + j)]
+                            .map(|at| bits(dense.matrix[at]));
+                        assert_eq!(mf.exact.blocks[p].map(bits), want, "({i}, {j})");
+                        let (ci, cj) = (mesh.cells()[i], mesh.cells()[j]);
+                        let r = mesh.cell_size() * policy.radius;
+                        vertically_far += usize::from((ci.z - cj.z).abs() >= r);
+                    }
+                }
+                let flat_mesh = mesh.cells().iter().all(|c| c.z == 0.0);
+                assert_eq!(vertically_far == 0, flat_mesh);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "near-field policy must be valid")]
+    fn invalid_near_field_policy_panics_before_the_slab_is_sized() {
+        // A NaN near radius would size the slab from a NaN distance.
+        let mesh = rough_mesh(4, 5e-6, 0.3e-6);
+        let g = PeriodicGreen3d::new(c64::new(500.0, 0.0), 5e-6);
+        let policy = NearFieldPolicy {
+            radius: f64::NAN,
+            order: 4,
+        };
+        let _ = MatrixFreeOperator::assemble(
+            &mesh,
+            &g,
+            &g,
+            c64::one(),
+            c64::new(500.0, 0.0),
+            policy,
+            MatrixFreePolicy::default(),
+            KernelEval::default(),
+            AssemblyParallelism::Serial,
+        );
     }
 
     #[test]
