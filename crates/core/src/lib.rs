@@ -65,6 +65,7 @@ pub mod solver;
 mod spec;
 pub mod swm2d;
 pub mod swm3d;
+mod tabulate;
 
 pub use error::SwmError;
 pub use matrixfree::{

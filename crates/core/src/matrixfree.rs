@@ -59,10 +59,11 @@
 //! in the plane (2-D minimum image, a superset of the dense scheme's 3-D
 //! near set) reads its exact entries of both media from the dense path's
 //! own exact-entry pass ([`crate::assembly3d`]): the locally corrected
-//! integral for 3-D near pairs (analytic statics + adaptive remainder, or
-//! its copy from the flat-offset table for pairs of exactly flat cells at
-//! equal height), the far midpoint sample for 2-D-near/3-D-far pairs. Near
-//! entries therefore equal the dense system's bit for bit. Each pair is one
+//! integral for 3-D near pairs (analytic statics + adaptive remainder +
+//! periodic images read from the pass's image tables, or its copy from the
+//! flat-offset table for pairs of exactly flat cells at equal height), the
+//! far midpoint sample for 2-D-near/3-D-far pairs. Near entries therefore
+//! equal the dense system's bit for bit. Each pair is one
 //! 2 × 2 block of paper eq. (9) over one block-sparse pattern, which holds
 //! two block arrays: the exact blocks, and the precorrections — the same
 //! block formula applied to `exact − grid`, `grid` being the
@@ -90,6 +91,7 @@ use crate::assembly3d::{
 use crate::mesh::PatchMesh;
 use crate::nearfield::{AssemblyStats, KernelEval, NearFieldPolicy};
 use crate::parallel::{for_each_split, map_rows, AssemblyParallelism};
+use crate::tabulate::{lagrange_weights, level_spacing};
 use rough_em::green::{GreenSample, PeriodicGreen3d, SeparationVector};
 use rough_numerics::complex::c64;
 use rough_numerics::fft::{fft3_in_place, fft3_in_place_live, next_smooth_len, Direction};
@@ -97,12 +99,6 @@ use rough_numerics::iterative::LinearOperator;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Per-entry relative accuracy the slab spacing rule targets for the grid
-/// (far-field) part. The default safety factor then buys several further
-/// digits of margin, so whole-matvec agreement stays ≤ 1e-10 even after
-/// `√N` accumulation.
-const SLAB_TARGET: f64 = 1e-12;
 
 /// Tuning knobs of the matrix-free operator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -196,62 +192,6 @@ struct SlabGrid {
     weights: Vec<f64>,
 }
 
-/// Relative error of centered `p`-point equispaced Lagrange interpolation of
-/// the `1/R` kernel, whose nearest complex-z singularity for a far pair sits
-/// at `z = ±iρ` (`ρ` = minimum far-field lateral distance). From the Hermite
-/// remainder with the node polynomial `ω(z) = Π (z − z_l)` and symmetric node
-/// offsets `q_j = (2j−1)h/2`:
-///
-/// ```text
-/// err(h) ≈ |ω(0)| / |ω(iρ)| = Π_j q_j² / (ρ² + q_j²)
-/// ```
-///
-/// The naive bound `(h/2ρ)^p` is wildly optimistic here because the outer
-/// stencil nodes sit many spacings away from the evaluation point — the
-/// stencil *width* `(p−1)h` competes with `ρ`, not `h` itself.
-fn stencil_error(h: f64, rho: f64, order: usize) -> f64 {
-    let mut err = 1.0;
-    for j in 1..=order / 2 {
-        let q = ((2 * j - 1) as f64 * h / 2.0).powi(2);
-        err *= q / (rho * rho + q);
-    }
-    err
-}
-
-/// Level spacing from the two error mechanisms of slab interpolation: the
-/// `e^{jk z}` oscillation (centered equispaced Lagrange error
-/// `((p−1)!!)² (hk/2)^p / p!`) and the geometric `1/R` part
-/// ([`stencil_error`], solved for `h` by bisection — the error is monotone in
-/// `h`). Both are pinned at [`SLAB_TARGET`] and the policy's safety factor is
-/// applied on top.
-fn slab_spacing(order: usize, k_max: f64, rho_min: f64, safety: f64) -> f64 {
-    let p = order as f64;
-    let mut factorial = 1.0f64;
-    let mut double_factorial = 1.0f64;
-    for i in 1..=order {
-        factorial *= i as f64;
-        if i % 2 == 1 {
-            double_factorial *= i as f64;
-        }
-    }
-    let oscillatory =
-        (SLAB_TARGET * factorial / (double_factorial * double_factorial)).powf(1.0 / p) * 2.0
-            / k_max.max(f64::MIN_POSITIVE);
-
-    let mut lo = 0.0;
-    let mut hi = 4.0 * rho_min;
-    for _ in 0..60 {
-        let mid = 0.5 * (lo + hi);
-        if stencil_error(mid, rho_min, order) <= SLAB_TARGET {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let geometric = lo;
-    safety * oscillatory.min(geometric)
-}
-
 /// Builds the slab for a mesh: levels cover `[z_min, z_max]` with `p/2` ghost
 /// levels on each side so every cell gets a *centered* stencil (no
 /// end-of-interval Runge degradation), `m = ceil(H/h) + p + 1`.
@@ -278,7 +218,7 @@ fn build_slab(mesh: &PatchMesh, k_max: f64, rho_min: f64, policy: &MatrixFreePol
     }
 
     let p = policy.order;
-    let h = slab_spacing(p, k_max, rho_min, policy.safety);
+    let h = level_spacing(p, k_max, rho_min, policy.safety);
     let levels = (height / h).ceil() as usize + p + 1;
     let z0 = z_min - (p as f64 / 2.0) * h;
     let planes = next_smooth_len(2 * levels - 1);
@@ -289,18 +229,9 @@ fn build_slab(mesh: &PatchMesh, k_max: f64, rho_min: f64, policy: &MatrixFreePol
         let g = ((cell.z - z0) / h).floor() as isize;
         let s = (g - p as isize / 2 + 1).clamp(0, (levels - p) as isize) as usize;
         starts.push(s);
-        for l in 0..p {
-            let zl = z0 + (s + l) as f64 * h;
-            let mut w = 1.0;
-            for v in 0..p {
-                if v == l {
-                    continue;
-                }
-                let zv = z0 + (s + v) as f64 * h;
-                w *= (cell.z - zv) / (zl - zv);
-            }
-            weights.push(w);
-        }
+        let at = weights.len();
+        weights.resize(at + p, 0.0);
+        lagrange_weights((cell.z - z0) / h - s as f64, &mut weights[at..]);
     }
     SlabGrid {
         levels,
@@ -492,10 +423,10 @@ impl MatrixFreeOperator {
     /// geometry, generator tables (one batched kernel evaluation per z
     /// level over the canonical lateral offsets, the levels spread over
     /// `parallelism`), the exact near blocks and their precorrections (the
-    /// dense path's exact-entry pass over the near pattern, row-parallel
-    /// under `parallelism`), and the incident-field right-hand side. The
-    /// matvec runs on the same number of workers. The operator and its
-    /// matvec are bit-identical at any worker count.
+    /// dense path's exact-entry pass over the near pattern, its image-table
+    /// levels and rows spread over `parallelism`), and the incident-field
+    /// right-hand side. The matvec runs on the same number of workers. The
+    /// operator and its matvec are bit-identical at any worker count.
     ///
     /// Mirrors [`crate::assembly3d::assemble_system_with`]: `g1`/`g2` are the
     /// periodic kernels of the two media, `beta` the boundary contrast, `k1`
@@ -528,8 +459,9 @@ impl MatrixFreeOperator {
     /// byte-identical to a fresh build, so the assembled operator (and every
     /// downstream solve) is bit-identical with and without it; what a hit
     /// saves is the batched kernel evaluation over the `m` levels' canonical
-    /// generator samples — the dominant setup cost of a repeated-frequency
-    /// solve.
+    /// generator samples. Folded by the lattice's symmetry, that is a small
+    /// share of the setup: the exact near entries (analytic statics,
+    /// adaptive remainder and the image tables) take most of it.
     ///
     /// # Panics
     ///
@@ -550,7 +482,7 @@ impl MatrixFreeOperator {
         // Both policies are checked before the slab is sized from the near
         // radius: the pass checks the near-field one and the kernels.
         mf.validate().expect("matrix-free policy must be valid");
-        let pass = ExactEntries::new(mesh, g1, g2, policy, eval);
+        let pass = ExactEntries::new(mesh, g1, g2, policy, eval, parallelism);
 
         let side = mesh.cells_per_side();
         let ncells = mesh.len();
@@ -589,11 +521,9 @@ impl MatrixFreeOperator {
                     .zip(entries)
                     .map(|(&j, &exact)| {
                         let cj = &cells[j];
-                        let correction: MediaEntry = [0, 1].map(|m| {
-                            let (s, d) =
-                                grid_entry(&tables[m], slab, side, area, i, j, cj.fx, cj.fy);
-                            (exact[m].0 - s, exact[m].1 - d)
-                        });
+                        let grid = grid_entry(tables, slab, side, area, i, j, cj.fx, cj.fy);
+                        let correction: MediaEntry =
+                            [0, 1].map(|m| (exact[m].0 - grid[m].0, exact[m].1 - grid[m].1));
                         [
                             system_block(exact, beta, i == j),
                             system_block(correction, beta, i == j),
@@ -1058,13 +988,15 @@ fn fill_negative_planes(tables: &mut MediumTables, side: usize, slab: &SlabGrid)
     }
 }
 
-/// The slab-interpolated (grid) value of one matrix-entry pair, read straight
-/// from the spatial generator tables — exactly what the FFT convolution will
-/// produce for this pair (up to FFT roundoff), and therefore what the
-/// precorrection must subtract.
+/// The slab-interpolated (grid) entries of one matrix-entry pair in both
+/// media, read straight from the spatial generator tables — exactly what the
+/// FFT convolution will produce for this pair (up to FFT roundoff), and
+/// therefore what the precorrection must subtract. The table index and
+/// stencil weight of each term are shared by the media; each medium sums
+/// its terms in stencil order.
 #[allow(clippy::too_many_arguments)]
 fn grid_entry(
-    tables: &MediumTables,
+    tables: &[Arc<MediumTables>; 2],
     slab: &SlabGrid,
     side: usize,
     area: f64,
@@ -1072,7 +1004,7 @@ fn grid_entry(
     j: usize,
     fx_j: f64,
     fy_j: f64,
-) -> (c64, c64) {
+) -> MediaEntry {
     let nn = side * side;
     let (iy_i, ix_i) = (i / side, i % side);
     let (iy_j, ix_j) = (j / side, j % side);
@@ -1084,19 +1016,20 @@ fn grid_entry(
     let wj = &slab.weights[j * p..(j + 1) * p];
     let planes = slab.planes as isize;
 
-    let mut s = c64::zero();
-    let mut d = c64::zero();
+    let mut entry = [(c64::zero(), c64::zero()); 2];
     for (u, &wu) in wi.iter().enumerate() {
         for (v, &wv) in wj.iter().enumerate() {
             let t = si + u as isize - sj - v as isize;
             let idx = t.rem_euclid(planes) as usize * nn + pos;
             let w = wu * wv;
-            s += tables.val[idx].scale(w);
-            d +=
-                (tables.gx[idx].scale(fx_j) + tables.gy[idx].scale(fy_j) - tables.gz[idx]).scale(w);
+            for ((s, d), tables) in entry.iter_mut().zip(tables) {
+                *s += tables.val[idx].scale(w);
+                *d += (tables.gx[idx].scale(fx_j) + tables.gy[idx].scale(fy_j) - tables.gz[idx])
+                    .scale(w);
+            }
         }
     }
-    (s.scale(area), d.scale(area))
+    entry.map(|(s, d)| (s.scale(area), d.scale(area)))
 }
 
 #[cfg(test)]

@@ -60,6 +60,10 @@ pub struct AssemblyStats {
     /// Largest per-entry achieved absolute error estimate (the embedded
     /// `|coarse − fine|` sum over the entry's accepted leaves).
     pub max_entry_error: f64,
+    /// Regularized periodic-image kernel evaluations of the 3D near field:
+    /// the nodes of its image tables, both media, evaluated once per
+    /// assembly and read by every corrected entry.
+    pub image_samples: usize,
 }
 
 impl AssemblyStats {
@@ -82,6 +86,7 @@ impl AssemblyStats {
         self.depth_cap_hits += other.depth_cap_hits;
         self.unconverged_entries += other.unconverged_entries;
         self.max_entry_error = self.max_entry_error.max(other.max_entry_error);
+        self.image_samples += other.image_samples;
     }
 
     /// `true` when every adaptive entry met the tolerance before the depth
@@ -102,12 +107,13 @@ impl AssemblyStats {
 ///   the historical code path. Kept as the oracle for equivalence tests and
 ///   as the baseline of the assembly benchmark.
 /// * [`KernelEval::Batched`] (default) — blocked row-panel assembly: all
-///   far-field observation–source separations of a matrix row (and the
-///   fixed-rule periodic-image quadrature points of its corrected near
-///   entries) are gathered into contiguous slices and evaluated through the
-///   batched kernel API (`eval_batch_samples` / `eval_batch_regularized`),
-///   which hoists the Ewald setup out of the inner loop and shares the
-///   expensive `erfc`/`exp` factors across Floquet-mode classes.
+///   far-field observation–source separations of a matrix row are gathered
+///   into a contiguous slice and evaluated through the batched kernel API
+///   (`eval_batch_samples`), and so is each height level of the near
+///   field's periodic-image tables (`eval_batch_regularized`, one call per
+///   level, whose points share `|Δz|` and so one set of spectral profiles).
+///   The batch API hoists the Ewald setup out of the inner loop and shares
+///   the expensive `erfc`/`exp` factors across Floquet-mode classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelEval {
     /// Per-entry kernel evaluation (reference/oracle path).
