@@ -43,25 +43,36 @@
 //! smooth on the cell scale and integrated on a fixed 3 × 3 rule, whose
 //! points fall on a finite set of lateral separations (the near lattice
 //! offsets minus the rule's nodes) at heights bounded by the mesh. Each
-//! assembly therefore tabulates it once per medium: the image tables hold
+//! assembly therefore tabulates it once per medium: the image table holds
 //! the regularized kernel at those separations on equispaced height levels,
 //! and every corrected entry reads its nine points by Lagrange interpolation
-//! in the height (see `ImageTables`).
+//! in the height (see `KernelTables`).
+//!
+//! A far entry is split the same way. Its primary image `e^{jkR}/(4πR)` is
+//! one complex exponential at the pair's minimum-image separation; the rest
+//! of the periodic kernel is read from a second table, the far table, whose
+//! columns are the folded lattice offsets `0 ≤ c_x ≤ c_y ≤ ⌊n/2⌋` at the
+//! cell centres and whose levels cover the mesh's full height spread. A
+//! column is tabulated only where its nodes number fewer than the direct
+//! samples it replaces (two per far pair, one per medium), a choice fixed by
+//! the mesh; the far pairs of the other columns keep one direct midpoint
+//! sample each. A 4-cell patch tabulates none, an 8-cell Gaussian tile most.
 //!
 //! Orthogonal to the near-field policy, [`KernelEval`] selects how the
 //! Ewald-summed kernel itself is evaluated. The default,
-//! [`KernelEval::Batched`], is **blocked row-panel assembly**: for each
-//! observation row, every far-field observation–source separation is
-//! gathered into a contiguous slice, evaluated in one batched kernel call per
-//! medium ([`PeriodicGreen3d::eval_batch_samples`]), and scattered into the
-//! matrix; each image-table level is one batched call too
-//! ([`PeriodicGreen3d::eval_batch_regularized`]). The near-field analytic
-//! statics and the adaptive smooth-remainder quadrature are untouched.
+//! [`KernelEval::Batched`], is **blocked row-panel assembly**: each table
+//! level is one batched kernel call over its columns
+//! ([`PeriodicGreen3d::eval_batch_regularized`]), and for each observation
+//! row, the directly sampled far separations are gathered into a contiguous
+//! slice, evaluated in one batched kernel call per medium
+//! ([`PeriodicGreen3d::eval_batch_samples`]), and scattered into the row.
+//! The near-field analytic statics, the adaptive smooth-remainder
+//! quadrature and the primary far images are untouched.
 //! [`KernelEval::Scalar`] evaluates the identical points one kernel call at
 //! a time and serves as the equivalence oracle (agreement ≤ 1e-12 relative)
 //! and the benchmark baseline.
 //!
-//! Orthogonal to *both*, [`AssemblyParallelism`] spreads the image-table
+//! Orthogonal to *both*, [`AssemblyParallelism`] spreads the kernel tables'
 //! levels and then the row panels over worker threads: levels and rows are
 //! independent work items (each evaluates and combines only its own kernel
 //! samples), computed with per-worker scratch through
@@ -74,8 +85,8 @@ use crate::nearfield::{AssemblyScheme, AssemblyStats, KernelEval, NearFieldPolic
 use crate::parallel::{map_rows, AssemblyParallelism};
 use crate::tabulate::{lagrange_weights, level_spacing};
 use rough_em::green::free_space::{
-    inverse_r_integral_over_planar_polygon, smooth_kernel_3d_with_derivative,
-    solid_angle_of_planar_polygon,
+    inverse_r_integral_over_planar_polygon, scalar_green_3d_gradient,
+    smooth_kernel_3d_with_derivative, solid_angle_of_planar_polygon,
 };
 use rough_em::green::{GreenSample, PeriodicGreen3d, SeparationVector};
 use rough_numerics::complex::c64;
@@ -87,7 +98,7 @@ use std::f64::consts::PI;
 #[cfg(test)]
 thread_local! {
     static PER_PAIR: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-    static PER_POINT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static PER_POINT: std::cell::Cell<Option<Table>> = const { std::cell::Cell::new(None) };
 }
 
 /// Runs `f` with every [`FlatOffsetTable`] it builds left empty, so each
@@ -101,15 +112,25 @@ pub(crate) fn per_pair<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Runs `f` with every exact-entry pass it builds evaluating each
-/// periodic-image quadrature point of a corrected entry directly, instead of
-/// reading it from the [`ImageTables`]: the oracle the tables are tested
-/// against.
+/// The two kernel tables of an exact-entry pass.
 #[cfg(test)]
-pub(crate) fn per_point<T>(f: impl FnOnce() -> T) -> T {
-    PER_POINT.with(|flag| flag.set(true));
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Table {
+    /// The periodic-image points of the corrected entries.
+    Images,
+    /// The far entries.
+    Far,
+}
+
+/// Runs `f` with every exact-entry pass it builds evaluating each point
+/// `table` would serve directly instead of reading it from the table: every
+/// periodic-image quadrature point of a corrected entry, or every far
+/// midpoint sample. The oracle the [`KernelTables`] are tested against.
+#[cfg(test)]
+pub(crate) fn per_point<T>(table: Table, f: impl FnOnce() -> T) -> T {
+    PER_POINT.with(|flag| flag.set(Some(table)));
     let out = f();
-    PER_POINT.with(|flag| flag.set(false));
+    PER_POINT.with(|flag| flag.set(None));
     out
 }
 
@@ -232,10 +253,12 @@ impl MinImage {
 ///
 /// * the self pair, or a 3-D minimum-image distance below
 ///   [`NearFieldPolicy::radius`] cell sizes: the locally corrected integral
-///   ([`corrected_entry`], its periodic-image part read from the
-///   [`ImageTables`]), or its copy from the [`FlatOffsetTable`] when both
-///   cells are exactly flat at the same height;
-/// * every other pair: one midpoint sample of the periodic kernel.
+///   ([`corrected_entry`], its periodic-image part read from the image
+///   table), or its copy from the [`FlatOffsetTable`] when both cells are
+///   exactly flat at the same height;
+/// * every other pair: one midpoint sample of the periodic kernel, its
+///   primary image evaluated and the rest read from the far table where the
+///   pair's lattice offset is tabulated, sampled directly elsewhere.
 ///
 /// Both the dense system ([`assemble_system_with`], all columns) and the
 /// matrix-free near field ([`crate::matrixfree`], its in-plane near pattern)
@@ -246,29 +269,47 @@ pub(crate) struct ExactEntries<'a> {
     greens: [&'a PeriodicGreen3d; 2],
     eval: KernelEval,
     rule: NearRules,
-    images: ImageTables,
+    images: KernelTables,
+    far: KernelTables,
+    /// Whether the far entries at each folded lattice offset
+    /// ([`far_column`]) are read from the far table.
+    tabulated: Vec<bool>,
     flat: FlatOffsetTable,
     area: f64,
     delta: f64,
     length: f64,
+    /// `⌊n/2⌋`: the largest minimum-image lattice offset along an axis.
+    half: usize,
     near_radius_sq: f64,
-    /// Evaluate every image point directly (the [`per_point`] oracle).
+    /// Evaluate every point of this table directly (the [`per_point`]
+    /// oracle).
     #[cfg(test)]
-    per_point: bool,
+    per_point: Option<Table>,
+}
+
+/// The source columns an exact-entry pass serves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Columns {
+    /// Every column: the dense system.
+    All,
+    /// The columns within the near radius in the plane: the matrix-free near
+    /// pattern.
+    LaterallyNear,
 }
 
 /// How the exact-entry pass obtains one column's entries.
 enum Source {
-    /// Integrated, or copied from the flat-offset table.
-    Exact(MediaEntry),
-    /// The far midpoint sample of column `j`.
-    Far(usize),
+    /// Integrated, copied from the flat-offset table or read from the far
+    /// table as the row met it.
+    Ready(MediaEntry),
+    /// The direct far midpoint sample of column `j`.
+    Sampled(usize),
 }
 
 /// Row-local buffers of the exact-entry pass, one per worker: the column
-/// classification, the far-field gather/evaluate slices and the image
-/// samples of both media, the adaptive-quadrature node arena and the row's
-/// output.
+/// classification, the gather/evaluate slices of the directly sampled far
+/// entries and the image samples of both media, the adaptive-quadrature node
+/// arena and the row's output.
 #[derive(Default)]
 pub(crate) struct RowScratch {
     sources: Vec<Source>,
@@ -281,10 +322,11 @@ pub(crate) struct RowScratch {
 
 impl<'a> ExactEntries<'a> {
     /// Prepares the pass for `mesh` with the media kernels `g1`, `g2`: the
-    /// quadrature rules of `policy`, the image tables of both media (their
-    /// height levels spread over `parallelism`) and the flat-offset table of
-    /// both media (built serially). Every row reads the same tables at any
-    /// thread count.
+    /// quadrature rules of `policy`, the image and far tables of both media
+    /// (the far table holding the tabulated offsets `columns` can reach,
+    /// their height levels spread over `parallelism`) and the flat-offset
+    /// table of both media (built serially). Every row reads the same tables
+    /// at any thread count.
     ///
     /// # Panics
     ///
@@ -297,6 +339,7 @@ impl<'a> ExactEntries<'a> {
         policy: NearFieldPolicy,
         eval: KernelEval,
         parallelism: AssemblyParallelism,
+        columns: Columns,
     ) -> Self {
         policy.validate().expect("near-field policy must be valid");
         let length = mesh.patch_length();
@@ -307,21 +350,76 @@ impl<'a> ExactEntries<'a> {
             );
         }
         let delta = mesh.cell_size();
+        let half = mesh.cells_per_side() / 2;
+        let near_radius_sq = (policy.radius * delta) * (policy.radius * delta);
+        #[cfg(test)]
+        let per_point = PER_POINT.with(std::cell::Cell::get);
+
         let rule = NearRules::for_policy(policy);
-        let images = ImageTables::build(mesh, [g1, g2], policy, &rule.image, eval, parallelism);
+        let images = KernelTables::build(
+            mesh,
+            [g1, g2],
+            TableLayout {
+                nodes: rule.image.nodes(),
+                reach: (policy.radius.ceil() as isize).min(half as isize),
+                radius: policy.radius,
+                cap: policy.radius * delta,
+            },
+            |_, _| true,
+            eval,
+            parallelism,
+        );
+
+        // A far column is tabulated where its direct samples, two per far
+        // pair, would outnumber its nodes: a choice fixed by the mesh, so the
+        // dense and matrix-free passes read every shared pair alike. The
+        // matrix-free pass builds only the tabulated columns inside its
+        // in-plane near pattern, on the dense layout and levels, so the
+        // columns both build hold the same bits.
+        let far_pairs = far_pair_counts(mesh, near_radius_sq, policy.radius);
+        #[cfg(test)]
+        let far_pairs = match per_point {
+            Some(Table::Far) => vec![0; far_pairs.len()],
+            _ => far_pairs,
+        };
+        let pays = |column: usize, levels: usize| 2 * far_pairs[column] > levels;
+        let reachable = |[ox, oy]: [isize; 2]| {
+            columns == Columns::All
+                || ((ox * ox + oy * oy) as f64) <= policy.radius * policy.radius * (1.0 + 1e-9)
+        };
+        let far = KernelTables::build(
+            mesh,
+            [g1, g2],
+            TableLayout {
+                nodes: &[0.0],
+                reach: half as isize,
+                radius: f64::INFINITY,
+                cap: f64::INFINITY,
+            },
+            |offset, levels| pays(far_column(offset, half), levels) && reachable(offset),
+            eval,
+            parallelism,
+        );
+        let tabulated = (0..far_pairs.len())
+            .map(|column| pays(column, far.levels()))
+            .collect();
+
         let mut pass = Self {
             cells: mesh.cells(),
             greens: [g1, g2],
             eval,
             rule,
             images,
+            far,
+            tabulated,
             flat: FlatOffsetTable::empty(policy),
             area: mesh.cell_area(),
             delta,
             length,
-            near_radius_sq: (policy.radius * delta) * (policy.radius * delta),
+            half,
+            near_radius_sq,
             #[cfg(test)]
-            per_point: PER_POINT.with(std::cell::Cell::get),
+            per_point,
         };
         let mut scratch = RowScratch::default();
         let flat = FlatOffsetTable::build(mesh, policy, |i, j, pair, stats| {
@@ -332,10 +430,12 @@ impl<'a> ExactEntries<'a> {
     }
 
     /// What the pass evaluated before its rows: the integrations that filled
-    /// the flat-offset table and the image-table samples (both media).
+    /// the flat-offset table and the image- and far-table samples (both
+    /// media).
     pub(crate) fn table_stats(&self) -> AssemblyStats {
         AssemblyStats {
             image_samples: self.images.samples(),
+            far_samples: self.far.samples(),
             ..self.flat.stats
         }
     }
@@ -349,9 +449,10 @@ impl<'a> ExactEntries<'a> {
     }
 
     /// The entries of observation row `i` at the source columns `cols`, in
-    /// that order. Near entries are integrated as they come, far ones
-    /// sampled, each far kernel evaluated once per medium over the whole row;
-    /// integration diagnostics go to `stats`.
+    /// that order. Near entries are integrated and tabulated far ones read
+    /// as they come; the other far entries are sampled, each far kernel
+    /// evaluated once per medium over the whole row. Integration diagnostics
+    /// and the direct samples go to `stats`.
     pub(crate) fn row<'s>(
         &self,
         i: usize,
@@ -365,17 +466,19 @@ impl<'a> ExactEntries<'a> {
         for j in cols {
             let cj = &self.cells[j];
             let pair = MinImage::new(ci, cj, self.length);
+            let offset = pair.lattice_offset(self.delta);
             let source = if i == j || pair.distance_sq() < self.near_radius_sq {
-                let offset = pair.lattice_offset(self.delta);
-                Source::Exact(match self.flat.lookup(i, j, ci, cj, offset, stats) {
+                Source::Ready(match self.flat.lookup(i, j, ci, cj, offset, stats) {
                     Some(entry) => entry,
                     None => self.corrected(i, j, pair, scratch, stats),
                 })
+            } else if self.tabulated[far_column(offset, self.half)] {
+                Source::Ready(self.tabulated_far(pair, offset, cj))
             } else {
                 scratch
                     .far_seps
                     .push(SeparationVector::new(ci.x - cj.x, ci.y - cj.y, ci.z - cj.z));
-                Source::Far(j)
+                Source::Sampled(j)
             };
             scratch.sources.push(source);
         }
@@ -383,13 +486,14 @@ impl<'a> ExactEntries<'a> {
         for (m, green) in self.greens.iter().enumerate() {
             eval_gathered(green, self.eval, &scratch.far_seps, &mut scratch.far_out[m]);
         }
+        stats.far_samples += 2 * scratch.far_seps.len();
 
         let mut far = 0;
         scratch.entries.clear();
         for source in &scratch.sources {
             let entry = match *source {
-                Source::Exact(entry) => entry,
-                Source::Far(j) => {
+                Source::Ready(entry) => entry,
+                Source::Sampled(j) => {
                     let entry = [0, 1]
                         .map(|m| far_entry(&scratch.far_out[m][far], &self.cells[j], self.area));
                     far += 1;
@@ -399,6 +503,28 @@ impl<'a> ExactEntries<'a> {
             scratch.entries.push(entry);
         }
         &scratch.entries
+    }
+
+    /// The far entries of both media for `source` at minimum-image geometry
+    /// `pair` and lattice offset `offset`: the primary image `e^{jkR}/(4πR)`
+    /// evaluated at the pair's separation plus the rest of the periodic
+    /// kernel read from the far table.
+    fn tabulated_far(&self, pair: MinImage, offset: [isize; 2], source: &Cell3d) -> MediaEntry {
+        let fold = self.far.fold(offset, [0, 0]);
+        [0, 1].map(|m| {
+            let (value, gradient) = scalar_green_3d_gradient(
+                self.greens[m].wavenumber(),
+                pair.offset[0],
+                pair.offset[1],
+                pair.dz,
+            );
+            let images = self.far.sample(m, fold, pair.dz);
+            let sample = GreenSample {
+                value: value + images.value,
+                gradient: [0, 1, 2].map(|a| gradient[a] + images.gradient[a]),
+            };
+            far_entry(&sample, source, self.area)
+        })
     }
 
     /// The locally corrected entries of both media for observation `i` and
@@ -430,7 +556,8 @@ impl<'a> ExactEntries<'a> {
 
     /// The periodic-image samples of both media for the corrected entry of
     /// `observation` and `source` with minimum-image geometry `pair`, read
-    /// from the image tables.
+    /// from the image table in rule order (x node outer, y node inner) as
+    /// [`corrected_entry`] consumes them.
     fn image_samples(
         &self,
         pair: MinImage,
@@ -439,7 +566,7 @@ impl<'a> ExactEntries<'a> {
         out: &mut [Vec<GreenSample>; 2],
     ) {
         #[cfg(test)]
-        if self.per_point {
+        if self.per_point == Some(Table::Images) {
             let mut seps = Vec::new();
             gather_image_points(
                 &self.rule.image,
@@ -454,9 +581,61 @@ impl<'a> ExactEntries<'a> {
             }
             return;
         }
+        out.iter_mut().for_each(Vec::clear);
         let offset = pair.lattice_offset(self.delta);
-        self.images.read(offset, observation, source, out);
+        let q = &self.images.node_offsets;
+        for nx in 0..q.len() {
+            for ny in 0..q.len() {
+                let fold = self.images.fold(offset, [nx, ny]);
+                let dz = observation.z - (source.z + source.fx * q[nx] + source.fy * q[ny]);
+                for (m, out) in out.iter_mut().enumerate() {
+                    out.push(self.images.sample(m, fold, dz));
+                }
+            }
+        }
     }
+}
+
+/// The far-table column of lattice offset `offset` (`|o| ≤ half` cells per
+/// axis): its folded position `(c_x, c_y) = sort(|o_x|, |o_y|)` at
+/// `c_x·(half + 1) + c_y`.
+fn far_column([ox, oy]: [isize; 2], half: usize) -> usize {
+    let (a, b) = (ox.unsigned_abs(), oy.unsigned_abs());
+    a.min(b) * (half + 1) + a.max(b)
+}
+
+/// The far pairs of `mesh` — neither the self pair nor within
+/// `sqrt(near_radius_sq)` in 3-D minimum image, the rows' rule — per far
+/// column ([`far_column`]). Every row meets each lattice offset once, so a
+/// column's pairs are `N` times the offsets folding onto it, less the near
+/// pairs, which all lie within each row's stencil of `⌈radius⌉` cells.
+fn far_pair_counts(mesh: &PatchMesh, near_radius_sq: f64, radius: f64) -> Vec<usize> {
+    let side = mesh.cells_per_side();
+    let half = side / 2;
+    let cells = mesh.cells();
+    let (length, delta) = (mesh.patch_length(), mesh.cell_size());
+    let offset = |d: usize| d.min(side - d) as isize;
+    let mut counts = vec![0; (half + 1) * (half + 1)];
+    for dy in 0..side {
+        for dx in 0..side {
+            counts[far_column([offset(dx), offset(dy)], half)] += cells.len();
+        }
+    }
+    let reach = radius.ceil() as isize;
+    let stencil: Vec<usize> = (0..side).filter(|&d| offset(d) <= reach).collect();
+    for (i, ci) in cells.iter().enumerate() {
+        let (ix, iy) = (i % side, i / side);
+        for &dy in &stencil {
+            for &dx in &stencil {
+                let j = (iy + side - dy) % side * side + (ix + side - dx) % side;
+                let pair = MinImage::new(ci, &cells[j], length);
+                if i == j || pair.distance_sq() < near_radius_sq {
+                    counts[far_column(pair.lattice_offset(delta), half)] -= 1;
+                }
+            }
+        }
+    }
+    counts
 }
 
 /// The far-field midpoint entry `(S, D)` of `source` from its kernel sample.
@@ -494,7 +673,7 @@ impl NearRules {
 /// Gathers the fixed-rule periodic-image quadrature separations of one
 /// corrected near entry, the source cell centred at `at`, in the exact
 /// nested order [`corrected_entry`] consumes them: the per-point oracle the
-/// [`ImageTables`] are tested against.
+/// image table is tested against.
 #[cfg(test)]
 fn gather_image_points(
     rule: &QuadratureRule,
@@ -515,42 +694,64 @@ fn gather_image_points(
     }
 }
 
-/// Stencil width of the image tables' height interpolation.
-const IMAGE_ORDER: usize = 16;
-/// Safety factor on the image tables' level spacing: half the error-model
+/// Stencil width of the kernel tables' height interpolation.
+const TABLE_ORDER: usize = 16;
+/// Safety factor on the kernel tables' level spacing: half the error-model
 /// spacing, the matrix-free slab's default.
-const IMAGE_SAFETY: f64 = 0.5;
+const TABLE_SAFETY: f64 = 0.5;
 
-/// The image tables of one assembly: the regularized kernel
-/// `G_p − e^{jkR}/(4πR)` (value and gradient) of both media at every point
-/// the fixed periodic-image rule of a corrected entry can reach.
+/// Which points a [`KernelTables`] serves: the lattice offsets `o` within
+/// `reach` cells per axis and `radius` cells in the plane, each shifted by
+/// the lateral `nodes`, at the heights the mesh's points reach.
+struct TableLayout<'n> {
+    /// Nodes `q` along each axis, in cells: the image rule's nodes, or the
+    /// cell centre alone.
+    nodes: &'n [f64],
+    /// Lattice offsets span `-reach..=reach` cells along each axis.
+    reach: isize,
+    /// Offsets with `|o|² ≤ radius²` are served.
+    radius: f64,
+    /// Cap on the mesh's height spread the levels cover.
+    cap: f64,
+}
+
+/// One kernel table of an assembly: the regularized kernel
+/// `G_p − e^{jkR}/(4πR)` (value and gradient) of both media at the points
+/// its [`TableLayout`] serves. Each assembly builds two: the image table,
+/// at every point the fixed periodic-image rule of a corrected entry can
+/// reach, and the far table, at the cell centres of the far pairs' lattice
+/// offsets.
 ///
-/// A corrected entry of lattice offset `o` samples the kernel at the lateral
-/// separations `((o_x − q_a)Δ, (o_y − q_b)Δ)`, `q` the rule's nodes, a finite
-/// set fixed by the near radius. At normal incidence on the square lattice
+/// A point of lattice offset `o` and nodes `q` has the lateral separation
+/// `((o_x − q_a)Δ, (o_y − q_b)Δ)`. At normal incidence on the square lattice
 /// the kernel is even in x and in y and symmetric under x ↔ y, so each
-/// separation is folded onto a canonical column (30 at the default radius
-/// 2.5: 5 offset classes × the node pairs), the gradient's x and y
+/// separation is folded onto a canonical column (30 image columns at the
+/// default radius 2.5: 5 offset classes × the node pairs; one far column per
+/// offset class `0 ≤ c_x ≤ c_y ≤ ⌊n/2⌋`), the gradient's x and y
 /// components taking the mirror signs and swapping with the axes. Each
 /// column is tabulated on equispaced height levels `t·h` that cover the
-/// largest `|Δz|` any gathered point reaches (the mesh's height spread
-/// capped at the near radius, plus the tangent-plane lift of its steepest
-/// cell) with the ghost levels a centred stencil needs; the kernel is even
-/// in `Δz` and its z-gradient odd, so the levels below zero are mirrors.
-/// The spacing follows [`level_spacing`] per medium, with `ρ` the distance
-/// from the columns to the nearest non-primary lattice image, the closest
-/// singularity of the regularized kernel. A row reads each image point by
-/// [`IMAGE_ORDER`]-point Lagrange interpolation in `Δz`. An exactly flat
+/// largest `|Δz|` a served point reaches (the mesh's height spread, capped
+/// for the image table at the near radius, plus the tangent-plane lift of
+/// its steepest cell at the outermost node) with the ghost levels a centred
+/// stencil needs; the kernel is even in `Δz` and its z-gradient odd, so the
+/// levels below zero are mirrors, and the z-gradient is stored as exactly
+/// zero on the level `Δz = 0`. The spacing follows [`level_spacing`] per
+/// medium, with `ρ` the distance from the widest served column to the
+/// nearest non-primary lattice image, the closest singularity of the
+/// regularized kernel (`L/2` for the far table). A row reads each point by
+/// [`TABLE_ORDER`]-point Lagrange interpolation in `Δz`. An exactly flat
 /// mesh has one level at `Δz = 0`, read as it is.
 ///
-/// Each level is one batched kernel call over the columns under the
-/// configured [`KernelEval`] (its positions share `|Δz|`, so the Ewald
-/// spectral profiles are computed once per level), the levels of both media
-/// spread over the assembly's workers and collected in order, so the tables
-/// are bit-identical at any thread count.
-struct ImageTables {
-    /// Per-axis class of lattice offset `o ∈ [−reach, reach]` and rule node
-    /// `n`, at `(o + reach)·nodes + n` (`nodes` per axis): the folded 1-D
+/// The columns are the served ones a `keep` rule accepts: all of them for
+/// the image table, the far columns that pay ([`ExactEntries::new`]) for the
+/// far one. Each level is one batched kernel call over the kept columns
+/// under the configured [`KernelEval`] (its positions share `|Δz|`, so the
+/// Ewald spectral profiles are computed once per level), the levels of both
+/// media spread over the assembly's workers and collected in order, so the
+/// tables are bit-identical at any thread count.
+struct KernelTables {
+    /// Per-axis class of lattice offset `o ∈ [−reach, reach]` and node `n`,
+    /// at `(o + reach)·nodes + n` (`nodes` per axis): the folded 1-D
     /// position index and whether the axis was mirrored.
     axis: Vec<(usize, bool)>,
     /// Lattice offsets span `-reach..=reach` cells along each axis.
@@ -558,39 +759,53 @@ struct ImageTables {
     /// Number of distinct folded 1-D positions.
     positions: usize,
     /// Column of each folded position pair `(lo, hi)`, `lo ≤ hi`, at
-    /// `lo·positions + hi`; `usize::MAX` where no near entry reaches it.
+    /// `lo·positions + hi`; `usize::MAX` where the table holds none.
     column_of: Vec<usize>,
-    /// The rule's nodes `q·Δ` along one axis.
+    /// The nodes `q·Δ` along one axis.
     node_offsets: Vec<f64>,
     /// The tables of media 1 and 2.
-    media: [ImageTable; 2],
+    media: [MediumTable; 2],
 }
 
-/// One medium's image table: height levels of spacing `h`, level `t` at
+/// One medium's kernel table: height levels of spacing `h`, level `t` at
 /// height `t·h` holding one sample per column.
-struct ImageTable {
+struct MediumTable {
     spacing: f64,
     levels: Vec<Vec<GreenSample>>,
 }
 
-impl ImageTables {
-    /// Tabulates the regularized kernels `greens` at every image point of
-    /// the corrected entries of `mesh` under `policy` and the image `rule`.
+/// Where a point sits in a [`KernelTables`]: its column, and how its
+/// gradient maps from the column's (x ↔ y swapped, axes mirrored).
+#[derive(Clone, Copy)]
+struct Fold {
+    column: usize,
+    swap: bool,
+    mirror: [bool; 2],
+}
+
+impl KernelTables {
+    /// Tabulates the regularized kernels `greens` at the points of `mesh`
+    /// that `layout` serves, on the columns `keep(o, levels)` accepts, `o`
+    /// the first lattice offset folding onto the column and `levels` the
+    /// table's height levels in both media.
     fn build(
         mesh: &PatchMesh,
         greens: [&PeriodicGreen3d; 2],
-        policy: NearFieldPolicy,
-        rule: &QuadratureRule,
+        layout: TableLayout,
+        keep: impl Fn([isize; 2], usize) -> bool,
         eval: KernelEval,
         parallelism: AssemblyParallelism,
     ) -> Self {
+        let TableLayout {
+            nodes,
+            reach,
+            radius,
+            cap,
+        } = layout;
         let delta = mesh.cell_size();
-        let nodes = rule.nodes();
-        // The minimum-image offsets of a near pair: within the radius (a hair
-        // beyond it, so no pair the rows call near by its rounded distance is
-        // left out), and within half the period along each axis.
-        let reach = (policy.radius.ceil() as isize).min(mesh.cells_per_side() as isize / 2);
-        let radius_sq = policy.radius * policy.radius * (1.0 + 1e-9);
+        // The served offsets: within the radius (a hair beyond it, so no
+        // pair the rows place inside by its rounded distance is left out).
+        let radius_sq = radius * radius * (1.0 + 1e-9);
 
         // Fold each axis position `o − q_n` to its magnitude: one index per
         // distinct magnitude, in ascending order.
@@ -603,7 +818,7 @@ impl ImageTables {
             .collect();
         let positions = values.len();
         let mut column_of = vec![usize::MAX; positions * positions];
-        let mut lateral: Vec<[f64; 2]> = Vec::new();
+        let mut served: Vec<([f64; 2], [isize; 2])> = Vec::new();
         for oy in -reach..=reach {
             for ox in -reach..=reach {
                 if (ox * ox + oy * oy) as f64 > radius_sq {
@@ -615,59 +830,83 @@ impl ImageTables {
                         let ky = axis[(oy + reach) as usize * nodes.len() + ny].0;
                         let slot = &mut column_of[kx.min(ky) * positions + kx.max(ky)];
                         if *slot == usize::MAX {
-                            *slot = lateral.len();
-                            lateral.push([values[kx.min(ky)], values[kx.max(ky)]]);
+                            *slot = served.len();
+                            served.push(([values[kx.min(ky)], values[kx.max(ky)]], [ox, oy]));
                         }
                     }
                 }
             }
         }
 
-        // Heights: the largest |Δz| of a gathered point, and the distance
-        // from the columns to the nearest non-primary image.
-        let cells = mesh.cells();
+        // Heights: the largest |Δz| of a served point, and the distance from
+        // the widest served column to the nearest non-primary image.
         let (mut z_min, mut z_max, mut slope) = (f64::INFINITY, f64::NEG_INFINITY, 0.0f64);
-        for cell in cells {
+        for cell in mesh.cells() {
             z_min = z_min.min(cell.z);
             z_max = z_max.max(cell.z);
             slope = slope.max(cell.fx.abs() + cell.fy.abs());
         }
         let q_max = nodes.iter().fold(0.0f64, |q, n| q.max(n.abs()));
-        let span = (z_max - z_min).min(policy.radius * delta) + slope * q_max * delta;
-        let widest = lateral.iter().fold(0.0f64, |x, c| x.max(c[1]));
+        let span = (z_max - z_min).min(cap) + slope * q_max * delta;
+        let widest = served.iter().fold(0.0f64, |x, (c, _)| x.max(c[1]));
         let rho = mesh.patch_length() - widest * delta;
-        assert!(rho > 0.0, "image table columns must stay inside one period");
-
+        assert!(
+            rho > 0.0,
+            "kernel table columns must stay inside one period"
+        );
         let shape = greens.map(|green| {
             if span == 0.0 {
                 return (1, 0.0);
             }
-            let h = level_spacing(IMAGE_ORDER, green.wavenumber().abs(), rho, IMAGE_SAFETY);
-            ((span / h).ceil() as usize + IMAGE_ORDER / 2 + 1, h)
+            let h = level_spacing(TABLE_ORDER, green.wavenumber().abs(), rho, TABLE_SAFETY);
+            ((span / h).ceil() as usize + TABLE_ORDER / 2 + 1, h)
         });
+
+        // Keep the accepted columns, renumbered in order.
+        let levels = shape[0].0 + shape[1].0;
+        let mut renumber = vec![usize::MAX; served.len()];
+        let mut lateral = Vec::new();
+        for (slot, &(position, offset)) in renumber.iter_mut().zip(&served) {
+            if keep(offset, levels) {
+                *slot = lateral.len();
+                lateral.push(position);
+            }
+        }
+        for column in column_of.iter_mut().filter(|c| **c != usize::MAX) {
+            *column = renumber[*column];
+        }
+
         let rows: Vec<(usize, usize)> = (0..2)
             .flat_map(|m| (0..shape[m].0).map(move |t| (m, t)))
             .collect();
-        let levels = map_rows(
-            rows.len(),
-            parallelism.worker_count(),
-            Vec::new,
-            |r, seps| {
-                let (m, t) = rows[r];
-                let dz = t as f64 * shape[m].1;
-                seps.clear();
-                seps.extend(
-                    lateral
-                        .iter()
-                        .map(|c| SeparationVector::new(c[0] * delta, c[1] * delta, dz)),
-                );
-                let mut out = Vec::new();
-                eval_gathered_regularized(greens[m], eval, seps, &mut out);
-                out
-            },
-        );
+        let levels = if lateral.is_empty() {
+            vec![Vec::new(); rows.len()]
+        } else {
+            map_rows(
+                rows.len(),
+                parallelism.worker_count(),
+                Vec::new,
+                |r, seps| {
+                    let (m, t) = rows[r];
+                    let dz = t as f64 * shape[m].1;
+                    seps.clear();
+                    seps.extend(
+                        lateral
+                            .iter()
+                            .map(|c| SeparationVector::new(c[0] * delta, c[1] * delta, dz)),
+                    );
+                    let mut out = Vec::new();
+                    eval_gathered_regularized(greens[m], eval, seps, &mut out);
+                    if t == 0 {
+                        // Even in Δz: the z-gradient vanishes on this level.
+                        out.iter_mut().for_each(|s| s.gradient[2] = c64::zero());
+                    }
+                    out
+                },
+            )
+        };
         let mut levels = levels.into_iter();
-        let media = shape.map(|(count, spacing)| ImageTable {
+        let media = shape.map(|(count, spacing)| MediumTable {
             spacing,
             levels: levels.by_ref().take(count).collect(),
         });
@@ -682,6 +921,11 @@ impl ImageTables {
         }
     }
 
+    /// Height levels of the tables, both media (the same for every column).
+    fn levels(&self) -> usize {
+        self.media.iter().map(|t| t.levels.len()).sum()
+    }
+
     /// Kernel samples in the tables, both media.
     fn samples(&self) -> usize {
         self.media
@@ -691,85 +935,78 @@ impl ImageTables {
             .sum()
     }
 
-    /// The image samples of the corrected entry of `observation` and
-    /// `source` at lattice offset `offset`, both media, in rule order (x
-    /// node outer, y node inner) as [`corrected_entry`] consumes them.
+    /// The column of the point at lattice offset `offset` and nodes `node`
+    /// (indices into the layout's nodes, x and y).
     ///
     /// # Panics
     ///
-    /// Panics if the offset or a point's height lies outside the tables: the
-    /// tables cover every corrected entry of the mesh they were built for.
-    fn read(
-        &self,
-        offset: [isize; 2],
-        observation: &Cell3d,
-        source: &Cell3d,
-        out: &mut [Vec<GreenSample>; 2],
-    ) {
-        out.iter_mut().for_each(Vec::clear);
+    /// Panics if the table holds no column for the point: the tables cover
+    /// every point the mesh they were built for asks of them.
+    fn fold(&self, offset: [isize; 2], node: [usize; 2]) -> Fold {
         let nodes = self.node_offsets.len();
-        let class = |o: isize, n: usize| {
+        let [(kx, mirror_x), (ky, mirror_y)] = [0, 1].map(|a| {
             assert!(
-                o.abs() <= self.reach,
-                "near offset {o} outside the image tables"
+                offset[a].abs() <= self.reach,
+                "offset {offset:?} outside the kernel table"
             );
-            self.axis[(o + self.reach) as usize * nodes + n]
-        };
-        for nx in 0..nodes {
-            let (kx, flip_x) = class(offset[0], nx);
-            for ny in 0..nodes {
-                let (ky, flip_y) = class(offset[1], ny);
-                let column = self.column_of[kx.min(ky) * self.positions + kx.max(ky)];
-                assert!(
-                    column != usize::MAX,
-                    "near offset {offset:?} outside the image tables"
-                );
-                let dz = observation.z
-                    - (source.z
-                        + source.fx * self.node_offsets[nx]
-                        + source.fy * self.node_offsets[ny]);
-                for (table, out) in self.media.iter().zip(out.iter_mut()) {
-                    let mut sample = table.interpolate(column, dz);
-                    let [gx, gy, _] = &mut sample.gradient;
-                    if kx > ky {
-                        std::mem::swap(gx, gy);
-                    }
-                    if flip_x {
-                        *gx = -*gx;
-                    }
-                    if flip_y {
-                        *gy = -*gy;
-                    }
-                    out.push(sample);
-                }
-            }
+            self.axis[(offset[a] + self.reach) as usize * nodes + node[a]]
+        });
+        let column = self.column_of[kx.min(ky) * self.positions + kx.max(ky)];
+        assert!(
+            column != usize::MAX,
+            "offset {offset:?} outside the kernel table"
+        );
+        Fold {
+            column,
+            swap: kx > ky,
+            mirror: [mirror_x, mirror_y],
         }
+    }
+
+    /// The kernel of `medium` at the point `fold` and height `dz`.
+    fn sample(&self, medium: usize, fold: Fold, dz: f64) -> GreenSample {
+        let mut sample = self.media[medium].interpolate(fold.column, dz);
+        let [gx, gy, _] = &mut sample.gradient;
+        if fold.swap {
+            std::mem::swap(gx, gy);
+        }
+        if fold.mirror[0] {
+            *gx = -*gx;
+        }
+        if fold.mirror[1] {
+            *gy = -*gy;
+        }
+        sample
     }
 }
 
-impl ImageTable {
+impl MediumTable {
     /// The kernel at `column` and height `dz`, by Lagrange interpolation
     /// over the centred stencil of levels around `|dz|`; on a one-level
     /// table, the level itself at `dz = 0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `|dz|` lies above the tabulated heights.
     fn interpolate(&self, column: usize, dz: f64) -> GreenSample {
         let levels = &self.levels;
         let s = dz.abs();
         if levels.len() == 1 {
             assert!(
                 s == 0.0,
-                "image point at |dz| = {s:e} m on a one-level image table"
+                "point at |dz| = {s:e} m on a one-level kernel table"
             );
             return levels[0][column];
         }
-        let p = IMAGE_ORDER as isize;
+        let p = TABLE_ORDER as isize;
         let u = s / self.spacing;
         let start = u.floor() as isize + 1 - p / 2;
         assert!(
             start + p <= levels.len() as isize,
-            "image point at |dz| = {s:e} m above the image table's {} levels",
+            "point at |dz| = {s:e} m above the kernel table's {} levels",
             levels.len()
         );
-        let mut weights = [0.0; IMAGE_ORDER];
+        let mut weights = [0.0; TABLE_ORDER];
         lagrange_weights(u - start as f64, &mut weights);
 
         let mut value = c64::zero();
@@ -946,8 +1183,8 @@ impl FlatOffsetTable {
 /// * the periodic-image (`regularized`) part is analytic on the scale of the
 ///   patch period, so a fixed 3 × 3 rule integrates it to far below the
 ///   remainder tolerance; its kernel samples arrive in `image_samples`, x
-///   node outer and y node inner, read from the assembly's image tables
-///   ([`ImageTables::read`]).
+///   node outer and y node inner, read from the assembly's image table
+///   ([`ExactEntries::image_samples`]).
 ///
 /// The adaptive outcome (panel count, depth-cap hits, achieved error) is
 /// absorbed into `stats` so callers can see when the depth cap truncated the
@@ -1096,15 +1333,18 @@ pub fn assemble_system(
 /// Assembles the full coupled system with explicit kernel evaluation and
 /// parallelism strategies.
 ///
-/// [`KernelEval::Batched`] (what [`assemble_system`] uses) gathers the
-/// far-field separations of every matrix row into one blocked kernel call
-/// per medium; [`KernelEval::Scalar`] evaluates the same points one scalar
-/// kernel call at a time and is kept as the equivalence oracle and benchmark
-/// baseline. The two agree to ≤ 1e-12 relative on every entry.
+/// The kernel tables of the assembly (the image table, and the far table of
+/// the far columns that pay) are evaluated one height level per kernel call.
+/// [`KernelEval::Batched`] (what [`assemble_system`] uses) makes each such
+/// call one batched kernel call and gathers the directly sampled far
+/// separations of every matrix row into one blocked call per medium;
+/// [`KernelEval::Scalar`] evaluates the same points one scalar kernel call
+/// at a time and is kept as the equivalence oracle and benchmark baseline.
+/// The two agree to ≤ 1e-12 relative on every entry.
 ///
-/// `parallelism` spreads the row panels over worker threads; the result is
-/// bit-identical at any thread count (rows are independent and the scatter is
-/// serial in row order).
+/// `parallelism` spreads the table levels and then the row panels over
+/// worker threads; the result is bit-identical at any thread count (levels
+/// and rows are independent and both are collected in order).
 ///
 /// # Panics
 ///
@@ -1155,7 +1395,7 @@ fn dense_rows(
 ) -> (Vec<Vec<MediaEntry>>, AssemblyStats) {
     let n = mesh.len();
     let AssemblyScheme::LocallyCorrected(policy) = scheme;
-    let pass = ExactEntries::new(mesh, g1, g2, policy, eval, parallelism);
+    let pass = ExactEntries::new(mesh, g1, g2, policy, eval, parallelism, Columns::All);
     let rows = map_rows(
         n,
         parallelism.worker_count(),
@@ -1519,6 +1759,7 @@ pub(crate) mod tests {
                         policy,
                         KernelEval::default(),
                         AssemblyParallelism::default(),
+                        Columns::All,
                     );
                     for entry in pass.flat.slots.iter().flatten() {
                         let (i, j) = entry.first;
@@ -1604,7 +1845,7 @@ pub(crate) mod tests {
                 ("flat", flat),
             ] {
                 let (table, t) = media(&mesh, &g1, &g2, scheme);
-                let (oracle, o) = per_point(|| media(&mesh, &g1, &g2, scheme));
+                let (oracle, o) = per_point(Table::Images, || media(&mesh, &g1, &g2, scheme));
                 assert_eq!(t, o, "{name}, tile {tile:e}");
                 let n = mesh.len();
                 let radius = NearFieldPolicy::default().radius * mesh.cell_size();
@@ -1675,6 +1916,162 @@ pub(crate) mod tests {
                 let per_point = 18 * (stats.corrected_entries / 2);
                 assert_eq!(stats.image_samples, pinned, "{ghz} GHz, {workers} workers");
                 assert!(5 * stats.image_samples < per_point, "{stats:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn far_table_matches_direct_samples() {
+        // Tabulated far entries are the primary image evaluated plus the
+        // rest of the periodic kernel read from the far table; the oracle
+        // samples every far entry directly. In every kernel regime, on the
+        // spheroid, a steep Gaussian mesh, a near-flat one (heights ~1e-12
+        // m) and an exactly flat one (one level), in both media: every near
+        // entry bit-equal, the same integrations, every far D within 1e-12
+        // of the medium's largest far |D| or the ½ free term, whichever is
+        // larger (the bound of `image_table_matches_direct_regularized_samples`),
+        // and every far S within 1e-12 of the medium's largest far |S| plus
+        // twice the direct samples' own spread: the largest far difference
+        // between two oracles whose Ewald splittings differ by 30 %. The
+        // conductor's far entries are exponentially small next to the
+        // kernel's Ewald terms, so at 16 GHz on the 12 µm tile and in the
+        // high-|k|L regime that spread is 2e-12–1.1e-11 of the largest far
+        // |S|; in the dielectric it is ~1e-15.
+        let scheme = AssemblyScheme::default();
+        for (tile, [k1, k2]) in flat_table_regimes() {
+            let g1 = PeriodicGreen3d::new(k1, tile);
+            let g2 = PeriodicGreen3d::new(k2, tile);
+            let split = |g: &PeriodicGreen3d| {
+                PeriodicGreen3d::with_splitting(g.wavenumber(), tile, 1.3 * g.splitting())
+            };
+            let (h1, h2) = (split(&g1), split(&g2));
+            let steep = gaussian_mesh(8, tile, 0);
+            assert!(steepest(&steep) >= 2.5, "{}", steepest(&steep));
+            let near_flat = PatchMesh::from_surface(&RoughSurface::from_fn(8, tile, |x, y| {
+                1e-12 * ((2.0 * PI * x / tile).sin() + (2.0 * PI * y / tile).cos())
+            }));
+            let flat = PatchMesh::from_surface(&RoughSurface::flat(8, tile));
+            for (name, mesh) in [
+                ("spheroid", fig5_spheroid_mesh(8, tile)),
+                ("steep", steep),
+                ("near-flat", near_flat),
+                ("flat", flat),
+            ] {
+                let (table, t) = media(&mesh, &g1, &g2, scheme);
+                let (oracle, o) = per_point(Table::Far, || media(&mesh, &g1, &g2, scheme));
+                let (other, _) = per_point(Table::Far, || media(&mesh, &h1, &h2, scheme));
+                // The table replaces direct samples; nothing else changes.
+                assert!(t.far_samples < o.far_samples, "{name}: {t:?} vs {o:?}");
+                let counts = |s: AssemblyStats| AssemblyStats {
+                    far_samples: 0,
+                    ..s
+                };
+                assert_eq!(counts(t), counts(o), "{name}, tile {tile:e}");
+                let n = mesh.len();
+                let radius = NearFieldPolicy::default().radius * mesh.cell_size();
+                let near = |i: usize, j: usize| {
+                    let pair = MinImage::new(&mesh.cells()[i], &mesh.cells()[j], tile);
+                    i == j || pair.distance_sq() < radius * radius
+                };
+                for (m, ((table, oracle), other)) in
+                    table.iter().zip(&oracle).zip(&other).enumerate()
+                {
+                    let (mut scale, mut spread) = ([0.0f64, 0.5], 0.0f64);
+                    for i in 0..n {
+                        for j in (0..n).filter(|&j| !near(i, j)) {
+                            for (s, block) in scale.iter_mut().zip(oracle) {
+                                *s = s.max(block[(i, j)].abs());
+                            }
+                            spread = spread.max((other[0][(i, j)] - oracle[0][(i, j)]).abs());
+                        }
+                    }
+                    let bound = [1e-12 * scale[0] + 2.0 * spread, 1e-12 * scale[1]];
+                    for i in 0..n {
+                        for j in 0..n {
+                            for (q, a, b, bound) in [
+                                ("S", table[0][(i, j)], oracle[0][(i, j)], bound[0]),
+                                ("D", table[1][(i, j)], oracle[1][(i, j)], bound[1]),
+                            ] {
+                                if near(i, j) {
+                                    assert_eq!(bits(a), bits(b), "{name}: near {q}[{i}][{j}]");
+                                } else {
+                                    assert!(
+                                        (a - b).abs() <= bound,
+                                        "{name}, tile {tile:e}, medium {m}: {q}[{i}][{j}] {a} vs {b}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn far_double_layer_of_a_flat_mesh_is_exactly_zero() {
+        // On an exactly flat mesh every far pair is read from the far
+        // table's one level at Δz = 0, where the table stores the
+        // z-gradient as exactly zero and the primary image's z-gradient is
+        // exactly zero too: every far D vanishes exactly, in both media and
+        // every kernel regime.
+        for (tile, [k1, k2]) in flat_table_regimes() {
+            let g1 = PeriodicGreen3d::new(k1, tile);
+            let g2 = PeriodicGreen3d::new(k2, tile);
+            let mesh = PatchMesh::from_surface(&RoughSurface::flat(8, tile));
+            let (media, stats) = media(&mesh, &g1, &g2, AssemblyScheme::default());
+            let near_pairs = (stats.corrected_entries + stats.reused_entries) / 2;
+            let far_pairs = mesh.len() * mesh.len() - near_pairs;
+            assert!(stats.far_samples < 2 * far_pairs, "{stats:?}");
+            let radius = NearFieldPolicy::default().radius * mesh.cell_size();
+            for (m, [_, double]) in media.iter().enumerate() {
+                for i in 0..mesh.len() {
+                    for j in 0..mesh.len() {
+                        let pair = MinImage::new(&mesh.cells()[i], &mesh.cells()[j], tile);
+                        if i != j && pair.distance_sq() >= radius * radius {
+                            assert_eq!(double[(i, j)], c64::zero(), "medium {m}: D[{i}][{j}]");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn far_tables_evaluate_at_most_the_direct_samples() {
+        // A far column is tabulated only where its nodes number fewer than
+        // the two direct samples per far pair it replaces, so the far
+        // field's kernel evaluations never exceed the direct rule's: a count
+        // fixed by the mesh and the kernels, the same at any worker count.
+        // At 4 cells no column pays and every far entry is sampled directly.
+        // σ = η = 1 µm Gaussian tiles at 4, 8 and 16 cells and the 16-cell
+        // Fig. 5 spheroid, at the SSCM benchmark's 8 GHz.
+        let stack = rough_em::material::Stackup::paper_baseline();
+        let f: rough_em::units::Frequency = rough_em::units::GigaHertz::new(8.0).into();
+        for (name, mesh, pinned) in [
+            ("gaussian 4", gaussian_mesh(4, 5e-6, 1), 120),
+            ("gaussian 8", gaussian_mesh(8, 5e-6, 1), 1828),
+            ("gaussian 16", gaussian_mesh(16, 5e-6, 1), 5632),
+            ("spheroid 16", fig5_spheroid_mesh(16, 12e-6), 4796),
+        ] {
+            let g1 = PeriodicGreen3d::new(stack.k1(f), mesh.patch_length());
+            let g2 = PeriodicGreen3d::new(stack.k2(f), mesh.patch_length());
+            for workers in [1, 2] {
+                let (_, stats) = dense_rows(
+                    &mesh,
+                    &g1,
+                    &g2,
+                    AssemblyScheme::default(),
+                    KernelEval::default(),
+                    AssemblyParallelism::workers(workers),
+                );
+                let n = mesh.len();
+                let far_pairs = n * n - (stats.corrected_entries + stats.reused_entries) / 2;
+                assert!(stats.far_samples <= 2 * far_pairs, "{name}: {stats:?}");
+                if name == "gaussian 4" {
+                    assert_eq!(stats.far_samples, 2 * far_pairs, "{name}: {stats:?}");
+                }
+                assert_eq!(stats.far_samples, pinned, "{name}, {workers} workers");
             }
         }
     }

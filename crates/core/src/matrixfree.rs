@@ -60,10 +60,12 @@
 //! near set) reads its exact entries of both media from the dense path's
 //! own exact-entry pass ([`crate::assembly3d`]): the locally corrected
 //! integral for 3-D near pairs (analytic statics + adaptive remainder +
-//! periodic images read from the pass's image tables, or its copy from the
+//! periodic images read from the pass's image table, or its copy from the
 //! flat-offset table for pairs of exactly flat cells at equal height), the
-//! far midpoint sample for 2-D-near/3-D-far pairs. Near entries therefore
-//! equal the dense system's bit for bit. Each pair is one
+//! far midpoint sample for 2-D-near/3-D-far pairs (read from the pass's far
+//! table where the dense system reads it there too; the pass builds only
+//! the far columns inside the near pattern). Near entries therefore equal
+//! the dense system's bit for bit. Each pair is one
 //! 2 × 2 block of paper eq. (9) over one block-sparse pattern, which holds
 //! two block arrays: the exact blocks, and the precorrections — the same
 //! block formula applied to `exact − grid`, `grid` being the
@@ -86,7 +88,7 @@
 //! (`crates/core/tests/krylov_equivalence.rs`).
 
 use crate::assembly3d::{
-    eval_gathered, incident_rhs, system_block, Block, ExactEntries, MediaEntry, RowScratch,
+    eval_gathered, incident_rhs, system_block, Block, Columns, ExactEntries, MediaEntry, RowScratch,
 };
 use crate::mesh::PatchMesh;
 use crate::nearfield::{AssemblyStats, KernelEval, NearFieldPolicy};
@@ -423,7 +425,7 @@ impl MatrixFreeOperator {
     /// geometry, generator tables (one batched kernel evaluation per z
     /// level over the canonical lateral offsets, the levels spread over
     /// `parallelism`), the exact near blocks and their precorrections (the
-    /// dense path's exact-entry pass over the near pattern, its image-table
+    /// dense path's exact-entry pass over the near pattern, its kernel-table
     /// levels and rows spread over `parallelism`), and the incident-field
     /// right-hand side. The matvec runs on the same number of workers. The
     /// operator and its matvec are bit-identical at any worker count.
@@ -461,7 +463,7 @@ impl MatrixFreeOperator {
     /// saves is the batched kernel evaluation over the `m` levels' canonical
     /// generator samples. Folded by the lattice's symmetry, that is a small
     /// share of the setup: the exact near entries (analytic statics,
-    /// adaptive remainder and the image tables) take most of it.
+    /// adaptive remainder and the kernel tables) take most of it.
     ///
     /// # Panics
     ///
@@ -482,7 +484,15 @@ impl MatrixFreeOperator {
         // Both policies are checked before the slab is sized from the near
         // radius: the pass checks the near-field one and the kernels.
         mf.validate().expect("matrix-free policy must be valid");
-        let pass = ExactEntries::new(mesh, g1, g2, policy, eval, parallelism);
+        let pass = ExactEntries::new(
+            mesh,
+            g1,
+            g2,
+            policy,
+            eval,
+            parallelism,
+            Columns::LaterallyNear,
+        );
 
         let side = mesh.cells_per_side();
         let ncells = mesh.len();

@@ -61,9 +61,14 @@ pub struct AssemblyStats {
     /// `|coarse − fine|` sum over the entry's accepted leaves).
     pub max_entry_error: f64,
     /// Regularized periodic-image kernel evaluations of the 3D near field:
-    /// the nodes of its image tables, both media, evaluated once per
+    /// the nodes of its image table, both media, evaluated once per
     /// assembly and read by every corrected entry.
     pub image_samples: usize,
+    /// Kernel evaluations spent on the 3D far entries, both media: the
+    /// nodes of the far table (regularized samples, evaluated once per
+    /// assembly) plus one full sample per medium of every far pair outside
+    /// it.
+    pub far_samples: usize,
 }
 
 impl AssemblyStats {
@@ -87,6 +92,7 @@ impl AssemblyStats {
         self.unconverged_entries += other.unconverged_entries;
         self.max_entry_error = self.max_entry_error.max(other.max_entry_error);
         self.image_samples += other.image_samples;
+        self.far_samples += other.far_samples;
     }
 
     /// `true` when every adaptive entry met the tolerance before the depth
@@ -106,14 +112,16 @@ impl AssemblyStats {
 /// * [`KernelEval::Scalar`] — one kernel evaluation per matrix entry, exactly
 ///   the historical code path. Kept as the oracle for equivalence tests and
 ///   as the baseline of the assembly benchmark.
-/// * [`KernelEval::Batched`] (default) — blocked row-panel assembly: all
-///   far-field observation–source separations of a matrix row are gathered
-///   into a contiguous slice and evaluated through the batched kernel API
-///   (`eval_batch_samples`), and so is each height level of the near
-///   field's periodic-image tables (`eval_batch_regularized`, one call per
-///   level, whose points share `|Δz|` and so one set of spectral profiles).
-///   The batch API hoists the Ewald setup out of the inner loop and shares
-///   the expensive `erfc`/`exp` factors across Floquet-mode classes.
+/// * [`KernelEval::Batched`] (default) — blocked row-panel assembly: each
+///   height level of the assembly's kernel tables (the near field's
+///   periodic-image table and the far table, `eval_batch_regularized`, one
+///   call per level, whose points share `|Δz|` and so one set of spectral
+///   profiles) is one batched call, and the far-field separations of a
+///   matrix row that no far-table column serves are gathered into a
+///   contiguous slice and evaluated through the batched kernel API
+///   (`eval_batch_samples`). The batch API hoists the Ewald setup out of
+///   the inner loop and shares the expensive `erfc`/`exp` factors across
+///   Floquet-mode classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelEval {
     /// Per-entry kernel evaluation (reference/oracle path).

@@ -1,12 +1,14 @@
 //! Equispaced height tables of the periodic kernel.
 //!
-//! Two tables read the Ewald-summed kernel at heights between their levels
-//! by centred `p`-point Lagrange interpolation: the matrix-free operator's
-//! z slab (the far field's generator planes, [`crate::matrixfree`]) and the
-//! near field's image table (the regularized kernel at the periodic-image
-//! quadrature points, [`crate::assembly3d`]). Both size their level spacing
-//! here, from the two ways the interpolated kernel can vary faster than the
-//! stencil resolves, and weigh their stencil levels here.
+//! Three tables read the Ewald-summed kernel at heights between their
+//! levels by centred `p`-point Lagrange interpolation: the matrix-free
+//! operator's z slab (the far field's generator planes,
+//! [`crate::matrixfree`]), and the dense assembly's image and far tables
+//! (the regularized kernel at the periodic-image quadrature points of the
+//! near field and at the cell centres of the far pairs,
+//! [`crate::assembly3d`]). All size their level spacing here, from the two
+//! ways the interpolated kernel can vary faster than the stencil resolves,
+//! and weigh their stencil levels here.
 
 /// Per-entry relative accuracy the level spacing rule targets. A safety
 /// factor below one then buys several further digits of margin.
